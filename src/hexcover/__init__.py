@@ -8,7 +8,6 @@ from .geometry import (
     LatticePoint,
     PackingWitness,
     count_packed_small_hexagons,
-    lattice_point,
     packing_diameter,
     vertex_covers_triangle,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "density_ratio_limit",
     "emit_figure_table",
     "hexagon_count",
-    "lattice_point",
     "minimum_sensors_lower_bound",
     "packing_diameter",
     "per_hexagon_count",

@@ -2,9 +2,11 @@
 
 The small honeycomb shares the big tiling's orientation and is anchored at the
 origin (a small hexagon centered there); an exact rational offset can shift
-it.  A small hexagon belongs to the benchmark iff all six of its vertices lie
-in the closed union of the patch hexagons, and each such hexagon receives k
-uniformly sampled sensors from its own deterministic RNG stream.
+it.  A small hexagon is identified by its axial coordinates (q, w) on the
+small honeycomb and is handled in floats from there on: it belongs to the
+benchmark iff all six of its vertices pass the patch-membership test
+``tiling.region_contains`` with a 1e-9 band, and each such hexagon receives
+k uniformly sampled sensors from its own deterministic RNG stream.
 
 The closed-form count ``benchmark_count`` reports k*(15 l^2 - 27 l + 18) for
 k >= 2 as printed in the source scheme; the geometric enumeration is exposed
@@ -20,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import SQRT3, Hexagon, LatticePoint, lattice_point
-from .tiling import SolarModel
+from .geometry import ORIGIN, SQRT3, Hexagon
+from .tiling import SolarModel, region_contains, triangle_samples
 
 SMALL_SIDE = Fraction(1, 2)
 
@@ -50,44 +52,59 @@ def count_gap(layers: int, k: int) -> int:
     return gap
 
 
+# Twice the lattice coefficients (x, y) of the center and the six vertices of
+# the half-side hexagon at the origin: all integers.
+_SMALL_X2, _SMALL_Y2 = np.array(
+    [(int(2 * p.x), int(2 * p.y)) for p in (ORIGIN,) + Hexagon(ORIGIN, SMALL_SIDE).vertices()]
+).T
+
+
+def _small_hexagon_xy(
+    axial: np.ndarray, offset: tuple[Fraction, Fraction], scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float centers (m, 2) and vertices (m, 6, 2), in meters, of small hexagons.
+
+    The hexagon at axial (q, w) is centered at offset*scale plus the lattice
+    point (3q/2, (q + 2w)/2).  With (x0, y0) = 2*offset and (X, Y) the
+    lattice coefficients of a point, each coordinate is rounded the way
+    ``LatticePoint.to_xy`` rounds it, the offset's y being an extra rational
+    term: x = float(x0 + X) * scale/2 and y = (float(y0) + float(Y) *
+    sqrt(3)) * scale/2.  The scheme's exports therefore match an exact
+    construction bit for bit.
+    """
+    half = 0.5 * scale
+    x0, y0 = 2 * Fraction(offset[0]), 2 * Fraction(offset[1])
+    q, w = axial[:, :1], axial[:, 1:]
+    x2 = 3 * q + _SMALL_X2
+    y2 = q + 2 * w + _SMALL_Y2
+    # x0 + x2/2 need not be a binary fraction: round each distinct value once
+    # from its exact rational.
+    low, high = int(x2.min(initial=0)), int(x2.max(initial=0))
+    x_rounded = np.array([float(x0 + Fraction(j, 2)) for j in range(low, high + 1)])
+    xs = x_rounded[x2 - low] * half
+    ys = (float(y0) + (y2 * 0.5) * SQRT3) * half
+    points = np.stack([xs, ys], axis=-1)
+    return points[:, 0], points[:, 1:]
+
+
 def small_hexagon_centers(
     model: SolarModel, offset: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))
-) -> list[LatticePoint]:
-    """Centers of half-side hexagons fully inside the patch, in scan order.
+) -> np.ndarray:
+    """Axial coordinates (q, w) of the half-side hexagons inside the patch, in scan order.
 
     ``offset`` shifts the small tiling by rational multiples of the side
-    length along x and y.  Containment uses a float test with a 1e-9 band:
-    candidate margins are either exactly zero (boundary contact, which counts
-    as inside) or bounded away from zero by the quarter-integer lattice, so
-    the band never misclassifies.
+    length along x and y.  Containment uses the float membership test with a
+    1e-9 band: vertex margins are either exactly zero (boundary contact,
+    which counts as inside) or bounded away from zero by the quarter-integer
+    lattice, so the band never misclassifies.
     """
-    base = lattice_point(x_rat=2 * Fraction(offset[0]), y_rat=2 * Fraction(offset[1]))
-    step_q = lattice_point(x_rat=3 * SMALL_SIDE, y_root3=SMALL_SIDE)
-    step_w = lattice_point(y_root3=2 * SMALL_SIDE)
-
-    centers_xy = np.array([h.center.to_xy(1.0) for h in model.hexagons])
-    apothem = SQRT3 * 0.5
-    bound = apothem + 1e-9
-
-    def inside_patch(x: float, y: float) -> bool:
-        dx = x - centers_xy[:, 0]
-        dy = y - centers_xy[:, 1]
-        hit = (
-            (np.abs(dy) <= bound)
-            & (np.abs(SQRT3 * dx + dy) * 0.5 <= bound)
-            & (np.abs(SQRT3 * dx - dy) * 0.5 <= bound)
-        )
-        return bool(hit.any())
-
     reach = 4 * model.layers + 4
-    kept: list[LatticePoint] = []
-    for q in range(-reach, reach + 1):
-        for w in range(-reach, reach + 1):
-            center = base + step_q * q + step_w * w
-            small = Hexagon(center, SMALL_SIDE)
-            if all(inside_patch(*v.to_xy(1.0)) for v in small.vertices()):
-                kept.append(center)
-    return kept
+    steps = np.arange(-reach, reach + 1)
+    q, w = np.meshgrid(steps, steps, indexing="ij")
+    axial = np.column_stack([q.ravel(), w.ravel()])
+    _, vertices = _small_hexagon_xy(axial, offset, model.side)
+    inside = region_contains(model, vertices.reshape(-1, 2), tol=1e-9)
+    return axial[inside.reshape(-1, 6).all(axis=1)]
 
 
 @dataclass(frozen=True)
@@ -98,7 +115,8 @@ class BenchmarkDeployment:
     k: int
     seed: int
     offset: tuple[Fraction, Fraction]
-    small_hexagons: tuple[Hexagon, ...]
+    small_centers: np.ndarray  # (m, 2) meters
+    small_vertices: np.ndarray  # (m, 6, 2) meters, counterclockwise from 0 degrees
     positions: np.ndarray  # (n, 2) meters
     hexagon_index: np.ndarray  # (n,) owning small hexagon
     strategy: str = "benchmark"
@@ -128,38 +146,23 @@ def place_benchmark(
     """
     if k < 1:
         raise ValueError(f"coverage target must be >= 1, got {k}")
-    centers = small_hexagon_centers(model, offset)
-    smalls = tuple(Hexagon(c, SMALL_SIDE) for c in centers)
+    centers, vertices = _small_hexagon_xy(small_hexagon_centers(model, offset), offset, model.side)
 
-    scale = model.side
     all_points: list[np.ndarray] = []
-    owners: list[int] = []
-    for index, small in enumerate(smalls):
+    for index, (origin, verts) in enumerate(zip(centers, vertices)):
         rng = np.random.default_rng([seed, index])
-        origin = np.array(small.center.to_xy(scale))
-        verts = np.array([v.to_xy(scale) for v in small.vertices()])
         tri = rng.integers(0, 6, size=k)
         u = rng.random(k)
         v = rng.random(k)
-        fold = u + v > 1.0
-        u[fold] = 1.0 - u[fold]
-        v[fold] = 1.0 - v[fold]
-        a = verts[tri]
-        b = verts[(tri + 1) % 6]
-        points = origin + u[:, None] * (a - origin) + v[:, None] * (b - origin)
-        all_points.append(points)
-        owners.extend([index] * k)
+        all_points.append(triangle_samples(origin, verts[tri], verts[(tri + 1) % 6], u, v))
 
-    if all_points:
-        positions = np.concatenate(all_points)
-    else:
-        positions = np.zeros((0, 2))
     return BenchmarkDeployment(
         model=model,
         k=k,
         seed=seed,
         offset=(Fraction(offset[0]), Fraction(offset[1])),
-        small_hexagons=smalls,
-        positions=positions,
-        hexagon_index=np.array(owners, dtype=int),
+        small_centers=centers,
+        small_vertices=vertices,
+        positions=np.concatenate(all_points) if all_points else np.zeros((0, 2)),
+        hexagon_index=np.repeat(np.arange(len(centers)), k),
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -52,10 +53,30 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _checked(parse, accept, expected: str):
+    """An argparse ``type=`` that parses with ``parse`` and rejects values failing ``accept``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return convert
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+
+
 def _add_patch_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--layers", type=int, default=1, help="hexagon rings in the patch (default: 1)")
-    parser.add_argument("--coverage", type=int, default=1, help="coverage target k (default: 1)")
-    parser.add_argument("--radius", type=float, default=1.0, help="sensing radius / hexagon side in meters (default: 1)")
+    parser.add_argument("--layers", type=_positive_int, default=1, help="hexagon rings in the patch (default: 1)")
+    parser.add_argument("--coverage", type=_positive_int, default=1, help="coverage target k (default: 1)")
+    parser.add_argument("--radius", type=_positive_float, default=1.0, help="sensing radius / hexagon side in meters (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_patch_args(plan)
     plan.add_argument("--strategy", choices=("proposed", "benchmark"), default="proposed",
                       help="placement strategy (default: proposed)")
-    plan.add_argument("--seed", type=int, default=0, help="RNG seed for the benchmark strategy (default: 0)")
+    plan.add_argument("--seed", type=_non_negative_int, default=0, help="RNG seed for the benchmark strategy (default: 0)")
     plan.add_argument("--parity", choices=("even", "odd"), default="even",
                       help="alternate-vertex class used first (default: even)")
     plan.add_argument("--offset-x", type=_fraction, default=Fraction(0),
@@ -82,16 +103,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subparsers.add_parser("verify", help="check a sensor file for k-coverage")
     verify.add_argument("--input", required=True, help="sensor CSV produced by plan")
-    verify.add_argument("--coverage", type=int, default=None,
+    verify.add_argument("--coverage", type=_positive_int, default=None,
                         help="coverage target (default: k recorded in the file)")
-    verify.add_argument("--layers", type=int, default=None,
+    verify.add_argument("--layers", type=_positive_int, default=None,
                         help="patch layers (default: value recorded in the file)")
-    verify.add_argument("--radius", type=float, default=None,
+    verify.add_argument("--radius", type=_positive_float, default=None,
                         help="sensing radius in meters (default: value recorded in the file)")
-    verify.add_argument("--grid-step", type=float, default=None,
+    verify.add_argument("--grid-step", type=_positive_float, default=None,
                         help="sampling grid pitch in meters (default: radius/20)")
-    verify.add_argument("--seed", type=int, default=0, help="seed for the random samples (default: 0)")
-    verify.add_argument("--mc-samples", type=int, default=50_000,
+    verify.add_argument("--seed", type=_non_negative_int, default=0, help="seed for the random samples (default: 0)")
+    verify.add_argument("--mc-samples", type=_non_negative_int, default=50_000,
                         help="random sample count (default: 50000)")
     verify.add_argument("--fail-fast", action="store_true",
                         help="stop at the first failing sample stage")
@@ -104,34 +125,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser("sweep", help="write the figure CSVs (fig4..fig8)")
     sweep.add_argument("--output", default="figures", help="output directory (default: figures)")
-    sweep.add_argument("--r-start", type=float, default=1.0, help="radius sweep start (default: 1)")
-    sweep.add_argument("--r-stop", type=float, default=30.0, help="radius sweep stop (default: 30)")
-    sweep.add_argument("--r-step", type=float, default=1.0, help="radius sweep step (default: 1)")
-    sweep.add_argument("--k-min", type=int, default=1, help="coverage sweep start (default: 1)")
-    sweep.add_argument("--k-max", type=int, default=10, help="coverage sweep stop (default: 10)")
-    sweep.add_argument("--l-min", type=int, default=1, help="layer sweep start (default: 1)")
-    sweep.add_argument("--l-max", type=int, default=10, help="layer sweep stop (default: 10)")
+    sweep.add_argument("--r-start", type=_positive_float, default=1.0, help="radius sweep start (default: 1)")
+    sweep.add_argument("--r-stop", type=_positive_float, default=30.0, help="radius sweep stop (default: 30)")
+    sweep.add_argument("--r-step", type=_positive_float, default=1.0, help="radius sweep step (default: 1)")
+    sweep.add_argument("--k-min", type=_positive_int, default=1, help="coverage sweep start (default: 1)")
+    sweep.add_argument("--k-max", type=_positive_int, default=10, help="coverage sweep stop (default: 10)")
+    sweep.add_argument("--l-min", type=_positive_int, default=1, help="layer sweep start (default: 1)")
+    sweep.add_argument("--l-max", type=_positive_int, default=10, help="layer sweep stop (default: 10)")
 
     return parser
-
-
-def _validate_patch_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if args.layers is not None and args.layers < 1:
-        parser.error("--layers must be >= 1")
-    if args.coverage is not None and args.coverage < 1:
-        parser.error("--coverage must be >= 1")
-    if args.radius is not None and args.radius <= 0:
-        parser.error("--radius must be positive")
 
 
 def run_plan(args: argparse.Namespace) -> int:
     model = build_solar_model(args.layers, args.radius)
     if args.strategy == "proposed":
+        # place_proposed raises InvariantViolation unless placed == formula.
         deployment = place_proposed(model, args.coverage, parity=args.parity)
         placed = len(deployment.sensors)
         formula = total_count(args.layers, args.coverage)
-        if placed != formula:
-            raise InvariantViolation(f"enumerated {placed} sensors, closed form {formula}")
         summary = (
             f"plan: strategy=proposed l={args.layers} k={args.coverage} r={args.radius:g} "
             f"n={placed} formula={formula} density={density_proposed(args.coverage, args.radius):.6g}"
@@ -145,7 +156,7 @@ def run_plan(args: argparse.Namespace) -> int:
         summary = (
             f"plan: strategy=benchmark l={args.layers} k={args.coverage} r={args.radius:g} "
             f"seed={args.seed} n={placed} formula={formula} "
-            f"small_hexagons={len(deployment.small_hexagons)} "
+            f"small_hexagons={len(deployment.small_centers)} "
             f"small_hexagons_formula={small_hexagon_formula_count(args.layers)} "
             f"density={density_benchmark(args.coverage, args.radius):.6g}"
         )
@@ -166,13 +177,12 @@ def run_verify(args: argparse.Namespace) -> int:
         print(f"error: sensor file not found: {path}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        sensor_file = read_sensors_csv(path)
+        loaded = load_deployment(
+            read_sensors_csv(path), layers=args.layers, radius=args.radius, k=args.coverage
+        )
     except SensorFileError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    loaded = load_deployment(
-        sensor_file, layers=args.layers, radius=args.radius, k=args.coverage
-    )
     report = verify_coverage(
         loaded,
         target_k=loaded.k,
@@ -219,6 +229,21 @@ def run_compare(args: argparse.Namespace) -> int:
 
 
 def run_sweep(args: argparse.Namespace) -> int:
+    try:
+        specs = {
+            "fig4": SweepSpec("radius", args.r_start, args.r_stop, args.r_step, {"k": (2, 7)}),
+            "fig5": SweepSpec("coverage_k", args.k_min, args.k_max, 1, {"r": (10.0, 20.0)}),
+            "fig6": SweepSpec("layers", args.l_min, args.l_max, 1, {"k": (3, 10)}),
+            "fig7": SweepSpec("coverage_k", args.k_min, args.k_max, 1, {"l": (3, 5)}),
+            "fig8": SweepSpec(
+                "joint", args.k_min, args.k_max, 1,
+                {"l_values": list(range(args.l_min, args.l_max + 1))},
+            ),
+        }
+    except ValueError as exc:  # a stop below its start
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
     out_dir = Path(args.output)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -229,16 +254,6 @@ def run_sweep(args: argparse.Namespace) -> int:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    specs = {
-        "fig4": SweepSpec("radius", args.r_start, args.r_stop, args.r_step, {"k": (2, 7)}),
-        "fig5": SweepSpec("coverage_k", args.k_min, args.k_max, 1, {"r": (10.0, 20.0)}),
-        "fig6": SweepSpec("layers", args.l_min, args.l_max, 1, {"k": (3, 10)}),
-        "fig7": SweepSpec("coverage_k", args.k_min, args.k_max, 1, {"l": (3, 5)}),
-        "fig8": SweepSpec(
-            "joint", args.k_min, args.k_max, 1,
-            {"l_values": list(range(args.l_min, args.l_max + 1))},
-        ),
-    }
     for figure_id in FIGURE_IDS:
         table = emit_figure_table(figure_id, specs[figure_id])
         write_figure_csv(table, out_dir / f"{figure_id}.csv", __version__)
@@ -249,19 +264,6 @@ def run_sweep(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand in ("plan", "compare"):
-        _validate_patch_args(parser, args)
-    if args.subcommand == "verify":
-        if args.coverage is not None and args.coverage < 1:
-            parser.error("--coverage must be >= 1")
-        if args.layers is not None and args.layers < 1:
-            parser.error("--layers must be >= 1")
-        if args.radius is not None and args.radius <= 0:
-            parser.error("--radius must be positive")
-        if args.grid_step is not None and args.grid_step <= 0:
-            parser.error("--grid-step must be positive")
-        if args.mc_samples < 0:
-            parser.error("--mc-samples must be >= 0")
     try:
         if args.subcommand == "plan":
             return run_plan(args)

@@ -1,11 +1,12 @@
 """Exact plane geometry for regular hexagons and equilateral triangles.
 
-Every point the planner produces lives in the field Q(sqrt(3)): per axis it
-has the form (p + q*sqrt(3)) * scale/2 with rational p, q.  Storing the
-rational pairs directly means shared vertices compare equal with no epsilon,
-so deduplication and the counting identities can be tested as exact
-equalities.  Floats appear only when distances or exported coordinates are
-needed.
+Every point the planner produces (hexagon centers, shared vertices, points on
+the center-to-vertex segments, midpoints and centroids of those) has the form
+(x * scale/2, y * sqrt(3) * scale/2) with rational x and y.  Storing the two
+rationals directly means shared vertices compare equal with no epsilon, so
+deduplication and the counting identities can be tested as exact equalities,
+and squared distances are the single rational x^2 + 3 y^2.  Floats appear only
+when distances or exported coordinates are needed.
 """
 
 from __future__ import annotations
@@ -20,113 +21,56 @@ SQRT3 = math.sqrt(3.0)
 Rational = Fraction | int
 
 
-def _fr(value: Rational) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def root3_sign(p: Fraction, q: Fraction) -> int:
-    """Sign of p + q*sqrt(3), computed without floating point.
-
-    Relies on sqrt(3) being irrational: p + q*sqrt(3) is zero only when both
-    coefficients are zero.
-    """
-    if q == 0:
-        return _sign(p)
-    if p == 0:
-        return _sign(q)
-    sp, sq = _sign(p), _sign(q)
-    if sp == sq:
-        return sp
-    # Opposite signs: the term with larger squared magnitude wins.
-    return sp if p * p > 3 * q * q else sq
-
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class LatticePoint:
-    """Point ((x_rat + x_root3*sqrt3)*scale/2, (y_rat + y_root3*sqrt3)*scale/2).
+    """Point (x * scale/2, y * sqrt(3) * scale/2) with rational x and y.
 
-    The four rationals identify the point uniquely, so equality and hashing
-    need no tolerance.  Ordering is lexicographic over the coefficients and
-    is used only to make exports byte-stable.
+    The two rationals identify the point uniquely, so equality and hashing
+    need no tolerance.  Ordering is lexicographic over (x, y) and is used only
+    to make exports byte-stable.
     """
 
-    x_rat: Fraction
-    x_root3: Fraction
-    y_rat: Fraction
-    y_root3: Fraction
+    x: Fraction
+    y: Fraction
 
     def __post_init__(self) -> None:
-        for name in ("x_rat", "x_root3", "y_rat", "y_root3"):
-            value = getattr(self, name)
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
+        if not isinstance(self.x, Fraction):
+            object.__setattr__(self, "x", Fraction(self.x))
+        if not isinstance(self.y, Fraction):
+            object.__setattr__(self, "y", Fraction(self.y))
 
     def __add__(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(
-            self.x_rat + other.x_rat,
-            self.x_root3 + other.x_root3,
-            self.y_rat + other.y_rat,
-            self.y_root3 + other.y_root3,
-        )
+        return LatticePoint(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(
-            self.x_rat - other.x_rat,
-            self.x_root3 - other.x_root3,
-            self.y_rat - other.y_rat,
-            self.y_root3 - other.y_root3,
-        )
+        return LatticePoint(self.x - other.x, self.y - other.y)
 
     def __mul__(self, factor: Rational) -> "LatticePoint":
-        f = _fr(factor)
-        return LatticePoint(
-            self.x_rat * f, self.x_root3 * f, self.y_rat * f, self.y_root3 * f
-        )
+        return LatticePoint(self.x * factor, self.y * factor)
 
     __rmul__ = __mul__
 
     def to_xy(self, scale: float = 1.0) -> tuple[float, float]:
         """Float coordinates for a given scale (deterministic for fixed scale)."""
         half = 0.5 * scale
-        return (
-            (float(self.x_rat) + float(self.x_root3) * SQRT3) * half,
-            (float(self.y_rat) + float(self.y_root3) * SQRT3) * half,
-        )
+        return float(self.x) * half, float(self.y) * SQRT3 * half
 
-    def sort_key(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.x_rat, self.x_root3, self.y_rat, self.y_root3)
+    def sort_key(self) -> tuple[Fraction, Fraction]:
+        return (self.x, self.y)
 
 
-ORIGIN = LatticePoint(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
+ORIGIN = LatticePoint(Fraction(0), Fraction(0))
 
 
-def lattice_point(
-    x_rat: Rational = 0,
-    x_root3: Rational = 0,
-    y_rat: Rational = 0,
-    y_root3: Rational = 0,
-) -> LatticePoint:
-    return LatticePoint(_fr(x_rat), _fr(x_root3), _fr(y_rat), _fr(y_root3))
-
-
-def sq_dist_units(a: LatticePoint, b: LatticePoint) -> tuple[Fraction, Fraction]:
-    """Exact squared distance as (p, q) meaning p + q*sqrt(3), in (scale/2)^2 units."""
-    dxr = a.x_rat - b.x_rat
-    dx3 = a.x_root3 - b.x_root3
-    dyr = a.y_rat - b.y_rat
-    dy3 = a.y_root3 - b.y_root3
-    p = dxr * dxr + 3 * dx3 * dx3 + dyr * dyr + 3 * dy3 * dy3
-    q = 2 * (dxr * dx3 + dyr * dy3)
-    return p, q
+def sq_dist_units(a: LatticePoint, b: LatticePoint) -> Fraction:
+    """Exact squared distance in (scale/2)^2 units: dx^2 + 3 dy^2."""
+    dx = a.x - b.x
+    dy = a.y - b.y
+    return dx * dx + 3 * dy * dy
 
 
 def distance(a: LatticePoint, b: LatticePoint, scale: float = 1.0) -> float:
-    p, q = sq_dist_units(a, b)
-    return math.sqrt(float(p) + float(q) * SQRT3) * 0.5 * scale
+    return math.sqrt(sq_dist_units(a, b)) * 0.5 * scale
 
 
 def midpoint(a: LatticePoint, b: LatticePoint) -> LatticePoint:
@@ -137,8 +81,8 @@ def centroid(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> LatticePoint:
     return (a + b + c) * Fraction(1, 3)
 
 
-# Vertex i sits at angle 60*i degrees from the center.  Offsets are exact in
-# (scale/2) units for a unit side; scaling by the side keeps them rational.
+# Vertex i sits at angle 60*i degrees from the center.  Offsets are lattice
+# coefficients (x, y) for a unit side; scaling by the side keeps them rational.
 _VERTEX_UNITS = (
     (2, 0),   # 0 degrees
     (1, 1),   # 60
@@ -171,7 +115,7 @@ class Hexagon:
         """The six vertices in counterclockwise order starting at angle 0."""
         s = self.side
         return tuple(
-            self.center + lattice_point(x_rat=s * ux, y_root3=s * uy)
+            self.center + LatticePoint(s * ux, s * uy)
             for ux, uy in _VERTEX_UNITS
         )
 
@@ -191,23 +135,14 @@ class Hexagon:
         return self._within(point - self.center, strict=True)
 
     def _within(self, delta: LatticePoint, strict: bool) -> bool:
-        # Projections onto the three edge-normal axes (30, 90, 150 degrees),
-        # each expressed as p + q*sqrt(3); the apothem is side*sqrt(3) units.
-        a, b = delta.x_rat, delta.x_root3
-        c, d = delta.y_rat, delta.y_root3
-        projections = (
-            (c, d),
-            ((3 * b + c) / 2, (a + d) / 2),
-            ((-3 * b + c) / 2, (d - a) / 2),
-        )
-        s = self.side
-        limit = 0 if strict else -1
-        for p, q in projections:
-            if root3_sign(-p, s - q) <= limit:
-                return False
-            if root3_sign(p, s + q) <= limit:
-                return False
-        return True
+        # Projections onto the three edge-normal axes (90, 30, 150 degrees)
+        # all carry the factor sqrt(3)*scale/2, as does the apothem side, so
+        # the bounds compare rationals.
+        x, y = delta.x, delta.y
+        projections = (abs(y), abs(x + y) / 2, abs(x - y) / 2)
+        if strict:
+            return all(p < self.side for p in projections)
+        return all(p <= self.side for p in projections)
 
     def contains_xy(self, x: float, y: float, scale: float = 1.0, tol: float = 1e-12) -> bool:
         """Float membership test; ``tol`` is relative to the scale."""
@@ -234,13 +169,12 @@ class EquilateralTriangle:
         if len(sides) != 1:
             raise ValueError("vertices do not form an equilateral triangle")
 
-    def side_sq_units(self) -> tuple[Fraction, Fraction]:
+    def side_sq_units(self) -> Fraction:
         a, b, _ = self.vertices
         return sq_dist_units(a, b)
 
     def side_length(self, scale: float = 1.0) -> float:
-        p, q = self.side_sq_units()
-        return math.sqrt(float(p) + float(q) * SQRT3) * 0.5 * scale
+        return math.sqrt(self.side_sq_units()) * 0.5 * scale
 
     def area(self, scale: float = 1.0) -> float:
         side = self.side_length(scale)
@@ -284,8 +218,7 @@ def vertex_covers_triangle(
     for j, other in enumerate(triangle.vertices):
         if j == anchor:
             continue
-        p, q = sq_dist_units(here, other)
-        if float(p) + float(q) * SQRT3 > radius_units_sq:
+        if float(sq_dist_units(here, other)) > radius_units_sq:
             return False
     return True
 
@@ -324,8 +257,8 @@ def packed_hexagon_pair(
     Centers sit at distance sqrt(3)*side apart along the 90-degree axis; the
     union's farthest vertex pair realizes sqrt(13)*side.
     """
-    s = _fr(small_side)
-    offset = lattice_point(y_root3=s)
+    s = Fraction(small_side)
+    offset = LatticePoint(0, s)
     return (
         Hexagon(center + offset, s),
         Hexagon(center - offset, s),
@@ -340,12 +273,8 @@ def packed_hexagon_triple(
     Each center lies one circumradius from the shared vertex, at 60, 180 and
     300 degrees, which is exactly how three honeycomb cells meet.
     """
-    s = _fr(small_side)
-    offsets = (
-        lattice_point(x_rat=s, y_root3=s),
-        lattice_point(x_rat=-2 * s),
-        lattice_point(x_rat=s, y_root3=-s),
-    )
+    s = Fraction(small_side)
+    offsets = (LatticePoint(s, s), LatticePoint(-2 * s, 0), LatticePoint(s, -s))
     return tuple(Hexagon(center + off, s) for off in offsets)
 
 
@@ -358,13 +287,8 @@ def packed_hexagon_rhombus(
     sit 5*side apart, which is what rules the cluster out of any hexagon whose
     largest diagonal is below that.
     """
-    s = _fr(small_side)
-    offsets = (
-        lattice_point(),
-        lattice_point(x_rat=3 * s, y_root3=s),
-        lattice_point(x_rat=3 * s, y_root3=-s),
-        lattice_point(x_rat=6 * s),
-    )
+    s = Fraction(small_side)
+    offsets = (ORIGIN, LatticePoint(3 * s, s), LatticePoint(3 * s, -s), LatticePoint(6 * s, 0))
     return tuple(Hexagon(center + off, s) for off in offsets)
 
 

@@ -9,6 +9,7 @@ fixed format.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,7 @@ class SensorFile:
 
     meta: dict[str, str]
     rows: list[tuple[float, float, str, str, str]]
+    meta_line: int = 0  # line number of the (last) meta header, 0 if none
 
     def positions(self) -> np.ndarray:
         if not self.rows:
@@ -112,6 +114,7 @@ class SensorFile:
 
 def read_sensors_csv(path) -> SensorFile:
     meta: dict[str, str] = {}
+    meta_line = 0
     rows: list[tuple[float, float, str, str, str]] = []
     with open(path, "r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, start=1):
@@ -121,6 +124,7 @@ def read_sensors_csv(path) -> SensorFile:
             if line.startswith("#"):
                 body = line.lstrip("#").strip()
                 if body.startswith("meta:"):
+                    meta_line = number
                     for item in body[len("meta:"):].split():
                         if "=" in item:
                             key, value = item.split("=", 1)
@@ -136,8 +140,10 @@ def read_sensors_csv(path) -> SensorFile:
                 y = float(parts[1])
             except ValueError as exc:
                 raise SensorFileError(number, f"bad coordinate: {exc}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise SensorFileError(number, f"non-finite coordinate: {parts[0]},{parts[1]}")
             rows.append((x, y, parts[2], parts[3], parts[4]))
-    return SensorFile(meta=meta, rows=rows)
+    return SensorFile(meta=meta, rows=rows, meta_line=meta_line)
 
 
 @dataclass
@@ -163,15 +169,30 @@ def load_deployment(
     radius: float | None = None,
     k: int | None = None,
 ) -> LoadedDeployment:
-    """Rebuild the patch from the meta header (flags win over the file)."""
-    meta = sensor_file.meta
-    chosen_layers = layers if layers is not None else int(meta.get("l", 1))
-    chosen_radius = radius if radius is not None else float(meta.get("r", 1.0))
-    chosen_k = k if k is not None else int(meta.get("k", 1))
-    model = build_solar_model(chosen_layers, chosen_radius)
+    """Rebuild the patch from the meta header (flags win over the file).
+
+    Raises SensorFileError when a meta value that is used is not a positive
+    integer (``l``, ``k``) or a positive finite number (``r``).
+    """
+
+    def chosen(flag, key: str, parse, default):
+        if flag is not None:
+            return flag
+        text = sensor_file.meta.get(key)
+        if text is None:
+            return default
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < math.inf:
+            raise SensorFileError(sensor_file.meta_line, f"meta {key}={text} is not positive and finite")
+        return value
+
+    model = build_solar_model(chosen(layers, "l", int, 1), chosen(radius, "r", float, 1.0))
     return LoadedDeployment(
         model=model,
-        k=chosen_k,
-        strategy=meta.get("strategy", "unknown"),
+        k=chosen(k, "k", int, 1),
+        strategy=sensor_file.meta.get("strategy", "unknown"),
         _positions=sensor_file.positions(),
     )

@@ -3,24 +3,26 @@
 A patch of ``layers`` rings of side-r hexagons: one central hexagon counts as
 layer 1, and layer j >= 2 holds the 6*(j-1) hexagons at honeycomb graph
 distance j-1 from the center.  Hexagon centers are indexed by axial integer
-coordinates so neighbor arithmetic stays exact.
+coordinates so neighbor arithmetic stays exact.  The float kernels that
+sampling code shares also live here: the patch-membership test
+``region_contains`` and the triangle sampler ``triangle_samples``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .geometry import Hexagon, LatticePoint, lattice_point
+import numpy as np
+
+from .geometry import SQRT3, Hexagon, LatticePoint
 
 EVEN = "even"
 ODD = "odd"
 PARITY_NAMES = (EVEN, ODD)
 
-# Axial basis: unit steps toward the 30- and 90-degree neighbors of a side-1
-# hexagon, in lattice units.
-_A1 = lattice_point(x_rat=3, y_root3=1)
-_A2 = lattice_point(y_root3=2)
+REGION_TOL = 1e-12  # relative, for clipping float points to the patch
 
 # Axial neighbor steps, counterclockwise from 30 degrees.
 AXIAL_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
@@ -28,7 +30,7 @@ AXIAL_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 def axial_center(q: int, w: int) -> LatticePoint:
     """Lattice position of the hexagon center at axial coordinates (q, w)."""
-    return lattice_point(x_rat=3 * q, y_root3=q + 2 * w)
+    return LatticePoint(3 * q, q + 2 * w)
 
 
 def axial_distance(q: int, w: int) -> int:
@@ -94,11 +96,6 @@ class SolarModel:
         cells = set(self.axial)
         return sum((q + dq, w + dw) in cells for dq, dw in AXIAL_DIRECTIONS)
 
-    def patch_area(self) -> float:
-        from .geometry import hexagon_area
-
-        return len(self.hexagons) * hexagon_area(self.side)
-
     def bounding_box(self) -> tuple[float, float, float, float]:
         xs: list[float] = []
         ys: list[float] = []
@@ -124,8 +121,8 @@ def build_solar_model(layers: int, side: float = 1.0) -> SolarModel:
     """Build the patch: central hexagon plus rings, vertices deduplicated exactly."""
     if layers < 1:
         raise ValueError(f"layer count must be >= 1, got {layers}")
-    if side <= 0:
-        raise ValueError(f"side length must be positive, got {side}")
+    if not 0 < side < math.inf:
+        raise ValueError(f"side length must be positive and finite, got {side}")
 
     axial: list[tuple[int, int]] = [(0, 0)]
     layer_of: list[int] = [1]
@@ -160,8 +157,38 @@ def build_solar_model(layers: int, side: float = 1.0) -> SolarModel:
     )
 
 
-def vertex_class_members(model: SolarModel, parity: str) -> list[LatticePoint]:
-    return model.vertex_class(parity)
+def region_contains(model: SolarModel, points: np.ndarray, tol: float = REGION_TOL) -> np.ndarray:
+    """Closed membership of each float point (meters) in the union of patch hexagons."""
+    scale = model.side
+    bound = SQRT3 * 0.5 * scale + tol * scale
+    inside = np.zeros(len(points), dtype=bool)
+    for hexagon in model.hexagons:
+        cx, cy = hexagon.center.to_xy(scale)
+        dx = points[:, 0] - cx
+        dy = points[:, 1] - cy
+        inside |= (
+            (np.abs(dy) <= bound)
+            & (np.abs(SQRT3 * dx + dy) * 0.5 <= bound)
+            & (np.abs(SQRT3 * dx - dy) * 0.5 <= bound)
+        )
+        if inside.all():
+            break
+    return inside
+
+
+def triangle_samples(
+    origin: np.ndarray, a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Points origin + u(a - origin) + v(b - origin) in the triangles (origin, a, b).
+
+    Pairs with u + v > 1 are reflected to (1 - u, 1 - v), in place, so uniform
+    draws in the unit square give uniform points in each triangle with no
+    rejection.
+    """
+    fold = u + v > 1.0
+    u[fold] = 1.0 - u[fold]
+    v[fold] = 1.0 - v[fold]
+    return origin + u[:, None] * (a - origin) + v[:, None] * (b - origin)
 
 
 def model_to_dict(model: SolarModel) -> dict:

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import SQRT3, centroid, midpoint
-from .tiling import SolarModel
+from .geometry import centroid, midpoint
+from .tiling import SolarModel, region_contains, triangle_samples
 
 DISK_TOL = 1e-9  # relative, on squared distances
-REGION_TOL = 1e-12  # relative, for clipping grid points to the patch
 MAX_FAILING_POINTS = 100
 
 
@@ -65,25 +64,6 @@ def structured_points(model: SolarModel) -> np.ndarray:
     return np.array([p.to_xy(model.side) for p in ordered])
 
 
-def region_contains(model: SolarModel, points: np.ndarray, tol: float = REGION_TOL) -> np.ndarray:
-    """Closed membership of each point in the union of patch hexagons."""
-    scale = model.side
-    bound = SQRT3 * 0.5 * scale + tol * scale
-    inside = np.zeros(len(points), dtype=bool)
-    for hexagon in model.hexagons:
-        cx, cy = hexagon.center.to_xy(scale)
-        dx = points[:, 0] - cx
-        dy = points[:, 1] - cy
-        inside |= (
-            (np.abs(dy) <= bound)
-            & (np.abs(SQRT3 * dx + dy) * 0.5 <= bound)
-            & (np.abs(SQRT3 * dx - dy) * 0.5 <= bound)
-        )
-        if inside.all():
-            break
-    return inside
-
-
 def grid_points(model: SolarModel, step: float) -> np.ndarray:
     """Square grid of pitch ``step`` clipped to the patch.
 
@@ -114,13 +94,9 @@ def monte_carlo_points(model: SolarModel, count: int, seed: int) -> np.ndarray:
     tri_idx = rng.integers(0, 6, size=count)
     u = rng.random(count)
     v = rng.random(count)
-    fold = u + v > 1.0
-    u[fold] = 1.0 - u[fold]
-    v[fold] = 1.0 - v[fold]
-    origin = centers[hex_idx]
-    a = verts[hex_idx, tri_idx]
-    b = verts[hex_idx, (tri_idx + 1) % 6]
-    return origin + u[:, None] * (a - origin) + v[:, None] * (b - origin)
+    return triangle_samples(
+        centers[hex_idx], verts[hex_idx, tri_idx], verts[hex_idx, (tri_idx + 1) % 6], u, v
+    )
 
 
 def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> np.ndarray:

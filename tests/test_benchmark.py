@@ -1,5 +1,6 @@
 """Tests for the half-side-hexagon comparison scheme."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from hexcover.benchmark import (
     small_hexagon_formula_count,
 )
 from hexcover.deployment import total_count
-from hexcover.geometry import Hexagon
+from hexcover.geometry import Hexagon, LatticePoint
 from hexcover.tiling import build_solar_model
 
 # Geometric enumeration of fully contained half-side hexagons, origin-anchored
@@ -22,6 +23,34 @@ from hexcover.tiling import build_solar_model
 # 15 l^2 - 27 l + 18 exceeds these everywhere (already impossible at l=1,
 # where the area ratio of 4 and the packing bound of 3 both forbid 6 tiles).
 ENUMERATED_SMALL_HEXAGONS = {1: 1, 2: 19, 3: 61, 4: 127, 5: 217, 6: 331}
+
+
+def exact_small_hexagon(q, w):
+    """The zero-offset half-side hexagon at small-honeycomb axial (q, w), exactly."""
+    return Hexagon(LatticePoint(3 * q * SMALL_SIDE, (q + 2 * w) * SMALL_SIDE), SMALL_SIDE)
+
+
+def exact_small_hexagon_centers(model):
+    """Reference scan over the same candidates with exact vertex membership."""
+    cells = dict(zip(model.axial, model.hexagons))
+
+    def in_patch(p):
+        # a containing big hexagon's center (3a, a + 2b) lies within 2 units
+        # of p in x and 1 unit in y
+        for a in range(math.floor((p.x - 2) / 3), math.ceil((p.x + 2) / 3) + 1):
+            for b in range(math.floor((p.y - a - 1) / 2), math.ceil((p.y - a + 1) / 2) + 1):
+                big = cells.get((a, b))
+                if big is not None and big.contains(p):
+                    return True
+        return False
+
+    reach = 4 * model.layers + 4
+    return [
+        (q, w)
+        for q in range(-reach, reach + 1)
+        for w in range(-reach, reach + 1)
+        if all(in_patch(v) for v in exact_small_hexagon(q, w).vertices())
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -72,24 +101,37 @@ class TestEnumeration:
         for layers, enumerated in ENUMERATED_SMALL_HEXAGONS.items():
             assert enumerated < small_hexagon_formula_count(layers)
 
+    @pytest.mark.parametrize("layers", sorted(ENUMERATED_SMALL_HEXAGONS))
+    def test_float_enumeration_matches_exact(self, layers):
+        m = build_solar_model(layers, side=2.5)
+        exact = exact_small_hexagon_centers(m)
+        assert small_hexagon_centers(m).tolist() == [list(c) for c in exact]
+        assert len(exact) == ENUMERATED_SMALL_HEXAGONS[layers]
+        # the sampler's float centers and vertices are the exact points, rounded once
+        d = place_benchmark(m, 1)
+        smalls = [exact_small_hexagon(q, w) for q, w in exact]
+        assert np.array_equal(d.small_centers, [h.center.to_xy(2.5) for h in smalls])
+        assert np.array_equal(
+            d.small_vertices, [[v.to_xy(2.5) for v in h.vertices()] for h in smalls]
+        )
+
     def test_small_hexagons_inside_patch(self, model_l2):
-        centers = small_hexagon_centers(model_l2)
-        for center in centers:
-            small = Hexagon(center, SMALL_SIDE)
-            for vertex in small.vertices():
+        for q, w in small_hexagon_centers(model_l2):
+            for vertex in exact_small_hexagon(q, w).vertices():
                 assert any(big.contains(vertex) for big in model_l2.hexagons)
 
     def test_offset_shifts_the_tiling(self, model_l2):
-        base = small_hexagon_centers(model_l2)
-        shifted = small_hexagon_centers(model_l2, offset=(Fraction(1, 4), Fraction(0)))
-        assert set(base) != set(shifted)
+        base = place_benchmark(model_l2, 1).small_centers
+        shifted = place_benchmark(model_l2, 1, offset=(Fraction(1, 4), Fraction(0))).small_centers
+        assert len(shifted)
+        assert {tuple(c) for c in base}.isdisjoint(tuple(c) for c in shifted)
 
 
 class TestPlaceBenchmark:
     def test_k_sensors_per_small_hexagon(self, model_l1):
         d = place_benchmark(model_l1, 1, seed=3)
         assert d.sensor_count() == 1
-        small = d.small_hexagons[0]
+        small = exact_small_hexagon(*small_hexagon_centers(model_l1)[0])
         x, y = d.positions[0]
         assert small.contains_xy(x, y, scale=model_l1.side, tol=1e-12)
 
@@ -99,8 +141,9 @@ class TestPlaceBenchmark:
 
     def test_all_sensors_inside_their_hexagon(self, model_l2):
         d = place_benchmark(model_l2, 3, seed=11)
+        smalls = [exact_small_hexagon(q, w) for q, w in small_hexagon_centers(model_l2)]
         for (x, y), owner in zip(d.positions, d.hexagon_index):
-            assert d.small_hexagons[owner].contains_xy(x, y, scale=model_l2.side, tol=1e-12)
+            assert smalls[owner].contains_xy(x, y, scale=model_l2.side, tol=1e-12)
 
     def test_same_seed_reproduces_positions(self, model_l2):
         a = place_benchmark(model_l2, 2, seed=7)
@@ -118,7 +161,7 @@ class TestPlaceBenchmark:
         d = place_benchmark(model_l2, 2, seed=5)
         index = 4
         rng = np.random.default_rng([5, index])
-        small = d.small_hexagons[index]
+        small = exact_small_hexagon(*small_hexagon_centers(model_l2)[index])
         origin = np.array(small.center.to_xy(model_l2.side))
         verts = np.array([v.to_xy(model_l2.side) for v in small.vertices()])
         tri = rng.integers(0, 6, size=2)
@@ -139,4 +182,5 @@ class TestPlaceBenchmark:
         m = build_solar_model(1, side=10.0)
         d = place_benchmark(m, 1, seed=2)
         x, y = d.positions[0]
-        assert d.small_hexagons[0].contains_xy(x, y, scale=10.0, tol=1e-12)
+        small = exact_small_hexagon(*small_hexagon_centers(m)[0])
+        assert small.contains_xy(x, y, scale=10.0, tol=1e-12)

@@ -79,9 +79,10 @@ class TestPlan:
 
 class TestInternalErrors:
     def test_count_mismatch_is_exit_three(self, tmp_path, monkeypatch):
-        import hexcover.cli as cli_module
+        # place_proposed checks its enumeration against the closed form
+        import hexcover.deployment as deployment_module
 
-        monkeypatch.setattr(cli_module, "total_count", lambda layers, k: -1)
+        monkeypatch.setattr(deployment_module, "total_count", lambda layers, k: -1)
         code = run(["plan", "--layers", "1", "--coverage", "1",
                     "--output", str(tmp_path / "x.csv")])
         assert code == 3
@@ -123,6 +124,24 @@ class TestVerify:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# meta: tool=hexcover l=x\n",
+            "# meta: tool=hexcover l=0\n",
+            "# meta: tool=hexcover r=nan\n",
+            "# meta: tool=hexcover l=1\nx,y,provenance,hexagon,strategy\nnan,nan,center,0,proposed\n",
+        ],
+        ids=["l=x", "l=0", "r=nan", "nan-row"],
+    )
+    def test_bad_file_values_are_usage_errors(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = run(["verify", "--input", str(bad), "--mc-samples", "10"])
+        assert code == 2
+        line = 3 if "nan,nan" in text else 1
+        assert f"line {line}" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, tmp_path):
         code = run(["verify", "--input", str(tmp_path / "nope.csv")])
         assert code == 2
@@ -146,6 +165,35 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             run(["verify", "--input", str(out), "--grid-step", "0"])
         assert info.value.code == 2
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--radius", "nan"],
+            ["plan", "--radius", "inf"],
+            ["plan", "--layers", "2.5"],
+            ["plan", "--strategy", "benchmark", "--seed", "-1"],
+            ["compare", "--radius", "inf"],
+            ["compare", "--coverage", "0"],
+            ["verify", "--input", "sensors.csv", "--grid-step", "nan"],
+            ["verify", "--input", "sensors.csv", "--radius", "-inf"],
+            ["verify", "--input", "sensors.csv", "--mc-samples", "-1"],
+            ["verify", "--input", "sensors.csv", "--seed", "-1"],
+            ["sweep", "--r-step", "0"],
+            ["sweep", "--r-start", "0"],
+            ["sweep", "--k-min", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_rejected_at_parse_time(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert "expected" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompare:
@@ -199,6 +247,12 @@ class TestSweep:
         blocker.write_text("")
         code = run(["sweep", "--output", str(blocker / "figs")])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [["--r-stop", "0.5"], ["--k-min", "3", "--k-max", "2"]])
+    def test_empty_range_is_usage_error(self, tmp_path, flags):
+        out = tmp_path / "figs"
+        assert run(["sweep", "--output", str(out), *flags]) == 2
+        assert not out.exists()
 
     def test_range_overrides(self, tmp_path):
         out = tmp_path / "figs"

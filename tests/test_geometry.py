@@ -14,14 +14,13 @@ from hexcover.geometry import (
     LatticePoint,
     count_packed_small_hexagons,
     hexagon_area,
+    distance,
     hexagons_overlap,
-    lattice_point,
     midpoint,
     packed_hexagon_pair,
     packed_hexagon_rhombus,
     packed_hexagon_triple,
     packing_diameter,
-    root3_sign,
     sq_dist_units,
     vertex_covers_triangle,
 )
@@ -29,54 +28,35 @@ from hexcover.geometry import (
 SQRT3 = math.sqrt(3.0)
 
 
-class TestRoot3Sign:
-    @pytest.mark.parametrize(
-        "p,q,expected",
-        [
-            (Fraction(0), Fraction(0), 0),
-            (Fraction(1), Fraction(0), 1),
-            (Fraction(0), Fraction(-2), -1),
-            (Fraction(-7), Fraction(4), -1),  # 4*sqrt(3) ~ 6.93 < 7
-            (Fraction(-6), Fraction(4), 1),
-            (Fraction(7), Fraction(-4), 1),
-            (Fraction(174), Fraction(-100), 1),  # 100*sqrt(3) ~ 173.2
-            (Fraction(173), Fraction(-100), -1),
-        ],
-    )
-    def test_sign_cases(self, p, q, expected):
-        assert root3_sign(p, q) == expected
-
-    def test_matches_floats_on_random_rationals(self):
-        rng = np.random.default_rng(7)
-        for _ in range(500):
-            p = Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 9)))
-            q = Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 9)))
-            value = float(p) + float(q) * SQRT3
-            if abs(value) < 1e-9:
-                continue
-            assert root3_sign(p, q) == (1 if value > 0 else -1)
-
-
 class TestLatticePoint:
     def test_equality_and_hash_are_exact(self):
-        a = lattice_point(1, Fraction(1, 2), 0, 3)
-        b = lattice_point(1, Fraction(1, 2), 0, 3)
+        a = LatticePoint(Fraction(1, 2), 3)
+        b = LatticePoint(Fraction(1, 2), Fraction(3))
         assert a == b
         assert hash(a) == hash(b)
-        assert a != lattice_point(1, Fraction(1, 2), 0, Fraction(5, 2))
+        assert a != LatticePoint(Fraction(1, 2), Fraction(5, 2))
 
     def test_arithmetic(self):
-        a = lattice_point(2, 0, 0, 1)
-        b = lattice_point(1, 1, -1, 0)
-        assert a + b == lattice_point(3, 1, -1, 1)
-        assert a - b == lattice_point(1, -1, 1, 1)
-        assert a * Fraction(1, 2) == lattice_point(1, 0, 0, Fraction(1, 2))
+        a = LatticePoint(2, 1)
+        b = LatticePoint(1, -1)
+        assert a + b == LatticePoint(3, 0)
+        assert a - b == LatticePoint(1, 2)
+        assert a * Fraction(1, 2) == LatticePoint(1, Fraction(1, 2))
+        assert 2 * b == LatticePoint(2, -2)
 
     def test_to_xy(self):
-        p = lattice_point(1, 1, 0, 2)
-        x, y = p.to_xy(2.0)
-        assert x == pytest.approx(1.0 + SQRT3, abs=1e-15)
-        assert y == pytest.approx(2.0 * SQRT3, abs=1e-15)
+        p = LatticePoint(1, 2)
+        assert p.to_xy(2.0) == (1.0, 2.0 * SQRT3)
+        assert LatticePoint(Fraction(-3, 4), Fraction(1, 3)).to_xy(10.0) == (
+            -0.75 * 5.0,
+            float(Fraction(1, 3)) * SQRT3 * 5.0,
+        )
+
+    def test_squared_distance_is_one_rational(self):
+        # neighbor centers sit sqrt(3) apart: 3 in side units, 12 in half-side units
+        assert sq_dist_units(ORIGIN, LatticePoint(3, 1)) == 12
+        assert sq_dist_units(LatticePoint(Fraction(1, 2), 0), LatticePoint(0, Fraction(1, 2))) == 1
+        assert distance(ORIGIN, LatticePoint(3, 1), 2.0) == pytest.approx(2.0 * SQRT3, rel=1e-15)
 
 
 class TestHexagonVertices:
@@ -98,12 +78,12 @@ class TestHexagonVertices:
         assert h.vertices()[3].to_xy(1.0) == pytest.approx((-2.0, 0.0))
 
     def test_translation_invariance(self):
-        # center at (sqrt(3), 0): x_root3 coefficient 2 since x = coeff*sqrt(3)/2
-        h = Hexagon(lattice_point(x_root3=2))
-        assert h.vertices()[0].to_xy(1.0) == pytest.approx((SQRT3 + 1.0, 0.0))
+        # center at (3/2, sqrt(3)/2), the neighbor at 30 degrees
+        h = Hexagon(LatticePoint(3, 1))
+        assert h.vertices()[0].to_xy(1.0) == pytest.approx((2.5, SQRT3 / 2))
 
     def test_six_distinct_vertices(self):
-        h = Hexagon(lattice_point(3, 0, 0, 5), Fraction(1, 2))
+        h = Hexagon(LatticePoint(3, 5), Fraction(1, 2))
         assert len(set(h.vertices())) == 6
 
     def test_side_must_be_positive(self):
@@ -120,12 +100,12 @@ class TestHexagonTriangles:
         assert tri.vertices[2].to_xy(1.0) == pytest.approx((0.5, SQRT3 / 2))
 
     def test_areas_sum_to_hexagon_area(self):
-        h = Hexagon(lattice_point(3, 0, 0, 1), Fraction(1))
+        h = Hexagon(LatticePoint(3, 1), Fraction(1))
         total = sum(t.area(2.5) for t in h.triangles())
         assert total == pytest.approx(hexagon_area(2.5), rel=1e-12)
 
     def test_each_side_equals_hexagon_side(self):
-        h = Hexagon(lattice_point(0, 0, 0, 2), Fraction(1, 2))
+        h = Hexagon(LatticePoint(0, 2), Fraction(1, 2))
         for tri in h.triangles():
             assert sq_dist_units(tri.vertices[0], tri.vertices[1]) == tri.side_sq_units()
             assert tri.side_length(1.0) == pytest.approx(0.5, rel=1e-14)
@@ -152,7 +132,7 @@ class TestHexagonTriangles:
 
     def test_not_equilateral_rejected(self):
         with pytest.raises(ValueError):
-            EquilateralTriangle((ORIGIN, lattice_point(2), lattice_point(4)))
+            EquilateralTriangle((ORIGIN, LatticePoint(2, 0), LatticePoint(4, 0)))
 
 
 class TestContainsPoint:
@@ -161,11 +141,11 @@ class TestContainsPoint:
 
     def test_vertex_on_boundary_counts(self):
         h = Hexagon(ORIGIN)
-        assert h.contains(lattice_point(2))  # (1, 0) at scale 1
-        assert not h.strictly_contains(lattice_point(2))
+        assert h.contains(LatticePoint(2, 0))  # (1, 0) at scale 1
+        assert not h.strictly_contains(LatticePoint(2, 0))
 
     def test_outside_largest_diagonal(self):
-        assert not Hexagon(ORIGIN).contains(lattice_point(4))  # (2, 0)
+        assert not Hexagon(ORIGIN).contains(LatticePoint(4, 0))  # (2, 0)
 
     def test_edge_midpoint_on_boundary(self):
         h = Hexagon(ORIGIN)
@@ -174,14 +154,12 @@ class TestContainsPoint:
         assert not h.strictly_contains(edge_mid)
 
     def test_float_test_agrees_with_exact_on_lattice_points(self):
-        h = Hexagon(lattice_point(3, 0, 0, 1))
+        h = Hexagon(LatticePoint(3, 1))
         rng = np.random.default_rng(3)
         for _ in range(200):
-            p = lattice_point(
-                Fraction(int(rng.integers(-8, 9)), 2),
-                Fraction(int(rng.integers(-4, 5)), 2),
-                Fraction(int(rng.integers(-8, 9)), 2),
-                Fraction(int(rng.integers(-4, 5)), 2),
+            p = LatticePoint(
+                Fraction(int(rng.integers(-4, 13)), 2),
+                Fraction(int(rng.integers(-4, 9)), 2),
             )
             x, y = p.to_xy(1.0)
             assert h.contains(p) == h.contains_xy(x, y, tol=1e-9)
@@ -288,7 +266,7 @@ class TestExactDedup:
         # edge-adjacent hexagons generate their shared vertices through
         # different formulas; the representations must be identical
         a = Hexagon(ORIGIN)
-        b = Hexagon(lattice_point(3, 0, 0, 1))  # neighbor at 30 degrees
+        b = Hexagon(LatticePoint(3, 1))  # neighbor at 30 degrees
         shared = set(a.vertices()) & set(b.vertices())
         assert len(shared) == 2
         for point in shared:
@@ -299,5 +277,5 @@ class TestExactDedup:
 
     def test_overlap_detection(self):
         a = Hexagon(ORIGIN)
-        assert hexagons_overlap(a, Hexagon(lattice_point(1)))
-        assert not hexagons_overlap(a, Hexagon(lattice_point(3, 0, 0, 1)))
+        assert hexagons_overlap(a, Hexagon(LatticePoint(1, 0)))
+        assert not hexagons_overlap(a, Hexagon(LatticePoint(3, 1)))

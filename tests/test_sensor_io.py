@@ -104,6 +104,29 @@ class TestMalformedFiles:
             read_sensors_csv(path)
         assert info.value.line == 1
 
+    @pytest.mark.parametrize("row", ["nan,nan", "inf,0", "0,-inf"])
+    def test_non_finite_coordinate_reports_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y,provenance,hexagon,strategy\n1,2,center,0,proposed\n{row},center,1,proposed\n")
+        with pytest.raises(SensorFileError) as info:
+            read_sensors_csv(path)
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize("value", ["l=x", "l=0", "l=2.5", "r=nan", "r=inf", "r=-1", "k=0"])
+    def test_bad_meta_value_reports_meta_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y,provenance,hexagon,strategy\n# meta: tool=hexcover {value}\n")
+        with pytest.raises(SensorFileError) as info:
+            load_deployment(read_sensors_csv(path))
+        assert info.value.line == 2
+        assert value in str(info.value)
+
+    def test_flags_replace_bad_meta_values(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# meta: l=x r=nan k=0\n")
+        loaded = load_deployment(read_sensors_csv(path), layers=2, radius=3.0, k=1)
+        assert (loaded.model.layers, loaded.r, loaded.k) == (2, 3.0, 1)
+
     def test_empty_file_is_empty_deployment(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

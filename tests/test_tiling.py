@@ -2,7 +2,7 @@
 
 import pytest
 
-from hexcover.geometry import distance, lattice_point
+from hexcover.geometry import ORIGIN, distance
 from hexcover.tiling import (
     AXIAL_DIRECTIONS,
     EVEN,
@@ -11,7 +11,6 @@ from hexcover.tiling import (
     build_solar_model,
     hexagon_count,
     model_to_dict,
-    vertex_class_members,
     vertex_count,
 )
 
@@ -21,7 +20,7 @@ class TestBuildSolarModel:
         m = build_solar_model(1)
         assert len(m.hexagons) == 1
         assert m.vertex_count() == 6
-        assert m.hexagons[0].center == lattice_point()
+        assert m.hexagons[0].center == ORIGIN
 
     def test_two_layers(self):
         m = build_solar_model(2)
@@ -39,6 +38,11 @@ class TestBuildSolarModel:
     def test_rejects_bad_side(self):
         with pytest.raises(ValueError):
             build_solar_model(2, side=0.0)
+
+    @pytest.mark.parametrize("side", [float("nan"), float("inf")])
+    def test_rejects_non_finite_side(self, side):
+        with pytest.raises(ValueError):
+            build_solar_model(2, side=side)
 
     def test_ring_membership_matches_axial_distance(self):
         m = build_solar_model(4)
@@ -69,8 +73,8 @@ class TestCountFormulas:
     @pytest.mark.parametrize("layers", range(1, 9))
     def test_class_sizes(self, layers):
         m = build_solar_model(layers)
-        even = vertex_class_members(m, EVEN)
-        odd = vertex_class_members(m, ODD)
+        even = m.vertex_class(EVEN)
+        odd = m.vertex_class(ODD)
         assert len(even) == 3 * layers * layers
         assert len(odd) == 3 * layers * layers
         assert set(even).isdisjoint(odd)
