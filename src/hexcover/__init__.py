@@ -14,14 +14,12 @@ from .geometry import (
 from .tiling import SolarModel, VertexRecord, build_solar_model, hexagon_count
 from .deployment import (
     Deployment,
-    SensorRecord,
     minimum_sensors_lower_bound,
     per_hexagon_count,
     place_proposed,
     total_count,
 )
 from .benchmark import (
-    BenchmarkDeployment,
     benchmark_count,
     count_gap,
     place_benchmark,
@@ -37,14 +35,12 @@ from .analytics import (
 
 __all__ = [
     "__version__",
-    "BenchmarkDeployment",
     "CoverageReport",
     "Deployment",
     "EquilateralTriangle",
     "Hexagon",
     "LatticePoint",
     "PackingWitness",
-    "SensorRecord",
     "SolarModel",
     "VertexRecord",
     "benchmark_count",

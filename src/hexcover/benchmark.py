@@ -17,11 +17,11 @@ packing can exceed 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .deployment import Deployment, InvariantViolation, total_count
 from .geometry import ORIGIN, SQRT3, Hexagon
 from .tiling import SolarModel, region_contains, triangle_samples
 
@@ -42,8 +42,6 @@ def small_hexagon_formula_count(layers: int) -> int:
 
 def count_gap(layers: int, k: int) -> int:
     """benchmark_count minus the proposed strategy's total_count (never negative)."""
-    from .deployment import InvariantViolation, total_count
-
     gap = benchmark_count(layers, k) - total_count(layers, k)
     if gap < 0:
         raise InvariantViolation(
@@ -107,42 +105,18 @@ def small_hexagon_centers(
     return axial[inside.reshape(-1, 6).all(axis=1)]
 
 
-@dataclass(frozen=True)
-class BenchmarkDeployment:
-    """k random sensors inside every fully contained half-side hexagon."""
-
-    model: SolarModel
-    k: int
-    seed: int
-    offset: tuple[Fraction, Fraction]
-    small_centers: np.ndarray  # (m, 2) meters
-    small_vertices: np.ndarray  # (m, 6, 2) meters, counterclockwise from 0 degrees
-    positions: np.ndarray  # (n, 2) meters
-    hexagon_index: np.ndarray  # (n,) owning small hexagon
-    strategy: str = "benchmark"
-
-    @property
-    def r(self) -> float:
-        return self.model.side
-
-    def positions_xy(self) -> np.ndarray:
-        return self.positions
-
-    def sensor_count(self) -> int:
-        return len(self.positions)
-
-
 def place_benchmark(
     model: SolarModel,
     k: int,
     seed: int = 0,
     offset: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0)),
-) -> BenchmarkDeployment:
+) -> Deployment:
     """Sample k sensors per contained small hexagon, reproducibly from ``seed``.
 
     Sampling decomposes each hexagon into its six triangles and draws folded
     barycentric coordinates, so it is uniform over the hexagon with no
-    rejection loop.  Each small hexagon uses the stream (seed, index).
+    rejection loop.  Each small hexagon uses the stream (seed, index), and
+    its index in ``small_hexagon_centers`` order is the sensors' ``hexagon``.
     """
     if k < 1:
         raise ValueError(f"coverage target must be >= 1, got {k}")
@@ -156,13 +130,12 @@ def place_benchmark(
         v = rng.random(k)
         all_points.append(triangle_samples(origin, verts[tri], verts[(tri + 1) % 6], u, v))
 
-    return BenchmarkDeployment(
+    return Deployment(
         model=model,
         k=k,
-        seed=seed,
-        offset=(Fraction(offset[0]), Fraction(offset[1])),
-        small_centers=centers,
-        small_vertices=vertices,
-        positions=np.concatenate(all_points) if all_points else np.zeros((0, 2)),
-        hexagon_index=np.repeat(np.arange(len(centers)), k),
+        strategy="benchmark",
+        sensors=np.concatenate(all_points) if all_points else np.zeros((0, 2)),
+        provenance=np.full(k * len(centers), "random"),
+        hexagon=np.repeat(np.arange(len(centers)), k),
+        meta={"seed": seed, "offset": f"{Fraction(offset[0])}:{Fraction(offset[1])}"},
     )

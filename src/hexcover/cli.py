@@ -32,13 +32,14 @@ from .benchmark import (
 from .deployment import InvariantViolation, place_proposed, total_count
 from .sensor_io import (
     SensorFileError,
+    deployment_parameters,
     load_deployment,
     read_sensors_csv,
     write_sensors_csv,
     write_sensors_json,
 )
 from .tiling import build_solar_model
-from .verifier import verify_coverage
+from .verifier import FLOAT_LIMIT, MAX_PROBES, probe_estimate, verify_coverage
 
 EXIT_OK = 0
 EXIT_COVERAGE_FAIL = 1
@@ -141,25 +142,26 @@ def run_plan(args: argparse.Namespace) -> int:
     if args.strategy == "proposed":
         # place_proposed raises InvariantViolation unless placed == formula.
         deployment = place_proposed(model, args.coverage, parity=args.parity)
-        placed = len(deployment.sensors)
-        formula = total_count(args.layers, args.coverage)
-        summary = (
-            f"plan: strategy=proposed l={args.layers} k={args.coverage} r={args.radius:g} "
-            f"n={placed} formula={formula} density={density_proposed(args.coverage, args.radius):.6g}"
+        details = (
+            f"formula={total_count(args.layers, args.coverage)} "
+            f"density={density_proposed(args.coverage, args.radius):.6g}"
         )
     else:
         deployment = place_benchmark(
             model, args.coverage, seed=args.seed, offset=(args.offset_x, args.offset_y)
         )
-        placed = deployment.sensor_count()
-        formula = benchmark_count(args.layers, args.coverage)
-        summary = (
-            f"plan: strategy=benchmark l={args.layers} k={args.coverage} r={args.radius:g} "
-            f"seed={args.seed} n={placed} formula={formula} "
-            f"small_hexagons={len(deployment.small_centers)} "
+        details = (
+            f"formula={benchmark_count(args.layers, args.coverage)} "
+            f"small_hexagons={len(set(deployment.hexagon.tolist()))} "
             f"small_hexagons_formula={small_hexagon_formula_count(args.layers)} "
             f"density={density_benchmark(args.coverage, args.radius):.6g}"
         )
+    placed = deployment.sensor_count()
+    seed = "" if args.strategy == "proposed" else f"seed={args.seed} "
+    summary = (
+        f"plan: strategy={args.strategy} l={args.layers} k={args.coverage} r={args.radius:g} "
+        f"{seed}n={placed} {details}"
+    )
 
     extra_meta = {"seed": args.seed} if args.strategy == "proposed" else None
     if args.format == "csv":
@@ -177,12 +179,25 @@ def run_verify(args: argparse.Namespace) -> int:
         print(f"error: sensor file not found: {path}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        loaded = load_deployment(
-            read_sensors_csv(path), layers=args.layers, radius=args.radius, k=args.coverage
+        sensor_file = read_sensors_csv(path)
+        layers, radius, k = deployment_parameters(
+            sensor_file, layers=args.layers, radius=args.radius, k=args.coverage
         )
     except SensorFileError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not 1 / FLOAT_LIMIT <= radius <= FLOAT_LIMIT:
+        print(f"error: radius {radius:g} is outside [1/{FLOAT_LIMIT:g}, {FLOAT_LIMIT:g}]", file=sys.stderr)
+        return EXIT_USAGE
+    probes = probe_estimate(layers, radius, args.grid_step, args.mc_samples)
+    if probes > MAX_PROBES:
+        print(
+            f"error: verify would sample about 10^{math.log10(probes):.1f} points, above the limit of {MAX_PROBES}; "
+            "use a coarser --grid-step, fewer --mc-samples or a smaller patch",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    loaded = load_deployment(sensor_file, layers=layers, radius=radius, k=k)
     report = verify_coverage(
         loaded,
         target_k=loaded.k,

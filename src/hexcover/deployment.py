@@ -12,6 +12,12 @@ The strategy is cumulative in the coverage target k:
 
 Sharing matters: a vertex sensor serves up to three hexagons but is placed
 once, while segment sensors are strictly interior and owned by one hexagon.
+
+Placement works on exact lattice points, so the duplicate check and the
+export order are exact; the result is a ``Deployment``, the one sensor-layout
+type that the comparison scheme and sensor-file loading also return.  It is
+a struct of arrays: meter coordinates, a provenance string and an owning
+hexagon (-1 for a shared vertex) per sensor.
 """
 
 from __future__ import annotations
@@ -29,59 +35,36 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check failed (not a user error)."""
 
 
-_KIND_RANK = {"center": 0, "vertex": 1, "segment": 3}
-
-
-@dataclass(frozen=True)
-class SensorRecord:
-    """A placed sensor with its provenance.
-
-    ``hexagon`` is the owning hexagon index for center and segment sensors and
-    None for (shared) vertex sensors.  ``segment`` is the 1-based index of the
-    center-to-vertex segment, ``step`` the 1-based extra-coverage round that
-    placed it.
-    """
-
-    position: LatticePoint
-    kind: str
-    parity: str | None = None
-    hexagon: int | None = None
-    segment: int | None = None
-    step: int | None = None
-
-    def provenance(self) -> str:
-        if self.kind == "center":
-            return "center"
-        if self.kind == "vertex":
-            return f"vertex:{self.parity}"
-        return f"segment:{self.segment}:{self.step}"
-
-    def rank(self) -> int:
-        rank = _KIND_RANK[self.kind]
-        if self.kind == "vertex" and self.parity == ODD:
-            rank += 1
-        return rank
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Deployment:
-    """A full sensor placement for ``model`` at coverage target ``k``."""
+    """A sensor layout on ``model`` for coverage target ``k``, one array row per sensor.
+
+    ``sensors`` holds (n, 2) coordinates in meters.  ``provenance`` names how
+    each sensor was placed (``center``, ``vertex:even``, ``segment:3:2`` for
+    segment 3 in extra round 2, ``random``); ``hexagon`` is the owning hexagon
+    index, small hexagon for the comparison scheme, or -1 for a shared vertex.
+    ``meta`` holds the strategy's own header pairs (``parity``, or ``seed``
+    and ``offset``).  The arrays are read-only.
+    """
 
     model: SolarModel
     k: int
-    sensors: tuple[SensorRecord, ...]
-    strategy: str = "proposed"
-    parity: str = EVEN
+    strategy: str
+    sensors: np.ndarray
+    provenance: np.ndarray
+    hexagon: np.ndarray
+    meta: dict[str, object]
+
+    def __post_init__(self) -> None:
+        for column in (self.sensors, self.provenance, self.hexagon):
+            column.setflags(write=False)
 
     @property
     def r(self) -> float:
         return self.model.side
 
-    def positions_xy(self) -> np.ndarray:
-        """Sensor coordinates in meters, shape (n, 2)."""
-        if not self.sensors:
-            return np.zeros((0, 2))
-        return np.array([s.position.to_xy(self.model.side) for s in self.sensors])
+    def sensor_count(self) -> int:
+        return len(self.sensors)
 
 
 def per_hexagon_count(k: int) -> int:
@@ -119,15 +102,15 @@ def place_proposed(model: SolarModel, k: int, parity: str = EVEN) -> Deployment:
         raise ValueError(f"parity must be one of {PARITY_NAMES}, got {parity!r}")
     other = ODD if parity == EVEN else EVEN
 
-    sensors: list[SensorRecord] = []
-    for index, hexagon in enumerate(model.hexagons):
-        sensors.append(SensorRecord(hexagon.center, "center", hexagon=index))
-    if k >= 2:
-        for position in model.vertex_class(parity):
-            sensors.append(SensorRecord(position, "vertex", parity=parity))
-    if k >= 3:
-        for position in model.vertex_class(other):
-            sensors.append(SensorRecord(position, "vertex", parity=other))
+    # (rank, position, provenance, hexagon); the rank orders centers, even
+    # vertices, odd vertices, then segment sensors.
+    placed: list[tuple[int, LatticePoint, str, int]] = [
+        (0, hexagon.center, "center", index) for index, hexagon in enumerate(model.hexagons)
+    ]
+    for vertex_parity in (parity, other)[: min(k, 3) - 1]:
+        rank = 2 if vertex_parity == ODD else 1
+        provenance = f"vertex:{vertex_parity}"
+        placed.extend((rank, p, provenance, -1) for p in model.vertex_class(vertex_parity))
 
     for step in range(1, k - 2):  # extra-coverage rounds 1 .. k-3
         target = step + 3
@@ -140,27 +123,27 @@ def place_proposed(model: SolarModel, k: int, parity: str = EVEN) -> Deployment:
             vertices = hexagon.vertices()
             for vi in vertex_indices:
                 position = hexagon.center + (vertices[vi] - hexagon.center) * t
-                sensors.append(
-                    SensorRecord(
-                        position,
-                        "segment",
-                        hexagon=index,
-                        segment=vi + 1,
-                        step=step,
-                    )
-                )
+                placed.append((3, position, f"segment:{vi + 1}:{step}", index))
 
-    positions = {s.position for s in sensors}
-    if len(positions) != len(sensors):
+    if len({p for _, p, _, _ in placed}) != len(placed):
         raise InvariantViolation("duplicate sensor positions after placement")
     expected = total_count(model.layers, k)
-    if len(sensors) != expected:
+    if len(placed) != expected:
         raise InvariantViolation(
-            f"placed {len(sensors)} sensors, closed form expects {expected}"
+            f"placed {len(placed)} sensors, closed form expects {expected}"
         )
 
-    sensors.sort(key=lambda s: (s.rank(),) + s.position.sort_key())
-    return Deployment(model=model, k=k, sensors=tuple(sensors), parity=parity)
+    placed.sort(key=lambda s: (s[0], s[1].x, s[1].y))
+    scale = model.side
+    return Deployment(
+        model=model,
+        k=k,
+        strategy="proposed",
+        sensors=np.array([p.to_xy(scale) for _, p, _, _ in placed]),
+        provenance=np.array([s[2] for s in placed]),
+        hexagon=np.array([s[3] for s in placed]),
+        meta={"parity": parity},
+    )
 
 
 def fully_covered_triangles(
@@ -225,7 +208,7 @@ def triangle_coverage_certificate(deployment: Deployment) -> int:
     """
     scale = deployment.model.side
     radius_sq = scale * scale * (1.0 + 1e-12)
-    positions = deployment.positions_xy()
+    positions = deployment.sensors
     minimum = None
     for hexagon in deployment.model.hexagons:
         for triangle in hexagon.triangles():
@@ -240,9 +223,14 @@ def remove_sensors(deployment: Deployment, indices: list[int]) -> Deployment:
     """Deployment without the sensors at the given indices (for failure studies)."""
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate sensor indices")
+    keep = np.ones(deployment.sensor_count(), dtype=bool)
     for index in indices:
-        if not 0 <= index < len(deployment.sensors):
+        if not 0 <= index < len(keep):
             raise ValueError(f"sensor index {index} out of range")
-    doomed = set(indices)
-    kept = tuple(s for i, s in enumerate(deployment.sensors) if i not in doomed)
-    return replace(deployment, sensors=kept)
+        keep[index] = False
+    return replace(
+        deployment,
+        sensors=deployment.sensors[keep],
+        provenance=deployment.provenance[keep],
+        hexagon=deployment.hexagon[keep],
+    )

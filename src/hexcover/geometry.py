@@ -55,9 +55,6 @@ class LatticePoint:
         half = 0.5 * scale
         return float(self.x) * half, float(self.y) * SQRT3 * half
 
-    def sort_key(self) -> tuple[Fraction, Fraction]:
-        return (self.x, self.y)
-
 
 ORIGIN = LatticePoint(Fraction(0), Fraction(0))
 

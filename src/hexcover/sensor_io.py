@@ -3,7 +3,8 @@
 Both formats carry the run parameters in a meta header so a file alone is
 enough to rebuild the patch for verification.  Exports are byte-stable: the
 sensor order is fixed by the placement contract and floats are printed with a
-fixed format.
+fixed format.  A CSV file loads back as a ``Deployment`` with the same
+provenance and hexagon columns.
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .benchmark import BenchmarkDeployment
 from .deployment import Deployment
-from .tiling import SolarModel, build_solar_model, model_to_dict
+from .tiling import build_solar_model, model_to_dict
+from .verifier import FLOAT_LIMIT
 
 CSV_HEADER = "x,y,provenance,hexagon,strategy"
+SHARED = "shared"  # hexagon field of a shared vertex sensor (hexagon -1)
+# Meta keys with a Deployment field of their own; the rest is Deployment.meta.
+_FIELD_KEYS = ("tool", "version", "strategy", "r", "k", "l")
 
 
 class SensorFileError(ValueError):
@@ -34,7 +38,7 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _meta_line(deployment, extra_meta: dict | None = None) -> str:
+def _meta_pairs(deployment: Deployment, extra_meta: dict | None = None) -> dict[str, str]:
     pairs = {
         "tool": "hexcover",
         "version": __version__,
@@ -43,35 +47,25 @@ def _meta_line(deployment, extra_meta: dict | None = None) -> str:
         "k": deployment.k,
         "l": deployment.model.layers,
         "seed": 0,
+        **deployment.meta,
+        **(extra_meta or {}),
     }
-    if isinstance(deployment, Deployment):
-        pairs["parity"] = deployment.parity
-    if isinstance(deployment, BenchmarkDeployment):
-        pairs["seed"] = deployment.seed
-        pairs["offset"] = f"{deployment.offset[0]}:{deployment.offset[1]}"
-    if extra_meta:
-        pairs.update(extra_meta)
-    return "# meta: " + " ".join(f"{key}={value}" for key, value in pairs.items())
+    return {key: str(value) for key, value in pairs.items()}
 
 
-def sensor_rows(deployment) -> list[tuple[str, str, str, str, str]]:
-    rows = []
-    if isinstance(deployment, Deployment):
-        scale = deployment.model.side
-        for sensor in deployment.sensors:
-            x, y = sensor.position.to_xy(scale)
-            hexagon = "shared" if sensor.hexagon is None else str(sensor.hexagon)
-            rows.append((_fmt(x), _fmt(y), sensor.provenance(), hexagon, deployment.strategy))
-    elif isinstance(deployment, BenchmarkDeployment):
-        for (x, y), owner in zip(deployment.positions, deployment.hexagon_index):
-            rows.append((_fmt(x), _fmt(y), "random", str(int(owner)), deployment.strategy))
-    else:
-        raise TypeError(f"cannot serialize {type(deployment).__name__}")
-    return rows
+def sensor_rows(deployment: Deployment) -> list[tuple[str, str, str, str, str]]:
+    strategy = deployment.strategy
+    return [
+        (_fmt(x), _fmt(y), provenance, SHARED if hexagon < 0 else str(hexagon), strategy)
+        for (x, y), provenance, hexagon in zip(
+            deployment.sensors.tolist(), deployment.provenance.tolist(), deployment.hexagon.tolist()
+        )
+    ]
 
 
 def write_sensors_csv(path, deployment, extra_meta: dict | None = None) -> None:
-    lines = [_meta_line(deployment, extra_meta), CSV_HEADER]
+    meta = " ".join(f"{key}={value}" for key, value in _meta_pairs(deployment, extra_meta).items())
+    lines = ["# meta: " + meta, CSV_HEADER]
     lines.extend(",".join(row) for row in sensor_rows(deployment))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -80,12 +74,8 @@ def write_sensors_csv(path, deployment, extra_meta: dict | None = None) -> None:
 def write_sensors_json(
     path, deployment, include_model: bool = True, extra_meta: dict | None = None
 ) -> None:
-    meta = dict(
-        item.split("=", 1)
-        for item in _meta_line(deployment, extra_meta)[len("# meta: "):].split(" ")
-    )
     payload = {
-        "meta": meta,
+        "meta": _meta_pairs(deployment, extra_meta),
         "sensors": [
             {"x": float(x), "y": float(y), "provenance": prov, "hexagon": hexagon, "strategy": strategy}
             for x, y, prov, hexagon, strategy in sensor_rows(deployment)
@@ -100,23 +90,23 @@ def write_sensors_json(
 
 @dataclass
 class SensorFile:
-    """Parsed sensor file: meta pairs plus raw rows."""
+    """Parsed sensor file: meta pairs plus rows (x, y, provenance, hexagon, strategy).
+
+    ``hexagon`` is the owning hexagon index, -1 for a shared vertex.
+    """
 
     meta: dict[str, str]
-    rows: list[tuple[float, float, str, str, str]]
+    rows: list[tuple[float, float, str, int, str]]
     meta_line: int = 0  # line number of the (last) meta header, 0 if none
-
-    def positions(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, 2))
-        return np.array([[row[0], row[1]] for row in self.rows])
 
 
 def read_sensors_csv(path) -> SensorFile:
     meta: dict[str, str] = {}
     meta_line = 0
-    rows: list[tuple[float, float, str, str, str]] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    rows: list[tuple[float, float, str, int, str]] = []
+    # Bytes that are not UTF-8 become U+FFFD: text fields keep it, and in a
+    # number or an index it fails like any other bad field, with its line.
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for number, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
@@ -140,36 +130,22 @@ def read_sensors_csv(path) -> SensorFile:
                 y = float(parts[1])
             except ValueError as exc:
                 raise SensorFileError(number, f"bad coordinate: {exc}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise SensorFileError(number, f"non-finite coordinate: {parts[0]},{parts[1]}")
-            rows.append((x, y, parts[2], parts[3], parts[4]))
+            if not (abs(x) <= FLOAT_LIMIT and abs(y) <= FLOAT_LIMIT):
+                raise SensorFileError(number, f"coordinate not finite or beyond {FLOAT_LIMIT:g}: {parts[0]},{parts[1]}")
+            hexagon = parts[3].strip()
+            if hexagon != SHARED and not (hexagon.isdecimal() and len(hexagon) <= 18):
+                raise SensorFileError(number, f"hexagon must be {SHARED!r} or an index below 10**18, got {parts[3]!r}")
+            rows.append((x, y, parts[2], -1 if hexagon == SHARED else int(hexagon), parts[4]))
     return SensorFile(meta=meta, rows=rows, meta_line=meta_line)
 
 
-@dataclass
-class LoadedDeployment:
-    """Verifier-ready view of a sensor file."""
-
-    model: SolarModel
-    k: int
-    strategy: str
-    _positions: np.ndarray
-
-    @property
-    def r(self) -> float:
-        return self.model.side
-
-    def positions_xy(self) -> np.ndarray:
-        return self._positions
-
-
-def load_deployment(
+def deployment_parameters(
     sensor_file: SensorFile,
     layers: int | None = None,
     radius: float | None = None,
     k: int | None = None,
-) -> LoadedDeployment:
-    """Rebuild the patch from the meta header (flags win over the file).
+) -> tuple[int, float, int]:
+    """(layers, radius, k) from the meta header, each replaced by its flag when given.
 
     Raises SensorFileError when a meta value that is used is not a positive
     integer (``l``, ``k``) or a positive finite number (``r``).
@@ -189,10 +165,24 @@ def load_deployment(
             raise SensorFileError(sensor_file.meta_line, f"meta {key}={text} is not positive and finite")
         return value
 
-    model = build_solar_model(chosen(layers, "l", int, 1), chosen(radius, "r", float, 1.0))
-    return LoadedDeployment(
-        model=model,
-        k=chosen(k, "k", int, 1),
+    return chosen(layers, "l", int, 1), chosen(radius, "r", float, 1.0), chosen(k, "k", int, 1)
+
+
+def load_deployment(
+    sensor_file: SensorFile,
+    layers: int | None = None,
+    radius: float | None = None,
+    k: int | None = None,
+) -> Deployment:
+    """Rebuild the patch from the meta header (flags win over the file) with the file's columns."""
+    layers, radius, k = deployment_parameters(sensor_file, layers, radius, k)
+    rows = sensor_file.rows
+    return Deployment(
+        model=build_solar_model(layers, radius),
+        k=k,
         strategy=sensor_file.meta.get("strategy", "unknown"),
-        _positions=sensor_file.positions(),
+        sensors=np.array([row[:2] for row in rows], dtype=float).reshape(-1, 2),
+        provenance=np.array([row[2] for row in rows], dtype=str),
+        hexagon=np.array([row[3] for row in rows], dtype=int),
+        meta={key: value for key, value in sensor_file.meta.items() if key not in _FIELD_KEYS},
     )

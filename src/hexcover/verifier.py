@@ -15,16 +15,27 @@ exact boundary contacts survive the float conversion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import centroid, midpoint
-from .tiling import SolarModel, region_contains, triangle_samples
+from .deployment import Deployment, remove_sensors
+from .geometry import SQRT3, centroid, midpoint
+from .tiling import SolarModel, hexagon_count, region_contains, triangle_samples
 
 DISK_TOL = 1e-9  # relative, on squared distances
 MAX_FAILING_POINTS = 100
+# Probe budget of one verify run.  Building and clipping the grid peaks at
+# 66 bytes per raw grid point and Monte Carlo sampling at 129 bytes per
+# sample, so the budget caps those temporaries near 0.7 and 1.3 GB.
+MAX_PROBES = 10_000_000
+# Largest magnitude of a sensor coordinate, a radius or a reciprocal radius
+# that verify accepts: squared distances then stay finite normal floats,
+# which the disk test and the KD-tree compare.
+FLOAT_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -60,8 +71,27 @@ def structured_points(model: SolarModel) -> np.ndarray:
             seen.update(
                 (a, b, c, midpoint(a, b), midpoint(b, c), midpoint(c, a), centroid(a, b, c))
             )
-    ordered = sorted(seen, key=lambda p: p.sort_key())
+    ordered = sorted(seen, key=lambda p: (p.x, p.y))
     return np.array([p.to_xy(model.side) for p in ordered])
+
+
+def default_grid_step(radius: float) -> float:
+    return radius / 20.0
+
+
+def probe_estimate(layers: int, radius: float, grid_step: float | None, mc_samples: int) -> int:
+    """Probes ``verify_coverage`` would evaluate, from closed forms, before anything is built.
+
+    About 18 structured probes per hexagon, the raw grid over the patch's
+    bounding box ((3l - 1) r wide, (2l - 1) sqrt(3) r high) and the Monte
+    Carlo samples.  Exact rational arithmetic keeps absurd inputs from
+    overflowing.  ``radius`` must lie within ``FLOAT_LIMIT`` and its reciprocal.
+    """
+    step = default_grid_step(radius) if grid_step is None else grid_step
+    per_step = Fraction(radius) / Fraction(step)
+    columns = math.floor((3 * layers - 1) * per_step) + 2
+    rows = math.floor((2 * layers - 1) * Fraction(SQRT3) * per_step) + 2
+    return 18 * hexagon_count(layers) + columns * rows + mc_samples
 
 
 def grid_points(model: SolarModel, step: float) -> np.ndarray:
@@ -111,7 +141,7 @@ def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> n
 
 
 def verify_coverage(
-    deployment,
+    deployment: Deployment,
     target_k: int | None = None,
     grid_step: float | None = None,
     seed: int = 0,
@@ -120,15 +150,14 @@ def verify_coverage(
 ) -> CoverageReport:
     """Sample the patch and report the minimum observed coverage.
 
-    ``deployment`` needs ``model``, ``r``, ``k`` and ``positions_xy()``.  With
-    ``fail_fast`` the stages (structured, grid, random) stop at the first one
-    that contains a failing point.
+    With ``fail_fast`` the stages (structured, grid, random) stop at the
+    first one that contains a failing point.
     """
     model: SolarModel = deployment.model
     radius = deployment.r
     target = deployment.k if target_k is None else target_k
-    step = radius / 20.0 if grid_step is None else grid_step
-    sensors = deployment.positions_xy()
+    step = default_grid_step(radius) if grid_step is None else grid_step
+    sensors = deployment.sensors
 
     stages = [structured_points(model), grid_points(model, step)]
     if mc_samples > 0:
@@ -173,9 +202,7 @@ def verify_coverage(
     )
 
 
-def residual_coverage(deployment, failures: list[int], **verify_kwargs) -> CoverageReport:
+def residual_coverage(deployment: Deployment, failures: list[int], **verify_kwargs) -> CoverageReport:
     """Coverage report after removing the sensors at ``failures`` (target = k)."""
-    from .deployment import remove_sensors
-
     reduced = remove_sensors(deployment, failures)
     return verify_coverage(reduced, target_k=deployment.k, **verify_kwargs)

@@ -8,6 +8,7 @@ import pytest
 
 from hexcover.benchmark import (
     SMALL_SIDE,
+    _small_hexagon_xy,
     benchmark_count,
     count_gap,
     place_benchmark,
@@ -108,12 +109,10 @@ class TestEnumeration:
         assert small_hexagon_centers(m).tolist() == [list(c) for c in exact]
         assert len(exact) == ENUMERATED_SMALL_HEXAGONS[layers]
         # the sampler's float centers and vertices are the exact points, rounded once
-        d = place_benchmark(m, 1)
+        centers, vertices = _small_hexagon_xy(np.array(exact), (Fraction(0), Fraction(0)), 2.5)
         smalls = [exact_small_hexagon(q, w) for q, w in exact]
-        assert np.array_equal(d.small_centers, [h.center.to_xy(2.5) for h in smalls])
-        assert np.array_equal(
-            d.small_vertices, [[v.to_xy(2.5) for v in h.vertices()] for h in smalls]
-        )
+        assert np.array_equal(centers, [h.center.to_xy(2.5) for h in smalls])
+        assert np.array_equal(vertices, [[v.to_xy(2.5) for v in h.vertices()] for h in smalls])
 
     def test_small_hexagons_inside_patch(self, model_l2):
         for q, w in small_hexagon_centers(model_l2):
@@ -121,10 +120,12 @@ class TestEnumeration:
                 assert any(big.contains(vertex) for big in model_l2.hexagons)
 
     def test_offset_shifts_the_tiling(self, model_l2):
-        base = place_benchmark(model_l2, 1).small_centers
-        shifted = place_benchmark(model_l2, 1, offset=(Fraction(1, 4), Fraction(0))).small_centers
+        offset = (Fraction(1, 4), Fraction(0))
+        base, _ = _small_hexagon_xy(small_hexagon_centers(model_l2), (Fraction(0), Fraction(0)), 1.0)
+        shifted, _ = _small_hexagon_xy(small_hexagon_centers(model_l2, offset), offset, 1.0)
         assert len(shifted)
         assert {tuple(c) for c in base}.isdisjoint(tuple(c) for c in shifted)
+        assert place_benchmark(model_l2, 1, offset=offset).meta["offset"] == "1/4:0"
 
 
 class TestPlaceBenchmark:
@@ -132,28 +133,29 @@ class TestPlaceBenchmark:
         d = place_benchmark(model_l1, 1, seed=3)
         assert d.sensor_count() == 1
         small = exact_small_hexagon(*small_hexagon_centers(model_l1)[0])
-        x, y = d.positions[0]
+        x, y = d.sensors[0]
         assert small.contains_xy(x, y, scale=model_l1.side, tol=1e-12)
 
     def test_sensor_count_is_k_times_enumeration(self, model_l1):
         d = place_benchmark(model_l1, 2, seed=0)
         assert d.sensor_count() == 2 * len(small_hexagon_centers(model_l1))
+        assert d.provenance.tolist() == ["random"] * d.sensor_count()
 
     def test_all_sensors_inside_their_hexagon(self, model_l2):
         d = place_benchmark(model_l2, 3, seed=11)
         smalls = [exact_small_hexagon(q, w) for q, w in small_hexagon_centers(model_l2)]
-        for (x, y), owner in zip(d.positions, d.hexagon_index):
+        for (x, y), owner in zip(d.sensors, d.hexagon):
             assert smalls[owner].contains_xy(x, y, scale=model_l2.side, tol=1e-12)
 
     def test_same_seed_reproduces_positions(self, model_l2):
         a = place_benchmark(model_l2, 2, seed=7)
         b = place_benchmark(model_l2, 2, seed=7)
-        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.sensors, b.sensors)
 
     def test_different_seed_changes_positions(self, model_l2):
         a = place_benchmark(model_l2, 2, seed=7)
         b = place_benchmark(model_l2, 2, seed=8)
-        assert not np.array_equal(a.positions, b.positions)
+        assert not np.array_equal(a.sensors, b.sensors)
 
     def test_streams_are_per_hexagon(self, model_l2):
         # a hexagon's draws depend on (seed, hexagon index) only, so they can
@@ -172,7 +174,7 @@ class TestPlaceBenchmark:
         expected = origin + u[:, None] * (verts[tri] - origin) + v[:, None] * (
             verts[(tri + 1) % 6] - origin
         )
-        assert np.array_equal(d.positions[d.hexagon_index == index], expected)
+        assert np.array_equal(d.sensors[d.hexagon == index], expected)
 
     def test_rejects_bad_coverage(self, model_l1):
         with pytest.raises(ValueError):
@@ -181,6 +183,6 @@ class TestPlaceBenchmark:
     def test_scales_with_radius(self):
         m = build_solar_model(1, side=10.0)
         d = place_benchmark(m, 1, seed=2)
-        x, y = d.positions[0]
+        x, y = d.sensors[0]
         small = exact_small_hexagon(*small_hexagon_centers(m)[0])
         assert small.contains_xy(x, y, scale=10.0, tol=1e-12)

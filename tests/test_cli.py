@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -159,6 +160,33 @@ class TestVerify:
         code = run(["verify", "--input", str(out), "--layers", "2",
                     "--mc-samples", "500"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "meta,flags",
+        [
+            ("l=1 r=1", ["--grid-step", "1e-6"]),
+            ("l=1 r=1", ["--mc-samples", "1000000000000"]),
+            ("l=1000000 r=1", ["--mc-samples", "0"]),
+            ("l=" + "9" * 400 + " r=1", ["--mc-samples", "0"]),
+            ("l=1 r=1e200", ["--mc-samples", "0"]),
+            ("l=1 r=5e-324", ["--mc-samples", "0"]),
+        ],
+        ids=["grid-step", "mc-samples", "layers", "400-digit-layers", "huge-radius", "tiny-radius"],
+    )
+    def test_oversized_runs_are_refused_before_sampling(self, tmp_path, capsys, meta, flags):
+        sensors = tmp_path / "sensors.csv"
+        sensors.write_text(f"# meta: tool=hexcover k=1 {meta}\n0,0,center,0,proposed\n")
+        started = time.perf_counter()
+        code = run(["verify", "--input", str(sensors), *flags])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_bytes_are_usage_errors(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"# meta: l=1\n0,0,center,0,proposed\n\xff\xfe,0,center,0,proposed\n")
+        assert run(["verify", "--input", str(bad)]) == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_bad_grid_step_is_usage_error(self, tmp_path):
         out = self._plan(tmp_path, layers=1, coverage=1)

@@ -1,10 +1,12 @@
 """Tests for the placement strategy and its count formulas."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hexcover.geometry import ORIGIN, Hexagon, distance
+from hexcover.geometry import ORIGIN, Hexagon
 from hexcover.deployment import (
     fully_covered_triangles,
     minimum_sensors_lower_bound,
@@ -27,42 +29,57 @@ def model_l2():
     return build_solar_model(2)
 
 
+def kinds(d):
+    return [p.split(":")[0] for p in d.provenance.tolist()]
+
+
+def segment_fields(d):
+    """(segment, round) of every segment sensor, from its provenance ``segment:s:r``."""
+    return [tuple(map(int, p.split(":")[1:])) for p in d.provenance.tolist() if p.startswith("segment")]
+
+
+def xy_set(points):
+    return {tuple(xy) for xy in points.tolist()}
+
+
 class TestPlaceProposed:
     def test_one_coverage_single_hexagon(self, model_l1):
         d = place_proposed(model_l1, 1)
-        assert len(d.sensors) == 1
-        assert d.sensors[0].position == ORIGIN
-        assert d.sensors[0].kind == "center"
+        assert d.sensor_count() == 1
+        assert d.sensors.tolist() == [list(ORIGIN.to_xy())]
+        assert d.provenance.tolist() == ["center"]
+        assert d.hexagon.tolist() == [0]
 
     def test_two_coverage_single_hexagon(self, model_l1):
         d = place_proposed(model_l1, 2)
-        assert len(d.sensors) == 4
-        kinds = [s.kind for s in d.sensors]
-        assert kinds.count("center") == 1
-        assert kinds.count("vertex") == 3
-        assert all(s.parity == EVEN for s in d.sensors if s.kind == "vertex")
+        assert d.sensor_count() == 4
+        assert kinds(d).count("center") == 1
+        assert kinds(d).count("vertex") == 3
+        vertex = d.provenance != "center"
+        assert set(d.provenance[vertex].tolist()) == {"vertex:even"}
+        assert set(d.hexagon[vertex].tolist()) == {-1}
+        assert d.meta == {"parity": EVEN}
 
     def test_parity_flag_selects_other_class(self, model_l1):
         d = place_proposed(model_l1, 2, parity=ODD)
-        assert all(s.parity == ODD for s in d.sensors if s.kind == "vertex")
+        assert set(d.provenance.tolist()) == {"center", "vertex:odd"}
 
     def test_four_coverage_adds_segment_midpoints(self, model_l1):
         d = place_proposed(model_l1, 4)
-        assert len(d.sensors) == 10
-        segments = [s for s in d.sensors if s.kind == "segment"]
-        assert len(segments) == 3
+        assert d.sensor_count() == 10
         # first extra round targets the odd-numbered segments (toward the
         # even-index vertices 0, 2, 4) at the midpoint
-        assert sorted(s.segment for s in segments) == [1, 3, 5]
+        assert sorted(segment for segment, _ in segment_fields(d)) == [1, 3, 5]
         hexagon = model_l1.hexagons[0]
         verts = hexagon.vertices()
-        expected = {(hexagon.center + (verts[i] - hexagon.center) * Fraction(1, 2)) for i in (0, 2, 4)}
-        assert {s.position for s in segments} == expected
+        expected = {(hexagon.center + (verts[i] - hexagon.center) * Fraction(1, 2)).to_xy() for i in (0, 2, 4)}
+        segments = np.array([kind == "segment" for kind in kinds(d)])
+        assert xy_set(d.sensors[segments]) == expected
+        assert set(d.hexagon[segments].tolist()) == {0}
 
     def test_five_coverage_uses_even_segments(self, model_l1):
         d = place_proposed(model_l1, 5)
-        new = [s for s in d.sensors if s.kind == "segment" and s.step == 2]
-        assert sorted(s.segment for s in new) == [2, 4, 6]
+        assert sorted(segment for segment, step in segment_fields(d) if step == 2) == [2, 4, 6]
 
     def test_l2_k3_enumerates_31(self, model_l2):
         assert len(place_proposed(model_l2, 3).sensors) == 31
@@ -73,46 +90,45 @@ class TestPlaceProposed:
 
     def test_dedup_of_shared_vertices(self, model_l2):
         d = place_proposed(model_l2, 3)
-        positions = [s.position for s in d.sensors]
-        assert len(positions) == len(set(positions))
+        assert len(xy_set(d.sensors)) == d.sensor_count()
         # l=2 has 24 distinct vertices although 7 hexagons nominate 42
-        assert sum(s.kind == "vertex" for s in d.sensors) == 24
+        assert kinds(d).count("vertex") == 24
 
     def test_k3_vertex_sensors_are_exactly_the_registry(self, model_l2):
         d = place_proposed(model_l2, 3)
-        vertex_positions = {s.position for s in d.sensors if s.kind == "vertex"}
-        assert vertex_positions == set(model_l2.vertex_registry)
+        vertices = np.array([kind == "vertex" for kind in kinds(d)])
+        assert xy_set(d.sensors[vertices]) == {p.to_xy() for p in model_l2.vertex_registry}
 
     def test_incrementality(self, model_l2):
         previous: set = set()
         for k in range(1, 9):
-            current = {s.position for s in place_proposed(model_l2, k).sensors}
+            current = xy_set(place_proposed(model_l2, k).sensors)
             assert previous <= current
             previous = current
 
     def test_segment_parameters_distinct_and_interior(self, model_l1):
         d = place_proposed(model_l1, 10)
         hexagon = model_l1.hexagons[0]
-        for sensor in d.sensors:
-            if sensor.kind != "segment":
-                continue
-            vertex = hexagon.vertices()[sensor.segment - 1]
-            d_center = distance(hexagon.center, sensor.position)
-            d_vertex = distance(vertex, sensor.position)
+        cx, cy = hexagon.center.to_xy()
+        segments = np.array([kind == "segment" for kind in kinds(d)])
+        per_segment: dict[int, list] = {}
+        for (x, y), (segment, _) in zip(d.sensors[segments].tolist(), segment_fields(d)):
+            vx, vy = hexagon.vertices()[segment - 1].to_xy()
+            d_center = math.hypot(x - cx, y - cy)
+            d_vertex = math.hypot(x - vx, y - vy)
             assert 0.0 < d_center < 1.0
             assert d_center + d_vertex == pytest.approx(1.0, rel=1e-12)
-        per_segment: dict[int, list] = {}
-        for sensor in d.sensors:
-            if sensor.kind == "segment":
-                per_segment.setdefault(sensor.segment, []).append(sensor.position)
+            per_segment.setdefault(segment, []).append((x, y))
         for positions in per_segment.values():
             assert len(positions) == len(set(positions))
 
     def test_sorted_output_is_stable(self, model_l2):
         a = place_proposed(model_l2, 4)
         b = place_proposed(model_l2, 4)
-        assert a.sensors == b.sensors
-        ranks = [s.rank() for s in a.sensors]
+        for column in ("sensors", "provenance", "hexagon"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
+        rank = {"center": 0, "vertex:even": 1, "vertex:odd": 2}
+        ranks = [rank.get(p, 3) for p in a.provenance.tolist()]
         assert ranks == sorted(ranks)
 
 

@@ -33,7 +33,11 @@ class TestCsvRoundTrip:
         assert parsed.meta["l"] == "2"
         assert float(parsed.meta["r"]) == 2.0
         assert len(parsed.rows) == len(deployment.sensors)
-        assert np.allclose(parsed.positions(), deployment.positions_xy(), atol=1e-10)
+        loaded = load_deployment(parsed)
+        assert np.allclose(loaded.sensors, deployment.sensors, atol=1e-10)
+        assert np.array_equal(loaded.provenance, deployment.provenance)
+        assert np.array_equal(loaded.hexagon, deployment.hexagon)
+        assert loaded.meta == {"seed": "0", "parity": "even"}
 
     def test_benchmark_roundtrip_records_seed(self, model, tmp_path):
         deployment = place_benchmark(model, 2, seed=7)
@@ -58,7 +62,8 @@ class TestCsvRoundTrip:
         parsed = read_sensors_csv(path)
         vertex_rows = [row for row in parsed.rows if row[2].startswith("vertex")]
         assert vertex_rows
-        assert all(row[3] == "shared" for row in vertex_rows)
+        assert all(row[3] == -1 for row in vertex_rows)
+        assert "shared" in path.read_text()
 
 
 class TestJson:
@@ -112,6 +117,14 @@ class TestMalformedFiles:
             read_sensors_csv(path)
         assert info.value.line == 3
 
+    @pytest.mark.parametrize("field", ["x", "-1", "1.5", "", "1" * 19, "Shared"])
+    def test_bad_hexagon_field_reports_line(self, tmp_path, field):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y,provenance,hexagon,strategy\n1,2,center,0,proposed\n1,2,center,{field},proposed\n")
+        with pytest.raises(SensorFileError) as info:
+            read_sensors_csv(path)
+        assert info.value.line == 3
+
     @pytest.mark.parametrize("value", ["l=x", "l=0", "l=2.5", "r=nan", "r=inf", "r=-1", "k=0"])
     def test_bad_meta_value_reports_meta_line(self, tmp_path, value):
         path = tmp_path / "bad.csv"
@@ -133,7 +146,8 @@ class TestMalformedFiles:
         parsed = read_sensors_csv(path)
         assert parsed.rows == []
         loaded = load_deployment(parsed)
-        assert loaded.positions_xy().shape == (0, 2)
+        assert loaded.sensors.shape == (0, 2)
+        assert loaded.provenance.shape == loaded.hexagon.shape == (0,)
         assert loaded.model.layers == 1
 
 

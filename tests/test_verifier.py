@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from hexcover.benchmark import place_benchmark
 from hexcover.deployment import place_proposed, remove_sensors
+from hexcover.sensor_io import load_deployment, read_sensors_csv, write_sensors_csv
 from hexcover.tiling import build_solar_model
 from hexcover.verifier import (
     coverage_counts,
     grid_points,
     monte_carlo_points,
+    probe_estimate,
     region_contains,
     residual_coverage,
     structured_points,
@@ -68,6 +71,21 @@ class TestSampling:
         assert coverage_counts(centroid, sensors, 0.5)[0] == 0
 
 
+class TestProbeEstimate:
+    @pytest.mark.parametrize("layers", [1, 2, 4])
+    @pytest.mark.parametrize("radius,step", [(1.0, None), (2.5, 0.3), (10.0, 0.5)])
+    def test_closed_form_tracks_the_built_probes(self, layers, radius, step):
+        model = build_solar_model(layers, radius)
+        step_used = radius / 20.0 if step is None else step
+        min_x, min_y, max_x, max_y = model.bounding_box()
+        raw = len(np.arange(min_x, max_x + step_used * 0.5, step_used)) * len(
+            np.arange(min_y, max_y + step_used * 0.5, step_used)
+        )
+        built = len(structured_points(model)) + raw + 7
+        estimate = probe_estimate(layers, radius, step, 7)
+        assert built * 0.8 <= estimate <= built * 1.25
+
+
 class TestVerifyCoverage:
     def test_one_coverage_passes(self, model_l1):
         report = verify_coverage(place_proposed(model_l1, 1), mc_samples=MC)
@@ -87,7 +105,7 @@ class TestVerifyCoverage:
 
     def test_deleting_a_vertex_sensor_breaks_two_coverage(self, model_l1):
         deployment = place_proposed(model_l1, 2)
-        victim = next(i for i, s in enumerate(deployment.sensors) if s.kind == "vertex")
+        victim = deployment.provenance.tolist().index("vertex:even")
         broken = remove_sensors(deployment, [victim])
         report = verify_coverage(broken, target_k=2, mc_samples=MC)
         assert not report.passed
@@ -127,7 +145,7 @@ class TestVerifyCoverage:
 
     def test_fail_fast_stops_early(self, model_l1):
         deployment = place_proposed(model_l1, 2)
-        victim = next(i for i, s in enumerate(deployment.sensors) if s.kind == "vertex")
+        victim = deployment.provenance.tolist().index("vertex:even")
         broken = remove_sensors(deployment, [victim])
         eager = verify_coverage(broken, target_k=2, mc_samples=MC, fail_fast=True)
         full = verify_coverage(broken, target_k=2, mc_samples=MC)
@@ -151,7 +169,7 @@ class TestResidualCoverage:
 
     def test_losing_the_center_sensor_keeps_two_coverage(self, model_l1):
         deployment = place_proposed(model_l1, 3)
-        center = next(i for i, s in enumerate(deployment.sensors) if s.kind == "center")
+        center = deployment.provenance.tolist().index("center")
         report = residual_coverage(deployment, [center], mc_samples=MC)
         assert report.min_coverage >= 2
         assert not report.passed  # target stays at 3
@@ -160,6 +178,24 @@ class TestResidualCoverage:
         deployment = place_proposed(model_l1, 3)
         report = residual_coverage(deployment, list(range(len(deployment.sensors))), mc_samples=MC)
         assert report.min_coverage == 0
+
+    @pytest.mark.parametrize("source", ["proposed", "scheme", "loaded"])
+    def test_every_layout_supports_failures(self, model_l2, tmp_path, source):
+        if source == "proposed":
+            deployment = place_proposed(model_l2, 2)
+        else:
+            deployment = place_benchmark(model_l2, 2, seed=1)
+        if source == "loaded":
+            path = tmp_path / "scheme.csv"
+            write_sensors_csv(path, deployment)
+            deployment = load_deployment(read_sensors_csv(path))
+        reduced = remove_sensors(deployment, [0, 2])
+        kept = [i for i in range(deployment.sensor_count()) if i not in (0, 2)]
+        for column in ("sensors", "provenance", "hexagon"):
+            assert np.array_equal(getattr(reduced, column), getattr(deployment, column)[kept])
+        report = residual_coverage(deployment, [0, 2], mc_samples=MC)
+        assert report.target_k == 2
+        assert report == verify_coverage(reduced, target_k=2, mc_samples=MC)
 
     def test_duplicate_failures_rejected(self, model_l1):
         deployment = place_proposed(model_l1, 3)
