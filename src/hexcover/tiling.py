@@ -6,6 +6,12 @@ distance j-1 from the center.  Hexagon centers are indexed by axial integer
 coordinates so neighbor arithmetic stays exact.  The float kernels that
 sampling code shares also live here: the patch-membership test
 ``region_contains`` and the triangle sampler ``triangle_samples``.
+
+``region_contains`` rounds each point to its nearest hexagon center in axial
+coordinates and tests that hexagon and its six neighbors, so its cost is at
+most seven band tests per point whatever the patch size.  It is exact with
+respect to a scan over every patch hexagon: any hexagon whose widened bands
+hold a point is the nearest one or a neighbor of it (see its docstring).
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ ODD = "odd"
 PARITY_NAMES = (EVEN, ODD)
 
 REGION_TOL = 1e-12  # relative, for clipping float points to the patch
+REGION_CHUNK = 1 << 15  # points per membership-kernel pass
 
 # Axial neighbor steps, counterclockwise from 30 degrees.
 AXIAL_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
@@ -158,21 +165,53 @@ def build_solar_model(layers: int, side: float = 1.0) -> SolarModel:
 
 
 def region_contains(model: SolarModel, points: np.ndarray, tol: float = REGION_TOL) -> np.ndarray:
-    """Closed membership of each float point (meters) in the union of patch hexagons."""
-    scale = model.side
-    bound = SQRT3 * 0.5 * scale + tol * scale
+    """Closed membership of each float point (meters) in the union of patch hexagons.
+
+    A point is inside when all three edge-normal bands of some patch
+    hexagon, widened by ``tol`` times the side, hold it.  Only the honeycomb
+    cell nearest to the point (cube rounding of its fractional axial
+    coordinates) and its six neighbors are tested, those in the patch.
+    That is complete: a hexagon whose widened bands hold the point lies
+    within 2/sqrt(3)*tol < 0.6 sides of it, the nearest cell holds it up to
+    float rounding, and two cells that are not neighbors are a whole side
+    apart.  Each test is the same float expression on the same rounded
+    center as in a scan over every hexagon, so the mask is bit-identical to
+    that scan's.  Points go through in chunks of ``REGION_CHUNK``, so the
+    temporaries stay small whatever the input and patch sizes.
+    """
+    if not 0 <= tol < 0.5:
+        raise ValueError(f"region tolerance must lie in [0, 0.5), got {tol}")
+    half = 0.5 * model.side
+    bound = SQRT3 * half + tol * model.side
+    reach = model.layers - 1
+    # A point in a widened patch hexagon has axial coordinates within
+    # reach + 2/3; clamping the rest (fmin/fmax also clamp nan and inf)
+    # keeps the rounded coordinates small integers.
+    clamp = reach + 2.0
     inside = np.zeros(len(points), dtype=bool)
-    for hexagon in model.hexagons:
-        cx, cy = hexagon.center.to_xy(scale)
-        dx = points[:, 0] - cx
-        dy = points[:, 1] - cy
-        inside |= (
-            (np.abs(dy) <= bound)
-            & (np.abs(SQRT3 * dx + dy) * 0.5 <= bound)
-            & (np.abs(SQRT3 * dx - dy) * 0.5 <= bound)
-        )
-        if inside.all():
-            break
+    for start in range(0, len(points), REGION_CHUNK):
+        chunk = slice(start, start + REGION_CHUNK)
+        x, y = points[chunk, 0], points[chunk, 1]
+        fq = np.fmin(np.fmax(x / (3.0 * half), -clamp), clamp)
+        fw = np.fmin(np.fmax((y / (SQRT3 * half) - fq) * 0.5, -clamp), clamp)
+        fs = -fq - fw
+        q, w, s = np.rint(fq), np.rint(fw), np.rint(fs)
+        dq, dw, ds = np.abs(q - fq), np.abs(w - fw), np.abs(s - fs)
+        fix_q = (dq > dw) & (dq > ds)
+        fix_w = ~fix_q & (dw > ds)
+        q = np.where(fix_q, -w - s, q).astype(np.int64)
+        w = np.where(fix_w, -q - s, w).astype(np.int64)
+        hit = inside[chunk]
+        for dq_step, dw_step in ((0, 0),) + AXIAL_DIRECTIONS:
+            cq, cw = q + dq_step, w + dw_step
+            dx = x - (3 * cq).astype(float) * half
+            dy = y - (cq + 2 * cw).astype(float) * SQRT3 * half
+            hit |= (
+                (axial_distance(cq, cw) <= reach)
+                & (np.abs(dy) <= bound)
+                & (np.abs(SQRT3 * dx + dy) * 0.5 <= bound)
+                & (np.abs(SQRT3 * dx - dy) * 0.5 <= bound)
+            )
     return inside
 
 

@@ -3,10 +3,13 @@
 Three point families are evaluated against the sensing disks:
 
 * structured points: the vertices, edge midpoints and centroid of every
-  center-vertex-vertex triangle of every patch hexagon (exact lattice points,
-  deduplicated).  Triangle vertices are the worst-case points under the
-  placement strategy, so a failure cannot hide from this family;
-* a square grid of pitch ``grid_step`` clipped to the patch;
+  center-vertex-vertex triangle of every patch hexagon, keyed by integer
+  multiples of 1/6 lattice unit, so deduplication and ordering are exact.
+  Triangle vertices are the worst-case points under the placement
+  strategy, so a failure cannot hide from this family;
+* a square grid of pitch ``grid_step`` clipped to the patch by
+  ``tiling.region_contains``, which tests each point against its nearest
+  hexagon and that hexagon's neighbors only, so clipping is O(points);
 * seeded uniform samples over the patch.
 
 The disk test compares squared distances with a 1e-9 relative tolerance so
@@ -23,14 +26,16 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .deployment import Deployment, remove_sensors
-from .geometry import SQRT3, centroid, midpoint
+from .geometry import ORIGIN, SQRT3, Hexagon, centroid, midpoint
 from .tiling import SolarModel, hexagon_count, region_contains, triangle_samples
 
 DISK_TOL = 1e-9  # relative, on squared distances
 MAX_FAILING_POINTS = 100
 # Probe budget of one verify run.  Building and clipping the grid peaks at
-# 66 bytes per raw grid point and Monte Carlo sampling at 129 bytes per
-# sample, so the budget caps those temporaries near 0.7 and 1.3 GB.
+# 51 bytes per raw grid point (the meshgrid, the stacked points, the mask and
+# the kept points; the clipping kernel's own temporaries are per chunk) and
+# Monte Carlo sampling at 129 bytes per sample, so the budget caps those
+# temporaries near 0.5 and 1.3 GB.
 MAX_PROBES = 10_000_000
 # Largest magnitude of a sensor coordinate, a radius or a reciprocal radius
 # that verify accepts: squared distances then stay finite normal floats,
@@ -62,17 +67,30 @@ class CoverageReport:
         }
 
 
+# Six times the lattice coefficients (x, y) of the 42 probes of the unit
+# hexagon at the origin (seven per triangle): all integers.
+_PROBE_OFFSETS6 = np.array(
+    [
+        (int(6 * p.x), int(6 * p.y))
+        for a, b, c in (triangle.vertices for triangle in Hexagon(ORIGIN).triangles())
+        for p in (a, b, c, midpoint(a, b), midpoint(b, c), midpoint(c, a), centroid(a, b, c))
+    ]
+)
+
+
 def structured_points(model: SolarModel) -> np.ndarray:
-    """Exact per-triangle probe points (vertices, edge midpoints, centroids)."""
-    seen = set()
-    for hexagon in model.hexagons:
-        for triangle in hexagon.triangles():
-            a, b, c = triangle.vertices
-            seen.update(
-                (a, b, c, midpoint(a, b), midpoint(b, c), midpoint(c, a), centroid(a, b, c))
-            )
-    ordered = sorted(seen, key=lambda p: (p.x, p.y))
-    return np.array([p.to_xy(model.side) for p in ordered])
+    """Per-triangle probe points (vertices, edge midpoints, centroids), deduplicated.
+
+    Probes are keyed by six times their lattice coefficients, which are
+    integers, so deduplication is exact and ``np.unique`` sorts them in
+    exact (x, y) order.  X/6 and Y/6 are correctly rounded divisions, so
+    each coordinate is ``LatticePoint.to_xy`` of the exact point, bit for bit.
+    """
+    q, w = np.array(model.axial).T
+    centers6 = 6 * np.column_stack([3 * q, q + 2 * w])
+    keys = np.unique((centers6[:, None, :] + _PROBE_OFFSETS6).reshape(-1, 2), axis=0)
+    half = 0.5 * model.side
+    return np.column_stack([keys[:, 0] / 6.0 * half, keys[:, 1] / 6.0 * SQRT3 * half])
 
 
 def default_grid_step(radius: float) -> float:

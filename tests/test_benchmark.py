@@ -17,7 +17,7 @@ from hexcover.benchmark import (
 )
 from hexcover.deployment import total_count
 from hexcover.geometry import Hexagon, LatticePoint
-from hexcover.tiling import build_solar_model
+from hexcover.tiling import build_solar_model, hexagon_count
 
 # Geometric enumeration of fully contained half-side hexagons, origin-anchored
 # tiling.  Frozen from the enumeration itself; the printed closed form
@@ -91,7 +91,9 @@ class TestClosedForms:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("layers,expected", sorted(ENUMERATED_SMALL_HEXAGONS.items()))
+    # at zero offset the kept tiles form the (2l - 1)-ring patch of the small
+    # honeycomb; its first six values are ENUMERATED_SMALL_HEXAGONS
+    @pytest.mark.parametrize("layers,expected", [(l, hexagon_count(2 * l - 1)) for l in range(1, 21)])
     def test_contained_small_hexagon_counts(self, layers, expected):
         m = build_solar_model(layers)
         assert len(small_hexagon_centers(m)) == expected

@@ -1,19 +1,111 @@
-"""Property tests: sensor-file round trips and the verify exit-code contract.
+"""Property tests: patch membership, placement counts, sensor-file round
+trips and the verify exit-code contract.
 
 Examples are derandomized and bounded so the suite stays fast and repeatable.
 """
 
+import functools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexcover.benchmark import place_benchmark
 from hexcover.cli import main
-from hexcover.deployment import place_proposed
+from hexcover.deployment import place_proposed, total_count
+from hexcover.geometry import SQRT3, Hexagon, midpoint
 from hexcover.sensor_io import load_deployment, read_sensors_csv, write_sensors_csv
-from hexcover.tiling import PARITY_NAMES, build_solar_model
+from hexcover.tiling import (
+    PARITY_NAMES,
+    REGION_CHUNK,
+    REGION_TOL,
+    axial_center,
+    build_solar_model,
+    region_contains,
+)
 
 BOUNDED = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+# The radii verify accepts at its extremes, and ordinary ones.
+RADII = (1e-150, 0.3, 1.0, 10.0, 1e150)
+
+model_for = functools.lru_cache(maxsize=None)(build_solar_model)
+
+
+def brute_force_contains(model, points, tol):
+    """Union over every patch hexagon of its three widened edge-normal bands."""
+    bound = SQRT3 * 0.5 * model.side + tol * model.side
+    inside = np.zeros(len(points), dtype=bool)
+    for hexagon in model.hexagons:
+        cx, cy = hexagon.center.to_xy(model.side)
+        dx = points[:, 0] - cx
+        dy = points[:, 1] - cy
+        inside |= (
+            (np.abs(dy) <= bound)
+            & (np.abs(SQRT3 * dx + dy) * 0.5 <= bound)
+            & (np.abs(SQRT3 * dx - dy) * 0.5 <= bound)
+        )
+    return inside
+
+
+@st.composite
+def membership_cases(draw):
+    """A patch, a tolerance and points on, just off and between hexagon boundaries."""
+    layers = draw(st.integers(1, 8))
+    radius = draw(st.sampled_from(RADII))
+    tol = draw(st.sampled_from([REGION_TOL, 1e-9]))
+    model = model_for(layers, radius)
+    min_x, min_y, max_x, max_y = model.bounding_box()
+    nudge = st.sampled_from([-1e-13, 0.0, 1e-13])
+
+    def on_boundary(args):
+        # a vertex or an edge midpoint of a cell in or around the patch,
+        # optionally nudged by 1e-13 r along each axis
+        q, w, i, kind, ex, ey = args
+        vertices = Hexagon(axial_center(q, w)).vertices()
+        point = vertices[i] if kind == "vertex" else midpoint(vertices[i], vertices[(i + 1) % 6])
+        x, y = point.to_xy(radius)
+        return x + ex * radius, y + ey * radius
+
+    cell = st.integers(-layers, layers)
+    boundary = st.tuples(cell, cell, st.integers(0, 5), st.sampled_from(["vertex", "edge"]), nudge, nudge)
+    uniform = st.tuples(st.floats(0, 1), st.floats(0, 1)).map(
+        lambda uv: (min_x + uv[0] * (max_x - min_x), min_y + uv[1] * (max_y - min_y))
+    )
+    points = draw(st.lists(st.one_of(boundary.map(on_boundary), uniform), min_size=1, max_size=60))
+    return model, tol, np.array(points)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=membership_cases())
+def test_region_contains_equals_per_hexagon_union(case):
+    model, tol, points = case
+    assert np.array_equal(region_contains(model, points, tol), brute_force_contains(model, points, tol))
+
+
+# At tol = 0.45 a hexagon's widened bands reach 0.52 sides past it.  Rounding
+# q and w separately can land half a side off the nearest cell, outside the
+# neighbors of a hexagon that holds the point; only cube rounding stays
+# complete there.
+@pytest.mark.parametrize("tol", [REGION_TOL, 0.45])
+def test_region_contains_equals_per_hexagon_union_across_chunks(tol):
+    model = model_for(4, 2.5)
+    min_x, min_y, max_x, max_y = model.bounding_box()
+    rng = np.random.default_rng(11)
+    count = 2 * REGION_CHUNK + 123
+    points = np.column_stack(
+        [rng.uniform(min_x - 2.5, max_x + 2.5, count), rng.uniform(min_y - 2.5, max_y + 2.5, count)]
+    )
+    inside = region_contains(model, points, tol)
+    assert 0 < inside.sum() < count
+    assert np.array_equal(inside, brute_force_contains(model, points, tol))
+
+
+@BOUNDED
+@given(layers=st.integers(1, 5), k=st.integers(1, 12), parity=st.sampled_from(PARITY_NAMES))
+def test_placed_count_equals_closed_form(layers, k, parity):
+    assert len(place_proposed(model_for(layers, 1.0), k, parity=parity).sensors) == total_count(layers, k)
 
 
 def assert_round_trip(deployment, directory):

@@ -1,5 +1,6 @@
 """Tests for the layered patch and its vertex registry."""
 
+import numpy as np
 import pytest
 
 from hexcover.geometry import ORIGIN, distance
@@ -11,6 +12,7 @@ from hexcover.tiling import (
     build_solar_model,
     hexagon_count,
     model_to_dict,
+    region_contains,
     vertex_count,
 )
 
@@ -151,3 +153,26 @@ class TestModelExport:
         assert len(payload["vertices"]) == 24
         classes = {v["class"] for v in payload["vertices"]}
         assert classes == {"even", "odd"}
+
+
+class TestRegionContains:
+    def test_vertices_inside_and_points_past_the_rim_outside(self):
+        m = build_solar_model(3, side=2.0)
+        vertices = np.array([r.position.to_xy(2.0) for r in m.vertex_registry.values()])
+        assert region_contains(m, vertices).all()
+        # just past the top edge of the patch, far beyond the tolerance band
+        rim_y = vertices[:, 1].max()
+        assert not region_contains(m, np.array([[0.0, rim_y * (1 + 1e-9)]])).any()
+
+    def test_non_finite_and_far_points_are_outside(self):
+        m = build_solar_model(2)
+        points = np.array([[np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan], [1e300, -1e300], [0.0, 0.0]])
+        assert region_contains(m, points).tolist() == [False, False, False, False, True]
+
+    def test_empty_input(self):
+        assert region_contains(build_solar_model(2), np.zeros((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("tol", [-1e-12, 0.5, float("nan")])
+    def test_rejects_tolerances_outside_half_a_side(self, tol):
+        with pytest.raises(ValueError):
+            region_contains(build_solar_model(1), np.zeros((1, 2)), tol=tol)

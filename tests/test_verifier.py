@@ -7,6 +7,7 @@ import pytest
 
 from hexcover.benchmark import place_benchmark
 from hexcover.deployment import place_proposed, remove_sensors
+from hexcover.geometry import centroid, midpoint
 from hexcover.sensor_io import load_deployment, read_sensors_csv, write_sensors_csv
 from hexcover.tiling import build_solar_model
 from hexcover.verifier import (
@@ -33,7 +34,25 @@ def model_l2():
     return build_solar_model(2)
 
 
+def exact_structured_points(model):
+    """Every triangle's vertices, edge midpoints and centroid as an exact set, in (x, y) order."""
+    seen = set()
+    for hexagon in model.hexagons:
+        for triangle in hexagon.triangles():
+            a, b, c = triangle.vertices
+            seen.update((a, b, c, midpoint(a, b), midpoint(b, c), midpoint(c, a), centroid(a, b, c)))
+    return np.array([p.to_xy(model.side) for p in sorted(seen, key=lambda p: (p.x, p.y))])
+
+
 class TestSampling:
+    @pytest.mark.parametrize("layers", range(1, 7))
+    @pytest.mark.parametrize("radius", [0.3, 2.5, 10.0])
+    def test_structured_points_match_exact_reference(self, layers, radius):
+        model = build_solar_model(layers, radius)
+        points, expected = structured_points(model), exact_structured_points(model)
+        assert points.shape == expected.shape
+        assert np.array_equal(points.view(np.uint64), expected.view(np.uint64))
+
     def test_structured_points_are_deduplicated(self, model_l2):
         points = structured_points(model_l2)
         assert len(np.unique(points, axis=0)) == len(points)
