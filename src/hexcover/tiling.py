@@ -104,14 +104,23 @@ class SolarModel:
         return sum((q + dq, w + dw) in cells for dq, dw in AXIAL_DIRECTIONS)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
-        xs: list[float] = []
-        ys: list[float] = []
-        for hexagon in self.hexagons:
-            for vertex in hexagon.vertices():
-                x, y = vertex.to_xy(self.side)
-                xs.append(x)
-                ys.append(y)
-        return min(xs), min(ys), max(xs), max(ys)
+        """(min_x, min_y, max_x, max_y) over every patch vertex, in closed form.
+
+        The extreme vertices have lattice coefficients x = ±(3l - 1) (the
+        angle-0 and angle-180 vertices of the outermost cells on the x axis)
+        and y = ±(2l - 1) (the top and bottom vertices of the outermost cells
+        on the y axis).  Each bound is the expression ``LatticePoint.to_xy``
+        evaluates on that vertex, so it equals a scan over every vertex bit
+        for bit.
+        """
+        half = 0.5 * self.side
+        x_units, y_units = 3 * self.layers - 1, 2 * self.layers - 1
+        return (
+            float(-x_units) * half,
+            float(-y_units) * SQRT3 * half,
+            float(x_units) * half,
+            float(y_units) * SQRT3 * half,
+        )
 
 
 def hexagon_count(layers: int) -> int:

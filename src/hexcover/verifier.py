@@ -13,7 +13,15 @@ Three point families are evaluated against the sensing disks:
 * seeded uniform samples over the patch.
 
 The disk test compares squared distances with a 1e-9 relative tolerance so
-exact boundary contacts survive the float conversion.
+exact boundary contacts survive the float conversion.  Structured and Monte
+Carlo probes are counted with a KD-tree (``coverage_counts``).  The grid is
+counted on its lattice instead (``lattice_counts``): along one grid row the
+float predicate ``(x - sx)**2 + (y - sy)**2 <= eff**2`` holds on a single
+contiguous run of columns, because ``fl(x - sx)`` is monotone in x, so each
+sensor adds one column interval per grid row its disk reaches.  The two
+ends of every interval are settled with that same float predicate, so the
+counts are the predicate's bit for bit, at a cost of O(sensors × rows per
+disk) instead of O(disk hits).
 """
 
 from __future__ import annotations
@@ -33,10 +41,15 @@ DISK_TOL = 1e-9  # relative, on squared distances
 MAX_FAILING_POINTS = 100
 # Probe budget of one verify run.  Building and clipping the grid peaks at
 # 51 bytes per raw grid point (the meshgrid, the stacked points, the mask and
-# the kept points; the clipping kernel's own temporaries are per chunk) and
-# Monte Carlo sampling at 129 bytes per sample, so the budget caps those
-# temporaries near 0.5 and 1.3 GB.
+# the kept points; the clipping kernel's own temporaries are per chunk).
+# Counting the grid on its lattice comes after that peak and stays below it:
+# about 31 bytes per raw point (4 for the lattice counts, the rest for the
+# kept points, their row and column indices and their counts) plus a few MB
+# of per-chunk temporaries.  Monte Carlo sampling peaks at 130 bytes per
+# sample.  So the budget caps those temporaries near 0.5 and 1.3 GB
+# (tracemalloc at l = 10 and 20, r = 10, step r/20).
 MAX_PROBES = 10_000_000
+LATTICE_CHUNK = 1 << 14  # (sensor, row) intervals per lattice-counting pass
 # Largest magnitude of a sensor coordinate, a radius or a reciprocal radius
 # that verify accepts: squared distances then stay finite normal floats,
 # which the disk test and the KD-tree compare.
@@ -76,6 +89,21 @@ _PROBE_OFFSETS6 = np.array(
         for p in (a, b, c, midpoint(a, b), midpoint(b, c), midpoint(c, a), centroid(a, b, c))
     ]
 )
+# Lattice coefficients of the six vertices of the unit hexagon at the origin,
+# in ``Hexagon.vertices`` order.
+_VERTEX_OFFSETS = np.array([(int(v.x), int(v.y)) for v in Hexagon(ORIGIN).vertices()])
+
+
+def _center_units(model: SolarModel) -> np.ndarray:
+    """Integer lattice coefficients (3q, q + 2w) of every hexagon center, in patch order."""
+    q, w = np.array(model.axial).T
+    return np.column_stack([3 * q, q + 2 * w])
+
+
+def _units_xy(units: np.ndarray, side: float) -> np.ndarray:
+    """``LatticePoint.to_xy`` of integer lattice coefficients (n, 2), bit for bit."""
+    half = 0.5 * side
+    return np.column_stack([units[:, 0].astype(float) * half, units[:, 1].astype(float) * SQRT3 * half])
 
 
 def structured_points(model: SolarModel) -> np.ndarray:
@@ -86,9 +114,7 @@ def structured_points(model: SolarModel) -> np.ndarray:
     exact (x, y) order.  X/6 and Y/6 are correctly rounded divisions, so
     each coordinate is ``LatticePoint.to_xy`` of the exact point, bit for bit.
     """
-    q, w = np.array(model.axial).T
-    centers6 = 6 * np.column_stack([3 * q, q + 2 * w])
-    keys = np.unique((centers6[:, None, :] + _PROBE_OFFSETS6).reshape(-1, 2), axis=0)
+    keys = np.unique((6 * _center_units(model)[:, None, :] + _PROBE_OFFSETS6).reshape(-1, 2), axis=0)
     half = 0.5 * model.side
     return np.column_stack([keys[:, 0] / 6.0 * half, keys[:, 1] / 6.0 * SQRT3 * half])
 
@@ -112,32 +138,40 @@ def probe_estimate(layers: int, radius: float, grid_step: float | None, mc_sampl
     return 18 * hexagon_count(layers) + columns * rows + mc_samples
 
 
+def _grid_axes(model: SolarModel, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Column abscissae and row ordinates of the raw grid, both increasing."""
+    if step <= 0:
+        raise ValueError(f"grid step must be positive, got {step}")
+    min_x, min_y, max_x, max_y = model.bounding_box()
+    return np.arange(min_x, max_x + step * 0.5, step), np.arange(min_y, max_y + step * 0.5, step)
+
+
 def grid_points(model: SolarModel, step: float) -> np.ndarray:
-    """Square grid of pitch ``step`` clipped to the patch.
+    """Square grid of pitch ``step`` clipped to the patch, in row-major order.
 
     The grid is anchored at the bounding-box corner, so halving the step keeps
     every existing point and refinement can only lower the observed minimum.
     """
-    if step <= 0:
-        raise ValueError(f"grid step must be positive, got {step}")
-    min_x, min_y, max_x, max_y = model.bounding_box()
-    xs = np.arange(min_x, max_x + step * 0.5, step)
-    ys = np.arange(min_y, max_y + step * 0.5, step)
+    xs, ys = _grid_axes(model, step)
     gx, gy = np.meshgrid(xs, ys)
     points = np.column_stack([gx.ravel(), gy.ravel()])
     return points[region_contains(model, points)]
 
 
 def monte_carlo_points(model: SolarModel, count: int, seed: int) -> np.ndarray:
-    """Seeded uniform samples over the patch (hexagons have equal area)."""
+    """Seeded uniform samples over the patch (hexagons have equal area).
+
+    Each sample draws a hexagon, one of its six triangles and a point in
+    that triangle.  The hexagons' centers and vertices are built from their
+    integer lattice coefficients with ``LatticePoint.to_xy``'s expression,
+    so they equal the exact points' float coordinates bit for bit.
+    """
     if count <= 0:
         return np.zeros((0, 2))
     rng = np.random.default_rng(seed)
-    scale = model.side
-    centers = np.array([h.center.to_xy(scale) for h in model.hexagons])
-    verts = np.array(
-        [[v.to_xy(scale) for v in h.vertices()] for h in model.hexagons]
-    )  # (H, 6, 2)
+    units = _center_units(model)
+    centers = _units_xy(units, model.side)
+    verts = _units_xy((units[:, None, :] + _VERTEX_OFFSETS).reshape(-1, 2), model.side).reshape(-1, 6, 2)
     hex_idx = rng.integers(0, len(centers), size=count)
     tri_idx = rng.integers(0, 6, size=count)
     u = rng.random(count)
@@ -147,15 +181,138 @@ def monte_carlo_points(model: SolarModel, count: int, seed: int) -> np.ndarray:
     )
 
 
+def _effective_radius(radius: float) -> float:
+    """The disk radius both counting paths test against: r widened by ``DISK_TOL`` on its square."""
+    return radius * np.sqrt(1.0 + DISK_TOL)
+
+
 def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> np.ndarray:
     """Number of sensors whose closed disk of ``radius`` holds each point."""
     if len(points) == 0:
         return np.zeros(0, dtype=int)
     if len(sensors) == 0:
         return np.zeros(len(points), dtype=int)
-    effective = radius * np.sqrt(1.0 + DISK_TOL)
     tree = cKDTree(sensors)
-    return np.asarray(tree.query_ball_point(points, effective, return_length=True))
+    return np.asarray(tree.query_ball_point(points, _effective_radius(radius), return_length=True))
+
+
+def _runs(
+    axis: np.ndarray, center: np.ndarray, base: np.ndarray, bound: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of the run of ``axis`` where ``(axis - center)**2 + base <= bound``.
+
+    One run per entry of ``center`` and ``base``, in float arithmetic;
+    ``lo > hi`` marks an empty run.  ``axis`` is increasing, so
+    ``fl(axis[j] - center)`` is monotone in j and the left-hand side falls
+    and then rises with j, lowest at one of the two elements around
+    ``center``: the indices that pass form one run, which holds that lowest
+    element unless it is empty.  The ends are estimated from
+    ``sqrt(bound - base)`` and then moved one index at a time until the
+    predicate itself says they are the run's outermost passing indices.
+    """
+    n = len(axis)
+
+    def inside(index, which=slice(None)):
+        d = axis[index] - center[which]
+        return d * d + base[which] <= bound
+
+    right = np.minimum(np.searchsorted(axis, center), n - 1)
+    left = np.maximum(right - 1, 0)
+    d_left, d_right = axis[left] - center, axis[right] - center
+    f_left, f_right = d_left * d_left + base, d_right * d_right + base
+    nearest = np.where(f_left <= f_right, left, right)
+    hit = np.minimum(f_left, f_right) <= bound
+    half = np.sqrt(np.maximum(bound - base, 0.0))
+    lo = np.minimum(np.searchsorted(axis, center - half, "left"), nearest)
+    hi = np.maximum(np.searchsorted(axis, center + half, "right") - 1, nearest)
+    # Each end starts on its side of ``nearest``, which passes where the run
+    # is not empty, so walking it outward while its neighbor passes, or
+    # inward while it fails, stops at the run's end.
+    for end, outward, limit in ((lo, -1, 0), (hi, 1, n - 1)):
+        passing = inside(end)
+        beyond = inside(np.clip(end + outward, 0, n - 1))
+        walk = np.flatnonzero(hit & ~(passing & ((end == limit) | ~beyond)))
+        out, back = walk[passing[walk]], walk[~passing[walk]]
+        while out.size:
+            end[out] += outward
+            out = out[end[out] != limit]
+            out = out[inside(end[out] + outward, out)]
+        while back.size:
+            end[back] -= outward
+            back = back[~inside(end[back], back)]
+    hi[~hit] = lo[~hit] - 1
+    return lo, hi
+
+
+def lattice_counts(xs: np.ndarray, ys: np.ndarray, sensors: np.ndarray, radius: float) -> np.ndarray:
+    """Coverage counts of every node of the grid ``xs`` × ``ys``, shape (len(ys), len(xs)).
+
+    ``xs`` and ``ys`` are increasing.  Node (i, j) counts the sensors with
+    ``(xs[j] - sx)**2 + (ys[i] - sy)**2 <= eff * eff`` in float arithmetic,
+    ``eff`` being the radius ``coverage_counts`` hands the KD-tree, summed
+    in the KD-tree's order: the same predicate, so the same counts.
+
+    Exactness: along one row ``fl(x - sx)`` is monotone in x, so its square
+    is monotone on each side of the sensor, and adding the row's fixed
+    ``fl(dy)**2`` and rounding keep that order.  The columns that pass are
+    therefore one contiguous run, and a row can hold any only if
+    ``fl(dy)**2 <= eff * eff``, which holds on one contiguous run of rows by
+    the same argument.  ``_runs`` finds each run from a square-root estimate
+    and settles both ends with the predicate itself; each (sensor, row) run
+    [lo, hi] adds +1 at ``lo`` and -1 at ``hi + 1`` of a (rows, columns + 1)
+    difference array whose row-wise cumulative sum is the count.
+
+    The work is O(sensors × rows per disk), not O(disk hits).  The
+    (sensor, row) intervals go through in chunks of ``LATTICE_CHUNK``, so
+    the temporaries stay a few MB besides the 4-byte-per-node counts.
+    """
+    nx, ny = len(xs), len(ys)
+    diff = np.zeros(ny * (nx + 1), dtype=np.int32)
+    if nx and ny and len(sensors):
+        sx, sy = sensors[:, 0], sensors[:, 1]
+        bound = _effective_radius(radius) ** 2
+        row_lo, row_hi = _runs(ys, sy, np.zeros(len(sensors)), bound)
+        spans = np.maximum(row_hi - row_lo + 1, 0)
+        first = np.concatenate([[0], np.cumsum(spans)])
+        for start in range(0, int(first[-1]), LATTICE_CHUNK):
+            pair = np.arange(start, min(start + LATTICE_CHUNK, int(first[-1])))
+            sensor = np.searchsorted(first, pair, "right") - 1
+            row = row_lo[sensor] + (pair - first[sensor])
+            dy = ys[row] - sy[sensor]
+            lo, hi = _runs(xs, sx[sensor], dy * dy, bound)
+            some = lo <= hi
+            offset = row[some] * (nx + 1)
+            np.add.at(diff, offset + lo[some], np.int32(1))
+            np.add.at(diff, offset + hi[some] + 1, np.int32(-1))
+    counts = diff.reshape(ny, nx + 1)
+    np.cumsum(counts, axis=1, dtype=np.int32, out=counts)
+    return counts[:, :nx]
+
+
+def _counted(points: np.ndarray, sensors: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    return points, coverage_counts(points, sensors, radius)
+
+
+def _grid_stage(
+    model: SolarModel, step: float, sensors: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The clipped grid and its counts, read off the counts of the whole lattice."""
+    points = grid_points(model, step)
+    xs, ys = _grid_axes(model, step)
+    counts = lattice_counts(xs, ys, sensors, radius)
+    # Kept points are grid nodes, copied exactly, so searching the axes finds their indices.
+    return points, counts[np.searchsorted(ys, points[:, 1]), np.searchsorted(xs, points[:, 0])]
+
+
+def _stages(deployment: Deployment, step: float, seed: int, mc_samples: int):
+    """(probes, counts) of each stage in turn; a stage is built only when the caller asks for it."""
+    # Each stage is built inside a call, so no local here keeps a finished
+    # stage alive while the next one is built.
+    model, sensors, radius = deployment.model, deployment.sensors, deployment.r
+    yield _counted(structured_points(model), sensors, radius)
+    yield _grid_stage(model, step, sensors, radius)
+    if mc_samples > 0:
+        yield _counted(monte_carlo_points(model, mc_samples, seed), sensors, radius)
 
 
 def verify_coverage(
@@ -169,24 +326,18 @@ def verify_coverage(
     """Sample the patch and report the minimum observed coverage.
 
     With ``fail_fast`` the stages (structured, grid, random) stop at the
-    first one that contains a failing point.
+    first one that contains a failing point; later stages are not built.
     """
     model: SolarModel = deployment.model
     radius = deployment.r
     target = deployment.k if target_k is None else target_k
     step = default_grid_step(radius) if grid_step is None else grid_step
-    sensors = deployment.sensors
-
-    stages = [structured_points(model), grid_points(model, step)]
-    if mc_samples > 0:
-        stages.append(monte_carlo_points(model, mc_samples, seed))
 
     histogram: dict[int, int] = {}
     failing: list[tuple[float, float]] = []
     min_coverage: int | None = None
     samples = 0
-    for stage in stages:
-        counts = coverage_counts(stage, sensors, radius)
+    for stage, counts in _stages(deployment, step, seed, mc_samples):
         samples += len(stage)
         if len(counts):
             stage_min = int(counts.min())
@@ -199,10 +350,11 @@ def verify_coverage(
                 failing.append((float(stage[index, 0]), float(stage[index, 1])))
             if fail_fast and len(bad):
                 break
+        del stage, counts  # free this stage's probes before the next one is built
 
     if min_coverage is None:
         min_coverage = 0
-    if len(sensors) == 0:
+    if len(deployment.sensors) == 0:
         min_coverage = 0
 
     region = (

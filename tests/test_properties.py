@@ -1,5 +1,5 @@
-"""Property tests: patch membership, placement counts, sensor-file round
-trips and the verify exit-code contract.
+"""Property tests: patch membership, lattice disk counts, placement counts,
+sensor-file round trips and the verify exit-code contract.
 
 Examples are derandomized and bounded so the suite stays fast and repeatable.
 """
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexcover import verifier
 from hexcover.benchmark import place_benchmark
 from hexcover.cli import main
 from hexcover.deployment import place_proposed, total_count
@@ -24,6 +25,7 @@ from hexcover.tiling import (
     build_solar_model,
     region_contains,
 )
+from hexcover.verifier import DISK_TOL, coverage_counts, lattice_counts
 
 BOUNDED = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -100,6 +102,103 @@ def test_region_contains_equals_per_hexagon_union_across_chunks(tol):
     inside = region_contains(model, points, tol)
     assert 0 < inside.sum() < count
     assert np.array_equal(inside, brute_force_contains(model, points, tol))
+
+
+def effective_radius(radius):
+    return radius * np.sqrt(1.0 + DISK_TOL)
+
+
+def brute_force_lattice_counts(xs, ys, sensors, radius):
+    """The disk predicate evaluated at every grid node for every sensor."""
+    eff = effective_radius(radius)
+    gx, gy = np.meshgrid(xs, ys)
+    counts = np.zeros(gx.shape, dtype=int)
+    for sx, sy in sensors:
+        counts += (gx - sx) ** 2 + (gy - sy) ** 2 <= eff * eff
+    return counts
+
+
+def grid_nodes(xs, ys):
+    gx, gy = np.meshgrid(xs, ys)
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+@st.composite
+def lattice_cases(draw):
+    """A grid and sensors on its nodes, one ulp inside or outside a node's disk, or anywhere.
+
+    Pitches run from r/20 to above r, and free sensors may lie off the grid.
+    """
+    radius = draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    step = draw(st.sampled_from([0.05, 0.3, 1.0, 2.5]))
+    nx, ny = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    x0, y0 = draw(st.floats(-3, 3)), draw(st.floats(-3, 3))
+    xs = radius * (x0 + step * np.arange(nx))
+    ys = radius * (y0 + step * np.arange(ny))
+    eff = effective_radius(radius)
+    reach = st.sampled_from([eff, np.nextafter(eff, np.inf), np.nextafter(eff, 0.0)])
+    node = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+
+    def on_node(args):
+        j, i = args
+        return xs[j], ys[i]
+
+    def at_reach(args):
+        # a node lies at distance eff or one ulp either side of it, along its row or column
+        (j, i), along_row, sign, t = args
+        return (xs[j] + sign * t, ys[i]) if along_row else (xs[j], ys[i] + sign * t)
+
+    # anywhere in the grid's box widened by 2r on each side, so possibly off the grid
+    unit = st.floats(0, 1)
+    free = st.tuples(
+        unit.map(lambda f: xs[0] - 2 * radius + f * (xs[-1] - xs[0] + 4 * radius)),
+        unit.map(lambda f: ys[0] - 2 * radius + f * (ys[-1] - ys[0] + 4 * radius)),
+    )
+    sensors = draw(
+        st.lists(
+            st.one_of(
+                node.map(on_node),
+                st.tuples(node, st.booleans(), st.sampled_from([-1.0, 1.0]), reach).map(at_reach),
+                free,
+            ),
+            max_size=12,
+        )
+    )
+    return xs, ys, np.array(sensors, dtype=float).reshape(-1, 2), radius
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=lattice_cases())
+def test_lattice_counts_equal_brute_force_predicate(case):
+    xs, ys, sensors, radius = case
+    counts = lattice_counts(xs, ys, sensors, radius)
+    assert counts.shape == (len(ys), len(xs))
+    assert np.array_equal(counts, brute_force_lattice_counts(xs, ys, sensors, radius))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=lattice_cases())
+def test_lattice_counts_equal_kd_tree_away_from_disk_boundaries(case):
+    xs, ys, sensors, radius = case
+    nodes = grid_nodes(xs, ys)
+    eff2 = effective_radius(radius) ** 2
+    # nodes whose squared distance to every sensor is at least 1e-12 relative off eff**2
+    clear = np.ones(len(nodes), dtype=bool)
+    for sx, sy in sensors:
+        clear &= np.abs((nodes[:, 0] - sx) ** 2 + (nodes[:, 1] - sy) ** 2 - eff2) >= 1e-12 * eff2
+    counts = lattice_counts(xs, ys, sensors, radius).ravel()
+    assert np.array_equal(counts[clear], coverage_counts(nodes, sensors, radius)[clear])
+
+
+def test_lattice_counts_across_chunks(monkeypatch):
+    monkeypatch.setattr(verifier, "LATTICE_CHUNK", 7)
+    rng = np.random.default_rng(5)
+    xs, ys = np.arange(-3.0, 3.0, 0.15), np.arange(-2.0, 2.5, 0.15)
+    sensors = rng.uniform(-4.0, 4.0, size=(40, 2))
+    counts = lattice_counts(xs, ys, sensors, 1.3)
+    assert counts.max() > 1
+    assert np.array_equal(counts, brute_force_lattice_counts(xs, ys, sensors, 1.3))
+    assert np.array_equal(counts.ravel(), coverage_counts(grid_nodes(xs, ys), sensors, 1.3))
 
 
 @BOUNDED

@@ -1,5 +1,8 @@
 """Tests for the layered patch and its vertex registry."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,23 @@ class TestRegistry:
         m = build_solar_model(5)
         total = sum(len(r.incident_hexagons) for r in m.vertex_registry.values())
         assert total == 6 * len(m.hexagons)
+
+
+def scanned_bounding_box(model):
+    """Min and max of every patch vertex's float coordinates, vertex by vertex."""
+    xs, ys = zip(*(v.to_xy(model.side) for hexagon in model.hexagons for v in hexagon.vertices()))
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+unit_model = functools.lru_cache(maxsize=None)(build_solar_model)
+
+
+class TestBoundingBox:
+    @pytest.mark.parametrize("layers", range(1, 21))
+    @pytest.mark.parametrize("radius", [1e-150, 0.3, 2.5, 10.0, 1e150])
+    def test_closed_form_equals_vertex_scan(self, layers, radius):
+        model = dataclasses.replace(unit_model(layers), side=radius)
+        assert model.bounding_box() == scanned_bounding_box(model)
 
 
 class TestModelExport:

@@ -9,7 +9,8 @@ from hexcover.benchmark import place_benchmark
 from hexcover.deployment import place_proposed, remove_sensors
 from hexcover.geometry import centroid, midpoint
 from hexcover.sensor_io import load_deployment, read_sensors_csv, write_sensors_csv
-from hexcover.tiling import build_solar_model
+from hexcover import verifier
+from hexcover.tiling import build_solar_model, triangle_samples
 from hexcover.verifier import (
     coverage_counts,
     grid_points,
@@ -42,6 +43,20 @@ def exact_structured_points(model):
             a, b, c = triangle.vertices
             seen.update((a, b, c, midpoint(a, b), midpoint(b, c), midpoint(c, a), centroid(a, b, c)))
     return np.array([p.to_xy(model.side) for p in sorted(seen, key=lambda p: (p.x, p.y))])
+
+
+def per_hexagon_monte_carlo_points(model, count, seed):
+    """Monte Carlo samples with each hexagon's corners from its exact vertices, hexagon by hexagon."""
+    rng = np.random.default_rng(seed)
+    centers = np.array([h.center.to_xy(model.side) for h in model.hexagons])
+    verts = np.array([[v.to_xy(model.side) for v in h.vertices()] for h in model.hexagons])
+    hex_idx = rng.integers(0, len(centers), size=count)
+    tri_idx = rng.integers(0, 6, size=count)
+    u = rng.random(count)
+    v = rng.random(count)
+    return triangle_samples(
+        centers[hex_idx], verts[hex_idx, tri_idx], verts[hex_idx, (tri_idx + 1) % 6], u, v
+    )
 
 
 class TestSampling:
@@ -77,6 +92,15 @@ class TestSampling:
         b = monte_carlo_points(model_l2, 500, seed=9)
         assert np.array_equal(a, b)
         assert region_contains(model_l2, a).all()
+
+    @pytest.mark.parametrize("layers", range(1, 9))
+    @pytest.mark.parametrize("radius", [0.3, 10.0, 1e150])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_monte_carlo_points_match_per_hexagon_reference(self, layers, radius, seed):
+        model = build_solar_model(layers, radius)
+        points = monte_carlo_points(model, 500, seed)
+        expected = per_hexagon_monte_carlo_points(model, 500, seed)
+        assert np.array_equal(points.view(np.uint64), expected.view(np.uint64))
 
     def test_coverage_counts_centroid_example(self):
         # triangle (center, vertex0, vertex1) of the unit hexagon: its centroid
@@ -170,6 +194,24 @@ class TestVerifyCoverage:
         full = verify_coverage(broken, target_k=2, mc_samples=MC)
         assert not eager.passed
         assert eager.samples < full.samples
+
+    @pytest.mark.parametrize("fail_fast", [True, False])
+    def test_fail_fast_builds_no_later_stage(self, model_l1, monkeypatch, fail_fast):
+        deployment = place_proposed(model_l1, 2)
+        victim = deployment.provenance.tolist().index("vertex:even")
+        broken = remove_sensors(deployment, [victim])
+        built = []
+        for name in ("grid_points", "monte_carlo_points"):
+            original = getattr(verifier, name)
+
+            def recorded(*args, _name=name, _original=original, **kwargs):
+                built.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(verifier, name, recorded)
+        report = verify_coverage(broken, target_k=2, mc_samples=MC, fail_fast=fail_fast)
+        assert not report.passed
+        assert built == ([] if fail_fast else ["grid_points", "monte_carlo_points"])
 
     def test_report_serialization(self, model_l1):
         report = verify_coverage(place_proposed(model_l1, 1), mc_samples=MC)
