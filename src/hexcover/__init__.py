@@ -11,7 +11,7 @@ from .geometry import (
     packing_diameter,
     vertex_covers_triangle,
 )
-from .tiling import SolarModel, VertexRecord, build_solar_model, hexagon_count
+from .tiling import SolarModel, build_solar_model, hexagon_count
 from .deployment import (
     Deployment,
     minimum_sensors_lower_bound,
@@ -42,7 +42,6 @@ __all__ = [
     "LatticePoint",
     "PackingWitness",
     "SolarModel",
-    "VertexRecord",
     "benchmark_count",
     "build_solar_model",
     "count_gap",

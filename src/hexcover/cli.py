@@ -13,6 +13,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analytics import (
     FIGURE_IDS,
@@ -29,7 +31,7 @@ from .benchmark import (
     place_benchmark,
     small_hexagon_formula_count,
 )
-from .deployment import InvariantViolation, place_proposed, total_count
+from .deployment import InvariantViolation, count_by_kind, place_proposed, total_count
 from .sensor_io import (
     SensorFileError,
     deployment_parameters,
@@ -45,6 +47,13 @@ EXIT_OK = 0
 EXIT_COVERAGE_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+# Sensor budget of one plan run, counted before anything is built: the
+# closed-form count for the proposed strategy, k * (8l + 9)**2 candidate tiles
+# for the scheme.  A proposed plan peaks at 1000 bytes per sensor at k = 1
+# (one hexagon object per sensor) and 540-640 at larger k (the CSV or JSON
+# rows); the scheme at 85-390 per counted tile.  So the budget caps a plan
+# near 1 GB (tracemalloc, l = 1 to 200, k = 1 to 30000).
+MAX_SENSORS = 1_000_000
 
 
 def _fraction(text: str) -> Fraction:
@@ -138,12 +147,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_plan(args: argparse.Namespace) -> int:
+    if args.strategy == "proposed":
+        sensors = total_count(args.layers, args.coverage)
+    else:
+        sensors = args.coverage * (8 * args.layers + 9) ** 2
+    if sensors > MAX_SENSORS:
+        print(
+            f"error: plan would place about 10^{math.log10(sensors):.1f} sensors, above the limit of {MAX_SENSORS}; "
+            "use fewer --layers or a lower --coverage",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     model = build_solar_model(args.layers, args.radius)
     if args.strategy == "proposed":
         # place_proposed raises InvariantViolation unless placed == formula.
         deployment = place_proposed(model, args.coverage, parity=args.parity)
+        by_kind = " ".join(
+            f"{kind}={np.char.startswith(deployment.provenance, kind).sum()}/{formula}"
+            for kind, formula in count_by_kind(args.layers, args.coverage).items()
+        )
         details = (
-            f"formula={total_count(args.layers, args.coverage)} "
+            f"formula={total_count(args.layers, args.coverage)} {by_kind} "
             f"density={density_proposed(args.coverage, args.radius):.6g}"
         )
     else:

@@ -13,22 +13,33 @@ The strategy is cumulative in the coverage target k:
 Sharing matters: a vertex sensor serves up to three hexagons but is placed
 once, while segment sensors are strictly interior and owned by one hexagon.
 
-Placement works on exact lattice points, so the duplicate check and the
-export order are exact; the result is a ``Deployment``, the one sensor-layout
-type that the comparison scheme and sensor-file loading also return.  It is
-a struct of arrays: meter coordinates, a provenance string and an owning
-hexagon (-1 for a shared vertex) per sensor.
+Placement works on lattice coefficients: centers and vertices are integer
+pairs, and the segment sensors of one round are integer numerators over one
+small denominator.  Their correctly rounded quotients are fine enough that
+float order and float equality are the exact ones (checked at run time), so
+the duplicate check and the export order are exact.  The result is a
+``Deployment``, the one sensor-layout type that the comparison scheme and
+sensor-file loading also return.  It is a struct of arrays: meter
+coordinates, a provenance string and an owning hexagon (-1 for a shared
+vertex) per sensor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
-from .geometry import LatticePoint
-from .tiling import EVEN, ODD, PARITY_NAMES, SolarModel
+from .tiling import (
+    EVEN,
+    ODD,
+    PARITY_NAMES,
+    VERTEX_OFFSETS,
+    SolarModel,
+    center_units,
+    hexagon_count,
+    units_xy,
+)
 
 
 class InvariantViolation(RuntimeError):
@@ -85,63 +96,69 @@ def total_count(layers: int, k: int) -> int:
     )
 
 
-def _segment_vertex_indices(target_coverage: int) -> tuple[int, int, int]:
-    # Segments are numbered 1..6 toward vertices 0..5; an even target uses the
-    # odd-numbered segments (vertices 0, 2, 4) and an odd target the rest.
-    return (0, 2, 4) if target_coverage % 2 == 0 else (1, 3, 5)
+def count_by_kind(layers: int, k: int) -> dict[str, int]:
+    """Closed-form sensor counts by provenance kind; they sum to ``total_count``."""
+    hexagons = hexagon_count(layers)
+    return {
+        "center": hexagons,
+        "vertex": 3 * layers * layers * min(k - 1, 2),  # no class at k = 1, one at k = 2, both from k = 3
+        "segment": 3 * max(k - 3, 0) * hexagons,
+    }
 
 
 def place_proposed(model: SolarModel, k: int, parity: str = EVEN) -> Deployment:
     """Place sensors for k-coverage of the patch; deterministic and exact.
 
     ``parity`` selects which alternate-vertex class is used first at k = 2.
+    Sensors are ordered by rank (centers, even vertices, odd vertices, then
+    segment sensors) and then by their exact lattice coefficients (x, y).
     """
     if k < 1:
         raise ValueError(f"coverage target must be >= 1, got {k}")
     if parity not in PARITY_NAMES:
         raise ValueError(f"parity must be one of {PARITY_NAMES}, got {parity!r}")
-    other = ODD if parity == EVEN else EVEN
+    vertex_parities = (parity, ODD if parity == EVEN else EVEN)[: min(k, 3) - 1]
+    # Extra round ``step`` = 1 .. k-3 uses the segments toward vertices 0, 2, 4
+    # when its target step + 3 is even, else 1, 3, 5.  Rounds of equal parity
+    # share segments: this one places the ordinal-th sensor on each, ordinal =
+    # (step + 1)//2, at 1/(ordinal + 1) from the center C, which is the point
+    # (d*C + V)/d for d = ordinal + 1 and the vertex offset V.
+    steps = np.arange(1, max(k - 2, 1))
+    segment_vertices = (steps[:, None] + 1) % 2 + np.array([0, 2, 4])
+    d = ((steps + 1) // 2 + 1)[:, None, None, None]
+    # Distinct rationals with denominators <= d_max differ by at least
+    # 1/d_max**2 and adjacent floats below 3l are at most 3l * 2**-52 apart, so under
+    # this bound float order and float equality are the exact ones.
+    if 3 * model.layers * int(d.max(initial=1)) ** 2 >= 2**50:
+        raise InvariantViolation(f"lattice coefficients at l={model.layers}, k={k} are too fine for exact float order")
 
-    # (rank, position, provenance, hexagon); the rank orders centers, even
-    # vertices, odd vertices, then segment sensors.
-    placed: list[tuple[int, LatticePoint, str, int]] = [
-        (0, hexagon.center, "center", index) for index, hexagon in enumerate(model.hexagons)
-    ]
-    for vertex_parity in (parity, other)[: min(k, 3) - 1]:
-        rank = 2 if vertex_parity == ODD else 1
-        provenance = f"vertex:{vertex_parity}"
-        placed.extend((rank, p, provenance, -1) for p in model.vertex_class(vertex_parity))
-
-    for step in range(1, k - 2):  # extra-coverage rounds 1 .. k-3
-        target = step + 3
-        vertex_indices = _segment_vertex_indices(target)
-        # Rounds of equal parity reuse the same segments; this round places the
-        # ordinal-th sensor on each, at parameter 1/(ordinal+1) from the center.
-        ordinal = (step + 1) // 2
-        t = Fraction(1, ordinal + 1)
-        for index, hexagon in enumerate(model.hexagons):
-            vertices = hexagon.vertices()
-            for vi in vertex_indices:
-                position = hexagon.center + (vertices[vi] - hexagon.center) * t
-                placed.append((3, position, f"segment:{vi + 1}:{step}", index))
-
-    if len({p for _, p, _, _ in placed}) != len(placed):
+    centers = center_units(model.axial)
+    vertices = [model.vertex_class(p) for p in vertex_parities]
+    segments = (d * centers + VERTEX_OFFSETS[segment_vertices][:, :, None, :]) / d
+    units = np.concatenate([centers, *vertices, segments.reshape(-1, 2)]).astype(float)
+    # A row viewed as one complex number equals another iff both coordinates do.
+    if len(np.unique(units.view(complex))) != len(units):
         raise InvariantViolation("duplicate sensor positions after placement")
     expected = total_count(model.layers, k)
-    if len(placed) != expected:
-        raise InvariantViolation(
-            f"placed {len(placed)} sensors, closed form expects {expected}"
-        )
+    if len(units) != expected:
+        raise InvariantViolation(f"placed {len(units)} sensors, closed form expects {expected}")
 
-    placed.sort(key=lambda s: (s[0], s[1].x, s[1].y))
-    scale = model.side
+    # One block of sensors per provenance label, with its rank.
+    cells, segment_blocks = len(centers), segment_vertices.size
+    labels = ["center", *(f"vertex:{p}" for p in vertex_parities)]
+    labels += [f"segment:{vi + 1}:{step}" for step, row in zip(steps.tolist(), segment_vertices.tolist()) for vi in row]
+    sizes = [cells, *map(len, vertices)] + [cells] * segment_blocks
+    ranks = [0, *(PARITY_NAMES.index(p) + 1 for p in vertex_parities)] + [3] * segment_blocks
+    owners = np.arange(cells)
+    hexagon = np.concatenate([owners, np.full(sum(map(len, vertices)), -1), np.tile(owners, segment_blocks)])
+    order = np.lexsort((units[:, 1], units[:, 0], np.repeat(ranks, sizes)))
     return Deployment(
         model=model,
         k=k,
         strategy="proposed",
-        sensors=np.array([p.to_xy(scale) for _, p, _, _ in placed]),
-        provenance=np.array([s[2] for s in placed]),
-        hexagon=np.array([s[3] for s in placed]),
+        sensors=units_xy(units[order], model.side),
+        provenance=np.repeat(labels, sizes)[order],
+        hexagon=hexagon[order],
         meta={"parity": parity},
     )
 

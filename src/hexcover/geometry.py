@@ -2,11 +2,12 @@
 
 Every point the planner produces (hexagon centers, shared vertices, points on
 the center-to-vertex segments, midpoints and centroids of those) has the form
-(x * scale/2, y * sqrt(3) * scale/2) with rational x and y.  Storing the two
-rationals directly means shared vertices compare equal with no epsilon, so
-deduplication and the counting identities can be tested as exact equalities,
-and squared distances are the single rational x^2 + 3 y^2.  Floats appear only
-when distances or exported coordinates are needed.
+(x * scale/2, y * sqrt(3) * scale/2) with rational x and y.  A ``LatticePoint``
+stores the two rationals, so equal points compare equal with no epsilon and
+squared distances are the single rational x^2 + 3 y^2.  This module serves
+the packing and lower-bound proofs, the constant offsets that the integer
+plan and verify code is built from, and the tests' exact references; plan
+and verify themselves run on integer lattice coefficients (``tiling``).
 """
 
 from __future__ import annotations
@@ -141,18 +142,6 @@ class Hexagon:
             return all(p < self.side for p in projections)
         return all(p <= self.side for p in projections)
 
-    def contains_xy(self, x: float, y: float, scale: float = 1.0, tol: float = 1e-12) -> bool:
-        """Float membership test; ``tol`` is relative to the scale."""
-        cx, cy = self.center.to_xy(scale)
-        dx, dy = x - cx, y - cy
-        apothem = float(self.side) * SQRT3 * 0.5 * scale
-        bound = apothem + tol * scale
-        return (
-            abs(dy) <= bound
-            and abs(SQRT3 * dx + dy) * 0.5 <= bound
-            and abs(SQRT3 * dx - dy) * 0.5 <= bound
-        )
-
 
 @dataclass(frozen=True)
 class EquilateralTriangle:
@@ -179,23 +168,6 @@ class EquilateralTriangle:
 
     def vertices_xy(self, scale: float = 1.0) -> tuple[tuple[float, float], ...]:
         return tuple(v.to_xy(scale) for v in self.vertices)
-
-    def contains_xy(self, x: float, y: float, scale: float = 1.0, tol: float = 1e-12) -> bool:
-        """Closed membership via barycentric coordinates."""
-        bary = self.barycentric_xy(x, y, scale)
-        return all(component >= -tol for component in bary)
-
-    def barycentric_xy(self, x: float, y: float, scale: float = 1.0) -> tuple[float, float, float]:
-        (ax, ay), (bx, by), (cx, cy) = self.vertices_xy(scale)
-        det = (by - cy) * (ax - cx) + (cx - bx) * (ay - cy)
-        u = ((by - cy) * (x - cx) + (cx - bx) * (y - cy)) / det
-        v = ((cy - ay) * (x - cx) + (ax - cx) * (y - cy)) / det
-        return u, v, 1.0 - u - v
-
-
-def hexagon_area(side: float) -> float:
-    """Area of a regular hexagon: six equilateral triangles of the same side."""
-    return 1.5 * SQRT3 * side * side
 
 
 def vertex_covers_triangle(
@@ -272,20 +244,6 @@ def packed_hexagon_triple(
     """
     s = Fraction(small_side)
     offsets = (LatticePoint(s, s), LatticePoint(-2 * s, 0), LatticePoint(s, -s))
-    return tuple(Hexagon(center + off, s) for off in offsets)
-
-
-def packed_hexagon_rhombus(
-    small_side: Rational = Fraction(1, 2), center: LatticePoint = ORIGIN
-) -> tuple[Hexagon, Hexagon, Hexagon, Hexagon]:
-    """Four mutually non-overlapping hexagons in a rhombic cluster.
-
-    The two extreme vertices are collinear with the first and last centers and
-    sit 5*side apart, which is what rules the cluster out of any hexagon whose
-    largest diagonal is below that.
-    """
-    s = Fraction(small_side)
-    offsets = (ORIGIN, LatticePoint(3 * s, s), LatticePoint(3 * s, -s), LatticePoint(6 * s, 0))
     return tuple(Hexagon(center + off, s) for off in offsets)
 
 

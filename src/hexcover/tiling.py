@@ -1,11 +1,17 @@
-"""Layered honeycomb patches with an exact, deduplicated vertex registry.
+"""Layered honeycomb patches on integer lattice coefficients.
 
 A patch of ``layers`` rings of side-r hexagons: one central hexagon counts as
 layer 1, and layer j >= 2 holds the 6*(j-1) hexagons at honeycomb graph
 distance j-1 from the center.  Hexagon centers are indexed by axial integer
-coordinates so neighbor arithmetic stays exact.  The float kernels that
-sampling code shares also live here: the patch-membership test
-``region_contains`` and the triangle sampler ``triangle_samples``.
+coordinates so neighbor arithmetic stays exact.  A point (x * r/2,
+y * sqrt(3) * r/2) is stored as its lattice coefficients (x, y): the center
+of the hexagon at axial (q, w) is the integer pair (3q, q + 2w), its vertices
+add ``VERTEX_OFFSETS``, and the patch's 6 l^2 distinct vertices are one
+integer array, deduplicated exactly with ``np.unique``.  ``units_xy`` turns
+coefficients into meters with ``LatticePoint.to_xy``'s expression, so the
+floats equal the exact points' bit for bit.  The float kernels that sampling
+code shares also live here: the patch-membership test ``region_contains``
+and the triangle sampler ``triangle_samples``.
 
 ``region_contains`` rounds each point to its nearest hexagon center in axial
 coordinates and tests that hexagon and its six neighbors, so its cost is at
@@ -17,12 +23,11 @@ hold a point is the nearest one or a neighbor of it (see its docstring).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SQRT3, Hexagon, LatticePoint
+from .geometry import ORIGIN, SQRT3, Hexagon, LatticePoint
 
 EVEN = "even"
 ODD = "odd"
@@ -57,51 +62,44 @@ def axial_ring(radius: int) -> list[tuple[int, int]]:
     return cells
 
 
-@dataclass
-class VertexRecord:
-    """One deduplicated honeycomb vertex.
-
-    ``parity`` is the angle-index parity (vertex i of any incident hexagon has
-    i even or i odd consistently; the honeycomb vertex graph is bipartite).
-    """
-
-    position: LatticePoint
-    parity: str
-    incident_hexagons: list[int] = field(default_factory=list)
+# Lattice coefficients of the six vertices of the unit hexagon at the origin,
+# in ``Hexagon.vertices`` order (vertex i at angle 60*i degrees).
+VERTEX_OFFSETS = np.array([(int(v.x), int(v.y)) for v in Hexagon(ORIGIN).vertices()])
 
 
-@dataclass
+def vertex_parity(vertices: np.ndarray) -> np.ndarray:
+    """Index into ``PARITY_NAMES`` (0 even, 1 odd) of each vertex's angle index, from any incident hexagon."""
+    # Vertex i of the hexagon at x = 3q has x = 3q + (2, 1, -1, -2, -1, 1)[i].
+    return 2 - vertices[:, 0] % 3
+
+
+@dataclass(eq=False)
 class SolarModel:
-    """A ``layers``-ring patch of side-``side`` hexagons with its vertex registry."""
+    """A ``layers``-ring patch of side-``side`` hexagons.
+
+    ``vertices`` holds the integer lattice coefficients (6 l^2, 2) of the
+    distinct patch vertices, in order of first occurrence when the hexagons'
+    vertices are listed hexagon by hexagon.
+    """
 
     layers: int
     side: float
     hexagons: tuple[Hexagon, ...]
     axial: tuple[tuple[int, int], ...]
     layer_of: tuple[int, ...]
-    vertex_registry: dict[LatticePoint, VertexRecord]
+    vertices: np.ndarray
 
-    def hexagon_count(self) -> int:
-        return len(self.hexagons)
+    def __post_init__(self) -> None:
+        self.vertices.setflags(write=False)
 
     def vertex_count(self) -> int:
-        return len(self.vertex_registry)
+        return len(self.vertices)
 
-    def vertex_class(self, parity: str) -> list[LatticePoint]:
-        """All registry vertices of one parity class, in registry order."""
+    def vertex_class(self, parity: str) -> np.ndarray:
+        """Lattice coefficients of the vertices of one parity class, in ``vertices`` order."""
         if parity not in PARITY_NAMES:
             raise ValueError(f"parity must be one of {PARITY_NAMES}, got {parity!r}")
-        return [
-            record.position
-            for record in self.vertex_registry.values()
-            if record.parity == parity
-        ]
-
-    def neighbors_present(self, index: int) -> int:
-        """How many of the six axial neighbors of hexagon ``index`` are in the patch."""
-        q, w = self.axial[index]
-        cells = set(self.axial)
-        return sum((q + dq, w + dw) in cells for dq, dw in AXIAL_DIRECTIONS)
+        return self.vertices[vertex_parity(self.vertices) == PARITY_NAMES.index(parity)]
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(min_x, min_y, max_x, max_y) over every patch vertex, in closed form.
@@ -133,6 +131,30 @@ def vertex_count(layers: int) -> int:
     return 6 * layers * layers
 
 
+def center_units(axial: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Integer lattice coefficients (3q, q + 2w) of the hexagon centers at axial (q, w), in order."""
+    q, w = np.array(axial).T
+    return np.column_stack([3 * q, q + 2 * w])
+
+
+def units_xy(units: np.ndarray, side: float) -> np.ndarray:
+    """``LatticePoint.to_xy`` of lattice coefficients (n, 2): integers below 2**53 or correctly rounded floats."""
+    half = 0.5 * side
+    return np.column_stack([units[:, 0].astype(float) * half, units[:, 1].astype(float) * SQRT3 * half])
+
+
+def _corners(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct corners (m, 2) of the hexagons at ``centers``, first occurrence first, and their (h, 6) indices."""
+    listed = (centers[:, None, :] + VERTEX_OFFSETS).reshape(-1, 2)
+    # Each row as one complex number (integers below 2**53 convert exactly)
+    # equals another iff both coefficients do.
+    _, first, inverse = np.unique(listed.astype(float).view(complex), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    return listed[first[order]], position[inverse.reshape(-1)].reshape(-1, 6)
+
+
 def build_solar_model(layers: int, side: float = 1.0) -> SolarModel:
     """Build the patch: central hexagon plus rings, vertices deduplicated exactly."""
     if layers < 1:
@@ -147,29 +169,13 @@ def build_solar_model(layers: int, side: float = 1.0) -> SolarModel:
             axial.append(cell)
             layer_of.append(ring + 1)
 
-    hexagons = tuple(Hexagon(axial_center(q, w), Fraction(1)) for q, w in axial)
-
-    registry: dict[LatticePoint, VertexRecord] = {}
-    for index, hexagon in enumerate(hexagons):
-        for angle_index, vertex in enumerate(hexagon.vertices()):
-            parity = PARITY_NAMES[angle_index % 2]
-            record = registry.get(vertex)
-            if record is None:
-                registry[vertex] = VertexRecord(vertex, parity, [index])
-            else:
-                if record.parity != parity:
-                    raise AssertionError(
-                        "vertex parity disagrees between incident hexagons"
-                    )
-                record.incident_hexagons.append(index)
-
     return SolarModel(
         layers=layers,
         side=side,
-        hexagons=hexagons,
+        hexagons=tuple(Hexagon(axial_center(q, w)) for q, w in axial),
         axial=tuple(axial),
         layer_of=tuple(layer_of),
-        vertex_registry=registry,
+        vertices=_corners(center_units(axial))[0],
     )
 
 
@@ -240,21 +246,23 @@ def triangle_samples(
 
 
 def model_to_dict(model: SolarModel) -> dict:
-    """JSON-ready description of the patch (centers, vertices, classes)."""
-    centers = [h.center.to_xy(model.side) for h in model.hexagons]
-    vertices = [
-        {
-            "x": record.position.to_xy(model.side)[0],
-            "y": record.position.to_xy(model.side)[1],
-            "class": record.parity,
-            "hexagons": list(record.incident_hexagons),
-        }
-        for record in model.vertex_registry.values()
-    ]
+    """JSON-ready description of the patch (centers, vertices, classes).
+
+    Each vertex lists its incident hexagons in increasing index order.
+    """
+    centers = center_units(model.axial)
+    vertices, corners = _corners(centers)
+    by_vertex = np.argsort(corners.reshape(-1), kind="stable")
+    incident = np.split(by_vertex // 6, np.cumsum(np.bincount(corners.reshape(-1)))[:-1])
     return {
         "layers": model.layers,
         "side": model.side,
         "hexagon_count": len(model.hexagons),
-        "hexagon_centers": [[x, y] for x, y in centers],
-        "vertices": vertices,
+        "hexagon_centers": units_xy(centers, model.side).tolist(),
+        "vertices": [
+            {"x": x, "y": y, "class": PARITY_NAMES[parity], "hexagons": hexagons.tolist()}
+            for (x, y), parity, hexagons in zip(
+                units_xy(vertices, model.side).tolist(), vertex_parity(vertices).tolist(), incident
+            )
+        ],
     }

@@ -35,7 +35,15 @@ from scipy.spatial import cKDTree
 
 from .deployment import Deployment, remove_sensors
 from .geometry import ORIGIN, SQRT3, Hexagon, centroid, midpoint
-from .tiling import SolarModel, hexagon_count, region_contains, triangle_samples
+from .tiling import (
+    VERTEX_OFFSETS,
+    SolarModel,
+    center_units,
+    hexagon_count,
+    region_contains,
+    triangle_samples,
+    units_xy,
+)
 
 DISK_TOL = 1e-9  # relative, on squared distances
 MAX_FAILING_POINTS = 100
@@ -89,21 +97,6 @@ _PROBE_OFFSETS6 = np.array(
         for p in (a, b, c, midpoint(a, b), midpoint(b, c), midpoint(c, a), centroid(a, b, c))
     ]
 )
-# Lattice coefficients of the six vertices of the unit hexagon at the origin,
-# in ``Hexagon.vertices`` order.
-_VERTEX_OFFSETS = np.array([(int(v.x), int(v.y)) for v in Hexagon(ORIGIN).vertices()])
-
-
-def _center_units(model: SolarModel) -> np.ndarray:
-    """Integer lattice coefficients (3q, q + 2w) of every hexagon center, in patch order."""
-    q, w = np.array(model.axial).T
-    return np.column_stack([3 * q, q + 2 * w])
-
-
-def _units_xy(units: np.ndarray, side: float) -> np.ndarray:
-    """``LatticePoint.to_xy`` of integer lattice coefficients (n, 2), bit for bit."""
-    half = 0.5 * side
-    return np.column_stack([units[:, 0].astype(float) * half, units[:, 1].astype(float) * SQRT3 * half])
 
 
 def structured_points(model: SolarModel) -> np.ndarray:
@@ -114,9 +107,8 @@ def structured_points(model: SolarModel) -> np.ndarray:
     exact (x, y) order.  X/6 and Y/6 are correctly rounded divisions, so
     each coordinate is ``LatticePoint.to_xy`` of the exact point, bit for bit.
     """
-    keys = np.unique((6 * _center_units(model)[:, None, :] + _PROBE_OFFSETS6).reshape(-1, 2), axis=0)
-    half = 0.5 * model.side
-    return np.column_stack([keys[:, 0] / 6.0 * half, keys[:, 1] / 6.0 * SQRT3 * half])
+    keys = np.unique((6 * center_units(model.axial)[:, None, :] + _PROBE_OFFSETS6).reshape(-1, 2), axis=0)
+    return units_xy(keys / 6.0, model.side)
 
 
 def default_grid_step(radius: float) -> float:
@@ -169,9 +161,9 @@ def monte_carlo_points(model: SolarModel, count: int, seed: int) -> np.ndarray:
     if count <= 0:
         return np.zeros((0, 2))
     rng = np.random.default_rng(seed)
-    units = _center_units(model)
-    centers = _units_xy(units, model.side)
-    verts = _units_xy((units[:, None, :] + _VERTEX_OFFSETS).reshape(-1, 2), model.side).reshape(-1, 6, 2)
+    units = center_units(model.axial)
+    centers = units_xy(units, model.side)
+    verts = units_xy((units[:, None, :] + VERTEX_OFFSETS).reshape(-1, 2), model.side).reshape(-1, 6, 2)
     hex_idx = rng.integers(0, len(centers), size=count)
     tri_idx = rng.integers(0, 6, size=count)
     u = rng.random(count)

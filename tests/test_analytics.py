@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from float_geometry import hexagon_area
 from hexcover.analytics import (
     DEFAULT_SWEEPS,
     FIGURE_IDS,
@@ -20,7 +21,6 @@ from hexcover.analytics import (
 )
 from hexcover.benchmark import benchmark_count
 from hexcover.deployment import total_count
-from hexcover.geometry import hexagon_area
 
 SQRT3 = math.sqrt(3.0)
 

@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import re
 import time
 
 import pytest
 
+from hexcover import cli
 from hexcover.cli import main
+from hexcover.deployment import count_by_kind, total_count
 from hexcover.sensor_io import read_sensors_csv
 
 
@@ -65,6 +68,43 @@ class TestPlan:
                     "--offset-x", "1/4", "--output", str(out)])
         assert code == 0
         assert "small_hexagons=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("layers,k", [(1, 1), (2, 2), (3, 3), (2, 7)])
+    def test_summary_breaks_the_count_down_by_kind(self, tmp_path, capsys, layers, k):
+        assert run(["plan", "--layers", str(layers), "--coverage", str(k), "--output", str(tmp_path / "s.csv")]) == 0
+        printed = dict(
+            (kind, (int(placed), int(formula)))
+            for kind, placed, formula in re.findall(r"(\w+)=(\d+)/(\d+)", capsys.readouterr().out)
+        )
+        assert printed == {kind: (n, n) for kind, n in count_by_kind(layers, k).items()}
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--layers", str(10**6)],
+            ["--coverage", str(10**9)],
+            ["--strategy", "benchmark", "--layers", str(10**5)],
+            ["--layers", "9" * 400],
+        ],
+        ids=["layers", "coverage", "scheme-layers", "400-digit-layers"],
+    )
+    def test_oversized_plans_are_refused_before_building(self, tmp_path, capsys, flags):
+        started = time.perf_counter()
+        code = run(["plan", *flags, "--output", str(tmp_path / "sensors.csv")])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_size_limit_is_the_closed_form_count(self, tmp_path, monkeypatch):
+        out = tmp_path / "sensors.csv"
+        monkeypatch.setattr(cli, "MAX_SENSORS", total_count(2, 3) - 1)
+        assert run(["plan", "--layers", "2", "--coverage", "3", "--output", str(out)]) == 2
+        assert not out.exists()
+        monkeypatch.setattr(cli, "MAX_SENSORS", total_count(2, 3))
+        assert run(["plan", "--layers", "2", "--coverage", "3", "--output", str(out)]) == 0
+        monkeypatch.setattr(cli, "MAX_SENSORS", 2 * (8 * 2 + 9) ** 2 - 1)
+        assert run(["plan", "--strategy", "benchmark", "--layers", "2", "--coverage", "2", "--output", str(out)]) == 2
 
     def test_parity_flag_changes_vertex_class(self, tmp_path):
         even = tmp_path / "even.csv"

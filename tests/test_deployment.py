@@ -1,5 +1,6 @@
 """Tests for the placement strategy and its count formulas."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import pytest
 
 from hexcover.geometry import ORIGIN, Hexagon
 from hexcover.deployment import (
+    InvariantViolation,
+    count_by_kind,
     fully_covered_triangles,
     minimum_sensors_lower_bound,
     per_hexagon_count,
@@ -16,7 +19,7 @@ from hexcover.deployment import (
     total_count,
     triangle_coverage_certificate,
 )
-from hexcover.tiling import EVEN, ODD, build_solar_model
+from hexcover.tiling import EVEN, ODD, build_solar_model, units_xy
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +100,7 @@ class TestPlaceProposed:
     def test_k3_vertex_sensors_are_exactly_the_registry(self, model_l2):
         d = place_proposed(model_l2, 3)
         vertices = np.array([kind == "vertex" for kind in kinds(d)])
-        assert xy_set(d.sensors[vertices]) == {p.to_xy() for p in model_l2.vertex_registry}
+        assert xy_set(d.sensors[vertices]) == xy_set(units_xy(model_l2.vertices, model_l2.side))
 
     def test_incrementality(self, model_l2):
         previous: set = set()
@@ -121,6 +124,11 @@ class TestPlaceProposed:
             per_segment.setdefault(segment, []).append((x, y))
         for positions in per_segment.values():
             assert len(positions) == len(set(positions))
+
+    def test_coefficients_too_fine_for_exact_float_order_are_refused(self, model_l1):
+        # k = 4 has denominator 2, and 3 * 2**48 * 2**2 reaches 2**50
+        with pytest.raises(InvariantViolation, match="exact float order"):
+            place_proposed(dataclasses.replace(model_l1, layers=2**48), 4)
 
     def test_sorted_output_is_stable(self, model_l2):
         a = place_proposed(model_l2, 4)
@@ -153,6 +161,18 @@ class TestCountFormulas:
             hexagons = 1 + 3 * layers * (layers - 1)
             for k in range(4, 11):
                 assert total_count(layers, k) - total_count(layers, k - 1) == 3 * hexagons
+
+    def test_counts_by_kind_sum_to_total(self):
+        for layers in range(1, 11):
+            for k in range(1, 21):
+                assert sum(count_by_kind(layers, k).values()) == total_count(layers, k)
+
+    @pytest.mark.parametrize("layers", range(1, 5))
+    def test_counts_by_kind_match_provenance(self, layers):
+        m = build_solar_model(layers)
+        for k in range(1, 8):
+            placed = kinds(place_proposed(m, k))
+            assert {kind: placed.count(kind) for kind in ("center", "vertex", "segment")} == count_by_kind(layers, k)
 
     @pytest.mark.parametrize("layers", range(1, 7))
     def test_enumeration_matches_closed_form(self, layers):

@@ -7,18 +7,23 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from float_geometry import (
+    barycentric_xy,
+    hexagon_area,
+    hexagon_contains_xy,
+    packed_hexagon_rhombus,
+    triangle_contains_xy,
+)
 from hexcover.geometry import (
     ORIGIN,
     EquilateralTriangle,
     Hexagon,
     LatticePoint,
     count_packed_small_hexagons,
-    hexagon_area,
     distance,
     hexagons_overlap,
     midpoint,
     packed_hexagon_pair,
-    packed_hexagon_rhombus,
     packed_hexagon_triple,
     packing_diameter,
     sq_dist_units,
@@ -120,12 +125,12 @@ class TestHexagonTriangles:
         for _ in range(500):
             x = rng.uniform(-1, 1)
             y = rng.uniform(-1, 1)
-            if not h.contains_xy(x, y, tol=-1e-9):  # strictly inside only
+            if not hexagon_contains_xy(h, x, y, tol=-1e-9):  # strictly inside only
                 continue
             strict = sum(
-                all(c > 1e-9 for c in t.barycentric_xy(x, y)) for t in triangles
+                all(c > 1e-9 for c in barycentric_xy(t, x, y)) for t in triangles
             )
-            closed = sum(t.contains_xy(x, y, tol=1e-9) for t in triangles)
+            closed = sum(triangle_contains_xy(t, x, y, tol=1e-9) for t in triangles)
             assert (strict == 1) or (strict == 0 and closed >= 1)
             hits_interior += 1
         assert hits_interior > 300
@@ -162,7 +167,7 @@ class TestContainsPoint:
                 Fraction(int(rng.integers(-4, 9)), 2),
             )
             x, y = p.to_xy(1.0)
-            assert h.contains(p) == h.contains_xy(x, y, tol=1e-9)
+            assert h.contains(p) == hexagon_contains_xy(h, x, y, tol=1e-9)
 
 
 class TestVertexCoversTriangle:

@@ -34,6 +34,11 @@ GOLDENS = {
 }
 
 
+# ``plan --format json`` with the flags of proposed-l3-k7-odd.  The file embeds
+# the patch, so this pins its vertex order, classes and incident lists.
+JSON_SHA = "efa90ac4b2e23d04eaa5f09cdb43c9fb2b7db64255676ee11b522ae57d05a9c5"
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -47,3 +52,9 @@ def test_plan_and_verify_bytes(name, tmp_path):
     assert sha256(csv) == csv_sha
     assert main(["verify", "--input", str(csv), "--output", str(report)]) == verify_exit
     assert sha256(report) == report_sha
+
+
+def test_plan_json_bytes(tmp_path):
+    out = tmp_path / "sensors.json"
+    assert main(["plan", *GOLDENS["proposed-l3-k7-odd"][0], "--format", "json", "--output", str(out)]) == 0
+    assert sha256(out) == JSON_SHA

@@ -1,5 +1,5 @@
-"""Property tests: patch membership, lattice disk counts, placement counts,
-sensor-file round trips and the verify exit-code contract.
+"""Property tests: patch membership, lattice disk counts, placement counts and
+bits, sensor-file round trips and the verify exit-code contract.
 
 Examples are derandomized and bounded so the suite stays fast and repeatable.
 """
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_reference import exact_placement
 from hexcover import verifier
 from hexcover.benchmark import place_benchmark
 from hexcover.cli import main
@@ -205,6 +206,28 @@ def test_lattice_counts_across_chunks(monkeypatch):
 @given(layers=st.integers(1, 5), k=st.integers(1, 12), parity=st.sampled_from(PARITY_NAMES))
 def test_placed_count_equals_closed_form(layers, k, parity):
     assert len(place_proposed(model_for(layers, 1.0), k, parity=parity).sensors) == total_count(layers, k)
+
+
+# The placement's extremes: at 5e-324 half a side rounds to 0, so every
+# scaled coordinate is ±0 and only the unscaled coefficients order the sensors.
+PLACEMENT_RADII = (5e-324, 1e-150, 0.3, 10.0, 1e150)
+
+
+# Fewer examples than the other properties: the Fraction reference takes
+# about 2 s at l = 8, k = 90.
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    layers=st.integers(1, 8),
+    k=st.integers(1, 90),
+    parity=st.sampled_from(PARITY_NAMES),
+    radius=st.sampled_from(PLACEMENT_RADII),
+)
+def test_placement_equals_exact_reference_bit_for_bit(layers, k, parity, radius):
+    deployment = place_proposed(build_solar_model(layers, radius), k, parity=parity)
+    sensors, provenance, hexagon = exact_placement(deployment.model, k, parity)
+    assert np.array_equal(deployment.sensors.view(np.uint64), sensors.view(np.uint64))
+    assert np.array_equal(deployment.provenance, provenance)
+    assert np.array_equal(deployment.hexagon, hexagon)
 
 
 def assert_round_trip(deployment, directory):

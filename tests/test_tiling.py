@@ -1,4 +1,4 @@
-"""Tests for the layered patch and its vertex registry."""
+"""Tests for the layered patch and its integer vertex array."""
 
 import dataclasses
 import functools
@@ -6,18 +6,31 @@ import functools
 import numpy as np
 import pytest
 
-from hexcover.geometry import ORIGIN, distance
+from exact_reference import exact_registry
+from hexcover.geometry import ORIGIN, LatticePoint, distance
 from hexcover.tiling import (
     AXIAL_DIRECTIONS,
     EVEN,
     ODD,
+    PARITY_NAMES,
     axial_distance,
     build_solar_model,
     hexagon_count,
     model_to_dict,
     region_contains,
+    units_xy,
     vertex_count,
 )
+
+
+def points(units):
+    """Lattice coefficient rows as exact points."""
+    return [LatticePoint(x, y) for x, y in units.tolist()]
+
+
+def incident_hexagons(model):
+    """{vertex: incident hexagon indices}, from the exported model."""
+    return {p: v["hexagons"] for p, v in zip(points(model.vertices), model_to_dict(model)["vertices"])}
 
 
 class TestBuildSolarModel:
@@ -78,8 +91,8 @@ class TestCountFormulas:
     @pytest.mark.parametrize("layers", range(1, 9))
     def test_class_sizes(self, layers):
         m = build_solar_model(layers)
-        even = m.vertex_class(EVEN)
-        odd = m.vertex_class(ODD)
+        even = points(m.vertex_class(EVEN))
+        odd = points(m.vertex_class(ODD))
         assert len(even) == 3 * layers * layers
         assert len(odd) == 3 * layers * layers
         assert set(even).isdisjoint(odd)
@@ -94,27 +107,30 @@ class TestCountFormulas:
 class TestRegistry:
     def test_parity_consistent_across_incident_hexagons(self):
         m = build_solar_model(4)
-        for record in m.vertex_registry.values():
-            for index in record.incident_hexagons:
-                verts = m.hexagons[index].vertices()
-                angle_index = verts.index(record.position)
-                assert ("even", "odd")[angle_index % 2] == record.parity
+        incident = incident_hexagons(m)
+        for parity in PARITY_NAMES:
+            for vertex in points(m.vertex_class(parity)):
+                for index in incident[vertex]:
+                    angle_index = m.hexagons[index].vertices().index(vertex)
+                    assert PARITY_NAMES[angle_index % 2] == parity
 
     def test_each_hexagon_has_three_vertices_per_class(self):
         m = build_solar_model(3)
+        parity_of = {v: parity for parity in PARITY_NAMES for v in points(m.vertex_class(parity))}
         for index, hexagon in enumerate(m.hexagons):
-            classes = [m.vertex_registry[v].parity for v in hexagon.vertices()]
+            classes = [parity_of[v] for v in hexagon.vertices()]
             assert classes.count(EVEN) == 3
             assert classes.count(ODD) == 3
 
     def test_interior_vertices_shared_by_three(self):
         # vertices of hexagons that have all six neighbors present are interior
         m = build_solar_model(3)
+        incident = incident_hexagons(m)
         cells = set(m.axial)
         for index, (q, w) in enumerate(m.axial):
             if all((q + dq, w + dw) in cells for dq, dw in AXIAL_DIRECTIONS):
                 for vertex in m.hexagons[index].vertices():
-                    assert len(m.vertex_registry[vertex].incident_hexagons) == 3
+                    assert len(incident[vertex]) == 3
 
     def test_interior_edges_shared_by_two(self):
         m = build_solar_model(3)
@@ -136,14 +152,27 @@ class TestRegistry:
 
     def test_inner_layers_have_all_neighbors(self):
         m = build_solar_model(4)
-        for index, layer in enumerate(m.layer_of):
+        cells = set(m.axial)
+        for (q, w), layer in zip(m.axial, m.layer_of):
             if layer <= m.layers - 1:
-                assert m.neighbors_present(index) == 6
+                assert all((q + dq, w + dw) in cells for dq, dw in AXIAL_DIRECTIONS)
 
     def test_incidence_totals(self):
         m = build_solar_model(5)
-        total = sum(len(r.incident_hexagons) for r in m.vertex_registry.values())
+        total = sum(len(hexagons) for hexagons in incident_hexagons(m).values())
         assert total == 6 * len(m.hexagons)
+
+
+@pytest.mark.parametrize("layers", range(1, 11))
+def test_vertices_classes_and_incidence_equal_the_exact_registry(layers):
+    m = build_solar_model(layers, side=2.5)
+    registry = exact_registry(m)
+    assert points(m.vertices) == list(registry)
+    exported = model_to_dict(m)["vertices"]
+    assert [(v["class"], v["hexagons"]) for v in exported] == list(registry.values())
+    for parity in PARITY_NAMES:
+        assert points(m.vertex_class(parity)) == [v for v, (c, _) in registry.items() if c == parity]
+    assert [(v["x"], v["y"]) for v in exported] == [v.to_xy(m.side) for v in registry]
 
 
 def scanned_bounding_box(model):
@@ -178,7 +207,7 @@ class TestModelExport:
 class TestRegionContains:
     def test_vertices_inside_and_points_past_the_rim_outside(self):
         m = build_solar_model(3, side=2.0)
-        vertices = np.array([r.position.to_xy(2.0) for r in m.vertex_registry.values()])
+        vertices = units_xy(m.vertices, 2.0)
         assert region_contains(m, vertices).all()
         # just past the top edge of the patch, far beyond the tolerance band
         rim_y = vertices[:, 1].max()

@@ -14,7 +14,7 @@ import hexcover
 from hexcover.benchmark import small_hexagon_centers
 from hexcover.cli import main
 from hexcover.deployment import total_count
-from hexcover.tiling import build_solar_model
+from hexcover.tiling import build_solar_model, hexagon_count, vertex_count
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -44,6 +44,8 @@ def test_proposed_counts(spans, tmp_path):
     assert exact["deployment.sensors"] == total_count(2, 4)
     assert exact["sensor_io.rows"] == total_count(2, 4)
     assert exact["verifier.structured_probes"] > 0
+    assert exact["tiling.vertices"] == vertex_count(2) == 24
+    assert exact["tiling.hexagons"] == hexagon_count(2)
 
 
 def test_scheme_counts(spans, tmp_path):
