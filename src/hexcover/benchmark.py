@@ -122,20 +122,28 @@ def place_benchmark(
         raise ValueError(f"coverage target must be >= 1, got {k}")
     centers, vertices = _small_hexagon_xy(small_hexagon_centers(model, offset), offset, model.side)
 
-    all_points: list[np.ndarray] = []
-    for index, (origin, verts) in enumerate(zip(centers, vertices)):
+    count = len(centers)
+    tri = np.empty((count, k), dtype=np.int64)
+    u, v = np.empty((count, k)), np.empty((count, k))
+    for index in range(count):
         rng = np.random.default_rng([seed, index])
-        tri = rng.integers(0, 6, size=k)
-        u = rng.random(k)
-        v = rng.random(k)
-        all_points.append(triangle_samples(origin, verts[tri], verts[(tri + 1) % 6], u, v))
+        tri[index] = rng.integers(0, 6, size=k)
+        u[index] = rng.random(k)
+        v[index] = rng.random(k)
+    # One sampler call for every hexagon: the same element-wise arithmetic,
+    # so the same bits, as one call per hexagon.
+    hexagon = np.repeat(np.arange(count), k)
+    tri = tri.ravel()
+    sensors = triangle_samples(
+        centers[hexagon], vertices[hexagon, tri], vertices[hexagon, (tri + 1) % 6], u.ravel(), v.ravel()
+    )
 
     return Deployment(
         model=model,
         k=k,
         strategy="benchmark",
-        sensors=np.concatenate(all_points) if all_points else np.zeros((0, 2)),
-        provenance=np.full(k * len(centers), "random"),
-        hexagon=np.repeat(np.arange(len(centers)), k),
+        sensors=sensors,
+        provenance=np.full(k * count, "random"),
+        hexagon=hexagon,
         meta={"seed": seed, "offset": f"{Fraction(offset[0])}:{Fraction(offset[1])}"},
     )

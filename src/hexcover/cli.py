@@ -49,10 +49,12 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 # Sensor budget of one plan run, counted before anything is built: the
 # closed-form count for the proposed strategy, k * (8l + 9)**2 candidate tiles
-# for the scheme.  A proposed plan peaks at 1000 bytes per sensor at k = 1
-# (one hexagon object per sensor) and 540-640 at larger k (the CSV or JSON
-# rows); the scheme at 85-390 per counted tile.  So the budget caps a plan
-# near 1 GB (tracemalloc, l = 1 to 200, k = 1 to 30000).
+# for the scheme.  A proposed CSV plan peaks at about 720 bytes per sensor at
+# k = 1 and 540-640 at larger k (the rows); a JSON plan, which embeds the
+# patch's vertices with their incident hexagons, at 2110 bytes per sensor at
+# k = 1, 1250 at k = 2 and under 1000 from k = 3; the scheme at 85-390 per
+# counted tile.  So the budget caps a plan near 0.7 GB, or 2.1 GB for a k = 1
+# JSON plan (tracemalloc, l = 1 to 200, k = 1 to 30000).
 MAX_SENSORS = 1_000_000
 
 

@@ -22,6 +22,7 @@ hold a point is the nearest one or a neighbor of it (see its docstring).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,13 +85,17 @@ class SolarModel:
 
     layers: int
     side: float
-    hexagons: tuple[Hexagon, ...]
     axial: tuple[tuple[int, int], ...]
     layer_of: tuple[int, ...]
     vertices: np.ndarray
 
     def __post_init__(self) -> None:
         self.vertices.setflags(write=False)
+
+    @functools.cached_property
+    def hexagons(self) -> tuple[Hexagon, ...]:
+        """The exact hexagon of every cell, in ``axial`` order, built on first use."""
+        return tuple(Hexagon(axial_center(q, w)) for q, w in self.axial)
 
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -172,7 +177,6 @@ def build_solar_model(layers: int, side: float = 1.0) -> SolarModel:
     return SolarModel(
         layers=layers,
         side=side,
-        hexagons=tuple(Hexagon(axial_center(q, w)) for q, w in axial),
         axial=tuple(axial),
         layer_of=tuple(layer_of),
         vertices=_corners(center_units(axial))[0],
@@ -257,7 +261,7 @@ def model_to_dict(model: SolarModel) -> dict:
     return {
         "layers": model.layers,
         "side": model.side,
-        "hexagon_count": len(model.hexagons),
+        "hexagon_count": len(model.axial),
         "hexagon_centers": units_xy(centers, model.side).tolist(),
         "vertices": [
             {"x": x, "y": y, "class": PARITY_NAMES[parity], "hexagons": hexagons.tolist()}

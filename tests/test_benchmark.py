@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from float_geometry import hexagon_contains_xy
 from hexcover.benchmark import (
@@ -18,7 +20,7 @@ from hexcover.benchmark import (
 )
 from hexcover.deployment import total_count
 from hexcover.geometry import Hexagon, LatticePoint
-from hexcover.tiling import build_solar_model, hexagon_count
+from hexcover.tiling import build_solar_model, hexagon_count, triangle_samples
 
 # Geometric enumeration of fully contained half-side hexagons, origin-anchored
 # tiling.  Frozen from the enumeration itself; the printed closed form
@@ -189,3 +191,31 @@ class TestPlaceBenchmark:
         x, y = d.sensors[0]
         small = exact_small_hexagon(*small_hexagon_centers(m)[0])
         assert hexagon_contains_xy(small, x, y, scale=10.0, tol=1e-12)
+
+
+def per_hexagon_sensors(model, k, seed, offset):
+    """The scheme's sensors sampled one small hexagon at a time, one sampler call each."""
+    centers, vertices = _small_hexagon_xy(small_hexagon_centers(model, offset), offset, model.side)
+    points = [np.zeros((0, 2))]
+    for index, (origin, verts) in enumerate(zip(centers, vertices)):
+        rng = np.random.default_rng([seed, index])
+        tri = rng.integers(0, 6, size=k)
+        u = rng.random(k)
+        v = rng.random(k)
+        points.append(triangle_samples(origin, verts[tri], verts[(tri + 1) % 6], u, v))
+    return np.concatenate(points)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    layers=st.integers(1, 6),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+    offset=st.tuples(st.fractions(-2, 2, max_denominator=12), st.fractions(-2, 2, max_denominator=12)),
+    radius=st.sampled_from([1e-150, 0.3, 10.0, 1e150]),
+)
+def test_batched_sampling_equals_per_hexagon_loop_bit_for_bit(layers, k, seed, offset, radius):
+    model = build_solar_model(layers, radius)
+    d = place_benchmark(model, k, seed=seed, offset=offset)
+    assert np.array_equal(d.sensors.view(np.uint64), per_hexagon_sensors(model, k, seed, offset).view(np.uint64))
+    assert np.array_equal(d.hexagon, np.repeat(np.arange(len(d.sensors) // k), k))

@@ -5,6 +5,7 @@ Examples are derandomized and bounded so the suite stays fast and repeatable.
 """
 
 import functools
+import os
 
 import numpy as np
 import pytest
@@ -200,6 +201,70 @@ def test_lattice_counts_across_chunks(monkeypatch):
     assert counts.max() > 1
     assert np.array_equal(counts, brute_force_lattice_counts(xs, ys, sensors, 1.3))
     assert np.array_equal(counts.ravel(), coverage_counts(grid_nodes(xs, ys), sensors, 1.3))
+
+
+def affinity_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@st.composite
+def query_cases(draw):
+    """Sensors and enough probes around them for two query threads.
+
+    A quarter of the probes lie just inside or outside some sensor's disk
+    (1e-11 to 1e-9 relative off its effective radius), the others anywhere
+    around the sensors, and one on each sensor.
+    """
+    radius = draw(st.sampled_from(RADII))
+    sensors = radius * np.array(draw(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), min_size=1, max_size=30)))
+    count = draw(st.integers(2 * verifier.MIN_PROBES_PER_WORKER, 3 * verifier.MIN_PROBES_PER_WORKER))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probes = radius * rng.uniform(-3.5, 3.5, size=(count, 2))
+    near = count // 4
+    owner = rng.integers(0, len(sensors), size=near)
+    angle = rng.uniform(0.0, 2 * np.pi, size=near)
+    reach = effective_radius(radius) * (1.0 + rng.choice([-1e-9, -1e-10, -1e-11, 1e-11, 1e-10, 1e-9], size=near))
+    probes[:near] = sensors[owner] + reach[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    probes[near : near + len(sensors)] = sensors
+    return probes, sensors, radius
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=query_cases())
+def test_coverage_counts_are_exact_on_any_thread_count(case):
+    probes, sensors, radius = case
+    workers = verifier.query_workers(len(probes))
+    assert min(2, affinity_cpus()) <= workers <= affinity_cpus()
+    counts = coverage_counts(probes, sensors, radius)
+    eff2 = effective_radius(radius) ** 2
+    # the disk predicate, on probes at least 1e-12 relative off every disk boundary
+    expected = np.zeros(len(probes), dtype=int)
+    clear = np.ones(len(probes), dtype=bool)
+    for sx, sy in sensors:
+        d2 = (probes[:, 0] - sx) ** 2 + (probes[:, 1] - sy) ** 2
+        expected += d2 <= eff2
+        clear &= np.abs(d2 - eff2) >= 1e-12 * eff2
+    assert clear.mean() > 0.9
+    assert np.array_equal(counts[clear], expected[clear])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "_cpu_count", lambda: 1)
+        assert verifier.query_workers(len(probes)) == 1
+        assert np.array_equal(coverage_counts(probes, sensors, radius), counts)
+
+
+def test_query_workers_stay_within_the_affinity_mask():
+    cpus = affinity_cpus()
+    assert verifier._cpu_count() == cpus
+    for probes in (0, 1, verifier.MIN_PROBES_PER_WORKER - 1, verifier.MIN_PROBES_PER_WORKER, 10**7, 10**18):
+        assert 1 <= verifier.query_workers(probes) <= cpus
+    assert verifier.query_workers(verifier.MIN_PROBES_PER_WORKER * cpus) == cpus
+
+
+def test_cpu_count_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert verifier._cpu_count() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verifier._cpu_count() == 1
 
 
 @BOUNDED
