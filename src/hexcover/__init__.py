@@ -14,7 +14,6 @@ from .geometry import (
 from .tiling import SolarModel, build_solar_model, hexagon_count
 from .deployment import (
     Deployment,
-    minimum_sensors_lower_bound,
     per_hexagon_count,
     place_proposed,
     total_count,
@@ -24,7 +23,7 @@ from .benchmark import (
     count_gap,
     place_benchmark,
 )
-from .verifier import CoverageReport, residual_coverage, verify_coverage
+from .verifier import CoverageReport, minimum_sensors_lower_bound, residual_coverage, verify_coverage
 from .analytics import (
     density_benchmark,
     density_gain,

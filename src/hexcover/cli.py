@@ -40,21 +40,21 @@ from .sensor_io import (
     write_sensors_csv,
     write_sensors_json,
 )
-from .tiling import build_solar_model
+from .tiling import build_solar_model, vertex_count
 from .verifier import FLOAT_LIMIT, MAX_PROBES, probe_estimate, verify_coverage
 
 EXIT_OK = 0
 EXIT_COVERAGE_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-# Sensor budget of one plan run, counted before anything is built: the
+# Record budget of one plan run, counted before anything is built: the
 # closed-form count for the proposed strategy, k * (8l + 9)**2 candidate tiles
-# for the scheme.  A proposed CSV plan peaks at about 720 bytes per sensor at
-# k = 1 and 540-640 at larger k (the rows); a JSON plan, which embeds the
-# patch's vertices with their incident hexagons, at 2110 bytes per sensor at
-# k = 1, 1250 at k = 2 and under 1000 from k = 3; the scheme at 85-390 per
-# counted tile.  So the budget caps a plan near 0.7 GB, or 2.1 GB for a k = 1
-# JSON plan (tracemalloc, l = 1 to 200, k = 1 to 30000).
+# for the scheme, and for a JSON plan also the patch's 6l**2 vertices, which
+# it embeds with their incident hexagons.  A proposed CSV plan peaks at about
+# 720 bytes per sensor at k = 1 and 540-640 at larger k (the rows); a JSON
+# plan at 700 bytes per sensor or vertex at k = 1 and 570-620 from k = 2; the
+# scheme at 85-390 per counted tile.  So the budget caps a plan near 0.7 GB
+# (tracemalloc, l = 1 to 200, k = 1 to 30000).
 MAX_SENSORS = 1_000_000
 
 
@@ -150,13 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_plan(args: argparse.Namespace) -> int:
     if args.strategy == "proposed":
-        sensors = total_count(args.layers, args.coverage)
+        records = total_count(args.layers, args.coverage)
     else:
-        sensors = args.coverage * (8 * args.layers + 9) ** 2
-    if sensors > MAX_SENSORS:
+        records = args.coverage * (8 * args.layers + 9) ** 2
+    if args.format == "json":
+        records += vertex_count(args.layers)
+    if records > MAX_SENSORS:
         print(
-            f"error: plan would place about 10^{math.log10(sensors):.1f} sensors, above the limit of {MAX_SENSORS}; "
-            "use fewer --layers or a lower --coverage",
+            f"error: plan would write about 10^{math.log10(records):.1f} sensor and patch-vertex records, "
+            f"above the limit of {MAX_SENSORS}; use fewer --layers or a lower --coverage",
             file=sys.stderr,
         )
         return EXIT_USAGE

@@ -163,79 +163,6 @@ def place_proposed(model: SolarModel, k: int, parity: str = EVEN) -> Deployment:
     )
 
 
-def fully_covered_triangles(
-    model_hexagon, x: float, y: float, radius: float, scale: float = 1.0
-) -> int:
-    """How many of the hexagon's six triangles lie entirely in the sensing disk.
-
-    A disk is convex, so a triangle is inside iff its three vertices are.
-    """
-    count = 0
-    for triangle in model_hexagon.triangles():
-        inside = True
-        for vertex in triangle.vertices:
-            vx, vy = vertex.to_xy(scale)
-            if (vx - x) ** 2 + (vy - y) ** 2 > radius * radius * (1.0 + 1e-12):
-                inside = False
-                break
-        if inside:
-            count += 1
-    return count
-
-
-def minimum_sensors_lower_bound(grid_n: int = 24) -> int:
-    """Sensors needed to cover one hexagon when the center is off limits: 3.
-
-    Verified by a grid search: every candidate position other than the exact
-    center fully covers at most 2 of the six triangles, so two sensors reach
-    at most 4 < 6 and a third is unavoidable.
-    """
-    from .geometry import Hexagon, ORIGIN
-
-    hexagon = Hexagon(ORIGIN)
-    radius = 1.0
-    best_off_center = 0
-    for triangle in hexagon.triangles():
-        (ax, ay), (bx, by), (cx, cy) = triangle.vertices_xy(1.0)
-        for i in range(grid_n + 1):
-            for j in range(grid_n + 1 - i):
-                u = i / grid_n
-                v = j / grid_n
-                w = 1.0 - u - v
-                x = u * ax + v * bx + w * cx
-                y = u * ay + v * by + w * cy
-                if x == 0.0 and y == 0.0:
-                    continue
-                covered = fully_covered_triangles(hexagon, x, y, radius)
-                best_off_center = max(best_off_center, covered)
-    if best_off_center > 2:
-        raise InvariantViolation(
-            f"off-center candidate covers {best_off_center} triangles"
-        )
-    if fully_covered_triangles(hexagon, 0.0, 0.0, radius) != 6:
-        raise InvariantViolation("center candidate must cover all six triangles")
-    return 3
-
-
-def triangle_coverage_certificate(deployment: Deployment) -> int:
-    """Minimum, over all triangles of all hexagons, of full-coverage multiplicity.
-
-    Counts sensors whose closed sensing disk (radius = patch side) contains an
-    entire triangle; the deployment provides at least k for every triangle.
-    """
-    scale = deployment.model.side
-    radius_sq = scale * scale * (1.0 + 1e-12)
-    positions = deployment.sensors
-    minimum = None
-    for hexagon in deployment.model.hexagons:
-        for triangle in hexagon.triangles():
-            corners = np.array(triangle.vertices_xy(scale))
-            dist_sq = ((positions[:, None, :] - corners[None, :, :]) ** 2).sum(axis=2)
-            covered = int((dist_sq.max(axis=1) <= radius_sq).sum())
-            minimum = covered if minimum is None else min(minimum, covered)
-    return 0 if minimum is None else minimum
-
-
 def remove_sensors(deployment: Deployment, indices: list[int]) -> Deployment:
     """Deployment without the sensors at the given indices (for failure studies)."""
     if len(set(indices)) != len(indices):

@@ -5,9 +5,9 @@ the center-to-vertex segments, midpoints and centroids of those) has the form
 (x * scale/2, y * sqrt(3) * scale/2) with rational x and y.  A ``LatticePoint``
 stores the two rationals, so equal points compare equal with no epsilon and
 squared distances are the single rational x^2 + 3 y^2.  This module serves
-the packing and lower-bound proofs, the constant offsets that the integer
-plan and verify code is built from, and the tests' exact references; plan
-and verify themselves run on integer lattice coefficients (``tiling``).
+the packing proofs, the constant offsets that the integer plan and verify
+code is built from, and the tests' exact references; plan and verify
+themselves run on integer lattice coefficients (``tiling``).
 """
 
 from __future__ import annotations

@@ -71,18 +71,15 @@ def write_sensors_csv(path, deployment, extra_meta: dict | None = None) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def write_sensors_json(
-    path, deployment, include_model: bool = True, extra_meta: dict | None = None
-) -> None:
+def write_sensors_json(path, deployment, extra_meta: dict | None = None) -> None:
     payload = {
         "meta": _meta_pairs(deployment, extra_meta),
         "sensors": [
             {"x": float(x), "y": float(y), "provenance": prov, "hexagon": hexagon, "strategy": strategy}
             for x, y, prov, hexagon, strategy in sensor_rows(deployment)
         ],
+        "model": model_to_dict(deployment.model),
     }
-    if include_model:
-        payload["model"] = model_to_dict(deployment.model)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

@@ -10,8 +10,8 @@ add ``VERTEX_OFFSETS``, and the patch's 6 l^2 distinct vertices are one
 integer array, deduplicated exactly with ``np.unique``.  ``units_xy`` turns
 coefficients into meters with ``LatticePoint.to_xy``'s expression, so the
 floats equal the exact points' bit for bit.  The float kernels that sampling
-code shares also live here: the patch-membership test ``region_contains``
-and the triangle sampler ``triangle_samples``.
+code shares also live here: the triangle table ``patch_triangles``, the
+patch-membership test ``region_contains`` and the sampler ``triangle_samples``.
 
 ``region_contains`` rounds each point to its nearest hexagon center in axial
 coordinates and tests that hexagon and its six neighbors, so its cost is at
@@ -146,6 +146,18 @@ def units_xy(units: np.ndarray, side: float) -> np.ndarray:
     """``LatticePoint.to_xy`` of lattice coefficients (n, 2): integers below 2**53 or correctly rounded floats."""
     half = 0.5 * side
     return np.column_stack([units[:, 0].astype(float) * half, units[:, 1].astype(float) * SQRT3 * half])
+
+
+def patch_triangles(model: SolarModel) -> np.ndarray:
+    """Float corners (6H, 3, 2), in meters, of every center-vertex-vertex triangle of the patch.
+
+    Hexagons come in ``axial`` order, their triangles and corners in
+    ``Hexagon.triangles`` order, each corner equal to ``vertices_xy`` bit for bit.
+    """
+    centers = center_units(model.axial)[:, None, :]
+    spokes = centers + VERTEX_OFFSETS
+    corners = np.stack([np.broadcast_to(centers, spokes.shape), spokes, np.roll(spokes, -1, axis=1)], axis=2)
+    return units_xy(corners.reshape(-1, 2), model.side).reshape(-1, 3, 2)
 
 
 def _corners(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Empirical k-coverage certification by deterministic sampling.
+"""Empirical k-coverage certification by deterministic sampling, and a triangle certificate.
 
 Three point families are evaluated against the sensing disks:
 
@@ -27,10 +27,15 @@ sensor adds one column interval per grid row its disk reaches.  The two
 ends of every interval are settled with that same float predicate, so the
 counts are the predicate's bit for bit, at a cost of O(sensors × rows per
 disk) instead of O(disk hits).
+
+The same disk decides which sensors hold whole triangles (``covering_pairs``).
+That one kernel serves ``triangle_coverage_certificate``, a proof of coverage
+with no sampling, and the grid search of ``minimum_sensors_lower_bound``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -39,13 +44,14 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .deployment import Deployment, remove_sensors
+from .deployment import Deployment, InvariantViolation, remove_sensors
 from .geometry import ORIGIN, SQRT3, Hexagon, centroid, midpoint
 from .tiling import (
-    VERTEX_OFFSETS,
     SolarModel,
+    build_solar_model,
     center_units,
     hexagon_count,
+    patch_triangles,
     region_contains,
     triangle_samples,
     units_xy,
@@ -164,23 +170,17 @@ def monte_carlo_points(model: SolarModel, count: int, seed: int) -> np.ndarray:
     """Seeded uniform samples over the patch (hexagons have equal area).
 
     Each sample draws a hexagon, one of its six triangles and a point in
-    that triangle.  The hexagons' centers and vertices are built from their
-    integer lattice coefficients with ``LatticePoint.to_xy``'s expression,
-    so they equal the exact points' float coordinates bit for bit.
+    that triangle, whose corners come from ``patch_triangles``.
     """
     if count <= 0:
         return np.zeros((0, 2))
     rng = np.random.default_rng(seed)
-    units = center_units(model.axial)
-    centers = units_xy(units, model.side)
-    verts = units_xy((units[:, None, :] + VERTEX_OFFSETS).reshape(-1, 2), model.side).reshape(-1, 6, 2)
-    hex_idx = rng.integers(0, len(centers), size=count)
+    hex_idx = rng.integers(0, len(model.axial), size=count)
     tri_idx = rng.integers(0, 6, size=count)
     u = rng.random(count)
     v = rng.random(count)
-    return triangle_samples(
-        centers[hex_idx], verts[hex_idx, tri_idx], verts[hex_idx, (tri_idx + 1) % 6], u, v
-    )
+    center, a, b = patch_triangles(model)[6 * hex_idx + tri_idx].transpose(1, 0, 2)
+    return triangle_samples(center, a, b, u, v)
 
 
 def _effective_radius(radius: float) -> float:
@@ -225,6 +225,66 @@ def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> n
             points, _effective_radius(radius), return_length=True, workers=query_workers(len(points))
         )
     )
+
+
+def covering_pairs(triangles: np.ndarray, sensors: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(triangle, sensor) index pairs, in triangle order, where the sensor's disk holds the whole triangle.
+
+    ``triangles`` holds (T, 3, 2) corners in meters.  A disk is convex, so
+    it holds a triangle iff it holds the corners, each tested with
+    ``lattice_counts``' float predicate at radius eff.  Candidates come from
+    one KD-tree query of radius eff at the centroids.  It misses no pair: a
+    point's squared distance to the centroid is its mean squared distance to
+    the corners less theirs to the centroid, so a disk that holds the
+    corners holds the centroid with room to spare.
+    """
+    eff = _effective_radius(radius)
+    tree = cKDTree(sensors, leafsize=KDTREE_LEAFSIZE)
+    hits = tree.query_ball_point(triangles.mean(axis=1), eff)
+    lengths = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    sensor = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=int(lengths.sum()))
+    triangle = np.repeat(np.arange(len(triangles)), lengths)
+    holds = np.ones(len(sensor), dtype=bool)
+    for corner in range(3):
+        dx = triangles[triangle, corner, 0] - sensors[sensor, 0]
+        dy = triangles[triangle, corner, 1] - sensors[sensor, 1]
+        holds &= dx * dx + dy * dy <= eff * eff
+    return triangle[holds], sensor[holds]
+
+
+def triangle_coverage_certificate(deployment: Deployment) -> int:
+    """Fewest disks that hold a whole triangle, over every triangle of the patch.
+
+    Every point of a triangle lies in each disk that holds it, so a
+    certificate of c proves c-coverage of the patch by verify's disks.  The
+    test is sufficient, not necessary: random layouts rarely hold whole triangles.
+    """
+    triangles = patch_triangles(deployment.model)
+    triangle, _ = covering_pairs(triangles, deployment.sensors, deployment.r)
+    return int(np.bincount(triangle, minlength=len(triangles)).min())
+
+
+def minimum_sensors_lower_bound() -> int:
+    """Sensors needed to cover one hexagon when the center is off limits: 3.
+
+    On a barycentric grid of 24 steps per edge over the unit hexagon's six
+    triangles, every candidate but the exact center holds at most 2 of the
+    triangles (``covering_pairs``), so two sensors reach at most 4 < 6.
+    """
+    triangles = patch_triangles(build_solar_model(1))
+    n = 24
+    i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    u, v = i[i + j <= n] / n, j[i + j <= n] / n
+    center, a, b = (triangles[:, None, corner] for corner in range(3))
+    candidates = (u[:, None] * center + v[:, None] * a + (1.0 - u - v)[:, None] * b).reshape(-1, 2)
+    _, sensor = covering_pairs(triangles, candidates, 1.0)
+    held = np.bincount(sensor, minlength=len(candidates))
+    at_center = (candidates == 0.0).all(axis=1)
+    if held[~at_center].max() > 2:
+        raise InvariantViolation(f"off-center candidate holds {held[~at_center].max()} triangles")
+    if held[at_center].min() != 6:
+        raise InvariantViolation("center candidate must hold all six triangles")
+    return 3
 
 
 def _runs(

@@ -1,10 +1,11 @@
-"""Exact brute-force references for the patch's vertices and the proposed placement.
+"""Brute-force references for the patch's vertices, the proposed placement and triangle coverage.
 
-These are the Fraction constructions the integer-coefficient code replaced:
-every vertex and sensor is a ``LatticePoint`` of two ``Fraction``s, shared
-vertices are deduplicated in a dict, duplicates are checked with a set and
-sensors are sorted by exact keys.  Tests compare the fast code with them bit
-for bit.
+The first two are the Fraction constructions the integer-coefficient code
+replaced: every vertex and sensor is a ``LatticePoint`` of two
+``Fraction``s, shared vertices are deduplicated in a dict, duplicates are
+checked with a set and sensors are sorted by exact keys.  The third tests
+every (triangle, sensor) pair with verify's float disk predicate.  Tests
+compare the fast code with them bit for bit.
 """
 
 import functools
@@ -13,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from hexcover.tiling import EVEN, ODD, PARITY_NAMES, build_solar_model
+from hexcover.verifier import DISK_TOL
 
 
 def exact_registry(model):
@@ -61,3 +63,11 @@ def exact_placement(model, k, parity=EVEN):
         np.array([s[2] for s in placed]),
         np.array([s[3] for s in placed]),
     )
+
+
+def dense_covering(triangles, sensors, radius):
+    """(triangles, sensors) mask: the sensor's disk of radius r * sqrt(1 + DISK_TOL) holds all three corners."""
+    eff = radius * np.sqrt(1.0 + DISK_TOL)
+    dx = triangles[:, None, :, 0] - sensors[None, :, None, 0]
+    dy = triangles[:, None, :, 1] - sensors[None, :, None, 1]
+    return (dx * dx + dy * dy <= eff * eff).all(axis=2)

@@ -10,6 +10,7 @@ from hexcover import cli
 from hexcover.cli import main
 from hexcover.deployment import count_by_kind, total_count
 from hexcover.sensor_io import read_sensors_csv
+from hexcover.tiling import vertex_count
 
 
 def run(argv):
@@ -85,8 +86,10 @@ class TestPlan:
             ["--coverage", str(10**9)],
             ["--strategy", "benchmark", "--layers", str(10**5)],
             ["--layers", "9" * 400],
+            # 478 801 sensors and 960 000 embedded patch vertices
+            ["--format", "json", "--layers", "400", "--coverage", "1"],
         ],
-        ids=["layers", "coverage", "scheme-layers", "400-digit-layers"],
+        ids=["layers", "coverage", "scheme-layers", "400-digit-layers", "json-vertices"],
     )
     def test_oversized_plans_are_refused_before_building(self, tmp_path, capsys, flags):
         started = time.perf_counter()
@@ -105,6 +108,11 @@ class TestPlan:
         assert run(["plan", "--layers", "2", "--coverage", "3", "--output", str(out)]) == 0
         monkeypatch.setattr(cli, "MAX_SENSORS", 2 * (8 * 2 + 9) ** 2 - 1)
         assert run(["plan", "--strategy", "benchmark", "--layers", "2", "--coverage", "2", "--output", str(out)]) == 2
+        json_plan = ["plan", "--format", "json", "--layers", "2", "--coverage", "1", "--output", str(out)]
+        monkeypatch.setattr(cli, "MAX_SENSORS", total_count(2, 1) + vertex_count(2) - 1)
+        assert run(json_plan) == 2
+        monkeypatch.setattr(cli, "MAX_SENSORS", total_count(2, 1) + vertex_count(2))
+        assert run(json_plan) == 0
 
     def test_parity_flag_changes_vertex_class(self, tmp_path):
         even = tmp_path / "even.csv"

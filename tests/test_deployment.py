@@ -7,17 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hexcover.geometry import ORIGIN, Hexagon
+from hexcover.geometry import ORIGIN
 from hexcover.deployment import (
     InvariantViolation,
     count_by_kind,
-    fully_covered_triangles,
-    minimum_sensors_lower_bound,
     per_hexagon_count,
     place_proposed,
     remove_sensors,
     total_count,
-    triangle_coverage_certificate,
 )
 from hexcover.tiling import EVEN, ODD, build_solar_model, units_xy
 
@@ -179,50 +176,6 @@ class TestCountFormulas:
         m = build_solar_model(layers)
         for k in range(1, 11):
             assert len(place_proposed(m, k).sensors) == total_count(layers, k)
-
-
-class TestCoverageCertificate:
-    @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    def test_every_triangle_fully_covered_k_times(self, model_l2, k):
-        d = place_proposed(model_l2, k)
-        assert triangle_coverage_certificate(d) >= k
-
-
-class TestLowerBound:
-    def test_returns_three(self):
-        assert minimum_sensors_lower_bound() == 3
-
-    def test_center_covers_all_six(self):
-        hexagon = Hexagon(ORIGIN)
-        assert fully_covered_triangles(hexagon, 0.0, 0.0, 1.0) == 6
-
-    def test_segment_midpoint_covers_exactly_two(self):
-        hexagon = Hexagon(ORIGIN)
-        assert fully_covered_triangles(hexagon, 0.5, 0.0, 1.0) == 2
-
-    def test_vertex_covers_exactly_two(self):
-        hexagon = Hexagon(ORIGIN)
-        assert fully_covered_triangles(hexagon, 1.0, 0.0, 1.0) == 2
-
-    def test_best_two_sensor_placement_misses_triangles(self):
-        # grid oracle: no off-center candidate exceeds 2 covered triangles, so
-        # two sensors reach at most 4 of 6
-        hexagon = Hexagon(ORIGIN)
-        best = 0
-        n = 16
-        for triangle in hexagon.triangles():
-            (ax, ay), (bx, by), (cx, cy) = triangle.vertices_xy(1.0)
-            for i in range(n + 1):
-                for j in range(n + 1 - i):
-                    u, v = i / n, j / n
-                    w = 1.0 - u - v
-                    x = u * ax + v * bx + w * cx
-                    y = u * ay + v * by + w * cy
-                    if x == 0.0 and y == 0.0:
-                        continue
-                    best = max(best, fully_covered_triangles(hexagon, x, y, 1.0))
-        assert best == 2
-        assert 2 * best < 6
 
 
 class TestRemoveSensors:

@@ -81,10 +81,10 @@ class TestJson:
     def test_benchmark_json(self, model, tmp_path):
         deployment = place_benchmark(model, 2, seed=1)
         path = tmp_path / "bench.json"
-        write_sensors_json(path, deployment, include_model=False)
+        write_sensors_json(path, deployment)
         payload = json.loads(path.read_text())
         assert payload["meta"]["seed"] == "1"
-        assert "model" not in payload
+        assert payload["model"]["hexagon_count"] == 7
         assert all(s["provenance"] == "random" for s in payload["sensors"])
 
     def test_extra_meta_recorded(self, model, tmp_path):

@@ -17,6 +17,7 @@ from hexcover.tiling import (
     build_solar_model,
     hexagon_count,
     model_to_dict,
+    patch_triangles,
     region_contains,
     units_xy,
     vertex_count,
@@ -190,6 +191,14 @@ class TestBoundingBox:
     def test_closed_form_equals_vertex_scan(self, layers, radius):
         model = dataclasses.replace(unit_model(layers), side=radius)
         assert model.bounding_box() == scanned_bounding_box(model)
+
+
+@pytest.mark.parametrize("layers", range(1, 7))
+@pytest.mark.parametrize("radius", [0.3, 2.5, 10.0, 1e-150, 1e150])
+def test_patch_triangles_equal_the_exact_triangles(layers, radius):
+    model = build_solar_model(layers, radius)
+    exact = np.array([t.vertices_xy(radius) for hexagon in model.hexagons for t in hexagon.triangles()])
+    assert np.array_equal(patch_triangles(model).view(np.uint64), exact.view(np.uint64))
 
 
 class TestModelExport:

@@ -1,24 +1,31 @@
-"""Tests for the sampling-based coverage certifier."""
+"""Tests for the sampling-based coverage certifier and the triangle-coverage kernel."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from exact_reference import dense_covering
 from hexcover.benchmark import place_benchmark
+from hexcover.cli import main
 from hexcover.deployment import place_proposed, remove_sensors
 from hexcover.geometry import centroid, midpoint
 from hexcover.sensor_io import load_deployment, read_sensors_csv, write_sensors_csv
 from hexcover import verifier
-from hexcover.tiling import build_solar_model, triangle_samples
+from hexcover.tiling import build_solar_model, patch_triangles, triangle_samples
 from hexcover.verifier import (
+    covering_pairs,
     coverage_counts,
     grid_points,
+    minimum_sensors_lower_bound,
     monte_carlo_points,
     probe_estimate,
     region_contains,
     residual_coverage,
     structured_points,
+    triangle_coverage_certificate,
     verify_coverage,
 )
 
@@ -262,3 +269,111 @@ class TestResidualCoverage:
         deployment = place_proposed(model_l1, 3)
         with pytest.raises(ValueError):
             residual_coverage(deployment, [0, 0], mc_samples=MC)
+
+
+def thinned(deployment, seed, share=0.05):
+    """The deployment without a seeded random ``share`` of its sensors."""
+    count = deployment.sensor_count()
+    removed = np.random.default_rng(seed).choice(count, size=max(1, int(share * count)), replace=False)
+    return remove_sensors(deployment, removed.tolist())
+
+
+def jittered(deployment, seed, scale):
+    """The deployment with every sensor moved by up to ``scale`` radii along each axis."""
+    shift = np.random.default_rng(seed).uniform(-scale, scale, deployment.sensors.shape) * deployment.r
+    return dataclasses.replace(deployment, sensors=deployment.sensors + shift)
+
+
+CROSS_CHECK_LAYOUTS = {
+    "scheme-l2-k2": lambda: place_benchmark(build_solar_model(2), 2, seed=1),
+    "scheme-l3-k5": lambda: place_benchmark(build_solar_model(3, 10.0), 5, seed=7),
+    "scheme-l2-k10-offset": lambda: place_benchmark(
+        build_solar_model(2, 2.5), 10, seed=3, offset=(Fraction(1, 3), Fraction(-1, 5))
+    ),
+    "thinned-l3-k4": lambda: thinned(place_proposed(build_solar_model(3, 2.5), 4), seed=0),
+    "thinned-l2-k7": lambda: thinned(place_proposed(build_solar_model(2, 10.0), 7), seed=1, share=0.2),
+    "jittered-l3-k4-inside-tolerance": lambda: jittered(place_proposed(build_solar_model(3, 2.5), 4), 2, 1e-11),
+    "jittered-l2-k6": lambda: jittered(place_proposed(build_solar_model(2, 10.0), 6), 3, 1e-3),
+    "jittered-l3-k3": lambda: jittered(place_proposed(build_solar_model(3), 3), 4, 0.05),
+}
+
+# The unit hexagon's six triangles.
+UNIT_TRIANGLES = patch_triangles(build_solar_model(1))
+
+
+def held_triangles(x, y):
+    """How many of the unit hexagon's triangles the unit disk at (x, y) holds."""
+    return len(covering_pairs(UNIT_TRIANGLES, np.array([[x, y]]), 1.0)[0])
+
+
+class TestTriangleCoverage:
+    @pytest.mark.parametrize("layout", CROSS_CHECK_LAYOUTS)
+    @pytest.mark.parametrize("widen", [1.0, 0.6, 2.5])
+    def test_covering_pairs_equal_the_dense_reference(self, layout, widen):
+        # Disks wider than the triangles hold them from farther off their centroids.
+        deployment = CROSS_CHECK_LAYOUTS[layout]()
+        triangles, radius = patch_triangles(deployment.model), widen * deployment.r
+        triangle, sensor = covering_pairs(triangles, deployment.sensors, radius)
+        held = np.zeros((len(triangles), deployment.sensor_count()), dtype=bool)
+        held[triangle, sensor] = True
+        assert held.sum() == len(triangle)
+        assert (np.diff(triangle) >= 0).all()
+        assert np.array_equal(held, dense_covering(triangles, deployment.sensors, radius))
+
+    @pytest.mark.parametrize("layout", CROSS_CHECK_LAYOUTS)
+    def test_certificate_implies_a_sampled_pass(self, layout):
+        deployment = CROSS_CHECK_LAYOUTS[layout]()
+        certified = triangle_coverage_certificate(deployment)
+        report = verify_coverage(deployment, target_k=certified, mc_samples=MC)
+        assert report.passed, f"certificate {certified}, sampled minimum {report.min_coverage}"
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
+    def test_proposed_plans_certify_exactly_k(self, layers, k):
+        assert triangle_coverage_certificate(place_proposed(build_solar_model(layers, 2.5), k)) == k
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--layers", "3", "--coverage", "4", "--radius", "2.5"], 4),
+            (["--layers", "10", "--coverage", "10", "--radius", "10"], 10),
+            (["--layers", "5", "--coverage", "60", "--radius", "10"], 60),
+            (["--layers", "20", "--coverage", "10", "--radius", "10"], 10),
+            (["--strategy", "benchmark", "--layers", "10", "--coverage", "10", "--radius", "10", "--seed", "7"], 1),
+        ],
+        ids=["l3-k4", "l10-k10", "l5-k60", "l20-k10", "scheme-l10-k10"],
+    )
+    def test_certificate_of_plans_reloaded_from_csv(self, tmp_path, flags, expected):
+        path = tmp_path / "sensors.csv"
+        assert main(["plan", *flags, "--output", str(path)]) == 0
+        assert triangle_coverage_certificate(load_deployment(read_sensors_csv(path))) == expected
+
+    def test_no_sensors_certify_zero(self, model_l1):
+        assert triangle_coverage_certificate(remove_sensors(place_proposed(model_l1, 1), [0])) == 0
+
+
+class TestLowerBound:
+    def test_returns_three(self):
+        assert minimum_sensors_lower_bound() == 3
+
+    def test_center_holds_all_six(self):
+        assert held_triangles(0.0, 0.0) == 6
+
+    def test_segment_midpoint_holds_exactly_two(self):
+        assert held_triangles(0.5, 0.0) == 2
+
+    def test_vertex_holds_exactly_two(self):
+        assert held_triangles(1.0, 0.0) == 2
+
+    def test_best_two_sensor_placement_misses_triangles(self):
+        # a second barycentric grid: no off-center candidate holds more than
+        # 2 triangles, so two sensors reach at most 4 of 6
+        n = 16
+        u, v = np.array([(i / n, j / n) for i in range(n + 1) for j in range(n + 1 - i)]).T
+        w = 1.0 - u - v
+        center, a, b = (UNIT_TRIANGLES[:, None, corner] for corner in range(3))
+        candidates = (u[:, None] * center + v[:, None] * a + w[:, None] * b).reshape(-1, 2)
+        candidates = candidates[~(candidates == 0.0).all(axis=1)]
+        best = np.bincount(covering_pairs(UNIT_TRIANGLES, candidates, 1.0)[1]).max()
+        assert best == 2
+        assert 2 * best < 6
