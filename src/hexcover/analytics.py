@@ -1,14 +1,16 @@
 """Density formulas, asymptotic ratios, and the figure-table sweeps.
 
-All series here come from the closed forms; nothing is sampled.  Axis ranges
-for the sweeps are tool defaults (the source material fixes none), so the CSV
-meta line marks them as implementer-chosen.
+All series here come from the closed forms; nothing is sampled.  A sweep is
+set by the three ranges ``hexcover sweep`` exposes: radii, k and l.
+``SERIES`` holds what each of fig4-fig7 keeps fixed and which pair of closed
+forms it draws; fig8 is the k x l grid.  The default ranges are tool defaults
+(the source material fixes none), so the CSV meta line marks them as such.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .benchmark import benchmark_count
 from .deployment import total_count
@@ -43,32 +45,53 @@ def count_ratio(layers: int, k: int) -> float:
     return total_count(layers, k) / benchmark_count(layers, k)
 
 
+# Rows per figure table.  A sweep builds all five tables before it writes any,
+# and at most four can reach the limit together (a k range that long leaves
+# fig8 one l, and the reverse).  With four full tables a sweep peaks at
+# 670-870 bytes per row for the default magnitudes and 4.3-5.1 kB per row
+# for ints near the float limit (counts of l ~ 1e152 or k ~ 1e300), so this
+# caps it near 0.5 GB (tracemalloc, 10^4 and 10^5 rows).
+MAX_ROWS = 100_000
+
+NOTE = "axis ranges are tool defaults, not normative"
+
+
+def _check_rows(rows: int, flags: str) -> None:
+    if rows == 0:
+        raise ValueError(f"empty sweep range: {flags}")
+    if rows > MAX_ROWS:
+        raise ValueError(f"{flags} give {rows} rows per figure, above the limit of {MAX_ROWS}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept variable over an inclusive range, with fixed companions."""
+    """The radius sweep: ``start`` to ``stop`` inclusive in steps of ``step``."""
 
-    variable: str  # radius | coverage_k | layers | joint
     start: float
     stop: float
     step: float
-    fixed: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.step <= 0:
             raise ValueError(f"sweep step must be positive, got {self.step}")
         if self.stop < self.start:
-            raise ValueError("empty sweep range")
+            raise ValueError("empty sweep range: --r-start and --r-stop")
 
     def values(self) -> list[float]:
+        """The radii by repeated addition, at most ``MAX_ROWS`` of them.
+
+        The bound also ends a step too small to move the sum.
+        """
         out = []
         value = self.start
         while value <= self.stop + 1e-9 * self.step:
+            if len(out) == MAX_ROWS:
+                raise ValueError(
+                    f"--r-start, --r-stop and --r-step give more than {MAX_ROWS} rows per figure, the limit"
+                )
             out.append(value)
             value += self.step
         return out
-
-    def int_values(self) -> list[int]:
-        return [int(round(v)) for v in self.values()]
 
 
 @dataclass(frozen=True)
@@ -77,7 +100,6 @@ class FigureTable:
 
     figure_id: str
     columns: dict[str, list]
-    notes: str
 
     def __post_init__(self) -> None:
         lengths = {len(series) for series in self.columns.values()}
@@ -89,84 +111,54 @@ class FigureTable:
                     raise ValueError("figure values must be finite")
 
 
-DEFAULT_SWEEPS = {
-    "fig4": SweepSpec("radius", 1, 30, 1, {"k": (2, 7)}),
-    "fig5": SweepSpec("coverage_k", 1, 10, 1, {"r": (10.0, 20.0)}),
-    "fig6": SweepSpec("layers", 1, 10, 1, {"k": (3, 10)}),
-    "fig7": SweepSpec("coverage_k", 1, 10, 1, {"l": (3, 5)}),
-    "fig8": SweepSpec("joint", 1, 10, 1, {}),
+DEFAULT_RADII = SweepSpec(1.0, 30.0, 1.0)
+DEFAULT_KS = range(1, 11)
+DEFAULT_LS = range(1, 11)
+
+# Figs. 4-7 each sweep one axis and draw the proposed and the comparison
+# closed form at two values of one fixed parameter: (swept axis, fixed
+# parameter, its values, proposed(x, value), comparison(x, value)).
+SERIES = {
+    "fig4": ("r", "k", (2, 7), lambda r, k: density_proposed(k, r), lambda r, k: density_benchmark(k, r)),
+    "fig5": ("k", "r", (10, 20), density_proposed, density_benchmark),
+    "fig6": ("l", "k", (3, 10), total_count, benchmark_count),
+    "fig7": ("k", "l", (3, 5), lambda k, l: total_count(l, k), lambda k, l: benchmark_count(l, k)),
 }
 
 
-def emit_figure_table(figure_id: str, spec: SweepSpec | None = None) -> FigureTable:
-    """Evaluate the closed forms behind one figure.
+def emit_figure_table(
+    figure_id: str,
+    radii: SweepSpec = DEFAULT_RADII,
+    ks: range = DEFAULT_KS,
+    ls: range = DEFAULT_LS,
+) -> FigureTable:
+    """Evaluate the closed forms behind one figure over the swept ranges.
 
-    fig4: density vs sensing radius, both schemes, k in {2, 7}.
-    fig5: density vs coverage target, both schemes, r in {10, 20} m.
-    fig6: sensor counts vs layer count, both schemes, k in {3, 10}.
-    fig7: sensor counts vs coverage target, both schemes, l in {3, 5}.
-    fig8: count gap (benchmark - proposed) over the (k, l) grid.
+    fig4: density vs sensing radius, fig5: density vs coverage target, fig6:
+    sensor counts vs layer count, fig7: sensor counts vs coverage target, each
+    for both schemes at the two values ``SERIES`` fixes.  fig8: count gap
+    (benchmark - proposed) over the (k, l) grid, k-major.
+
+    Raises ``ValueError`` for an empty range or one above ``MAX_ROWS`` rows.
     """
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}, expected one of {FIGURE_IDS}")
-    if spec is None:
-        spec = DEFAULT_SWEEPS[figure_id]
+    _check_rows(len(ks), "--k-min and --k-max")
+    _check_rows(len(ls), "--l-min and --l-max")
+    if figure_id == "fig8":
+        _check_rows(len(ks) * len(ls), "--k-min, --k-max, --l-min and --l-max")
+        rows = [(k, l, total_count(l, k), benchmark_count(l, k)) for k in ks for l in ls]
+        columns = {name: [row[i] for row in rows] for i, name in enumerate(("k", "l", "proposed", "cga"))}
+        columns["gap"] = [cga - proposed for _, _, proposed, cga in rows]
+        return FigureTable(figure_id, columns)
 
-    notes = "axis ranges are tool defaults, not normative"
-    if figure_id == "fig4":
-        radii = spec.values()
-        columns: dict[str, list] = {"r": radii}
-        for k in spec.fixed.get("k", (2, 7)):
-            columns[f"proposed_k{k}"] = [density_proposed(k, r) for r in radii]
-            columns[f"cga_k{k}"] = [density_benchmark(k, r) for r in radii]
-        return FigureTable(figure_id, columns, notes)
-
-    if figure_id == "fig5":
-        ks = spec.int_values()
-        columns = {"k": ks}
-        for r in spec.fixed.get("r", (10.0, 20.0)):
-            tag = f"r{int(r) if float(r).is_integer() else r}"
-            columns[f"proposed_{tag}"] = [density_proposed(k, r) for k in ks]
-            columns[f"cga_{tag}"] = [density_benchmark(k, r) for k in ks]
-        return FigureTable(figure_id, columns, notes)
-
-    if figure_id == "fig6":
-        layers = spec.int_values()
-        columns = {"l": layers}
-        for k in spec.fixed.get("k", (3, 10)):
-            columns[f"proposed_k{k}"] = [total_count(l, k) for l in layers]
-            columns[f"cga_k{k}"] = [benchmark_count(l, k) for l in layers]
-        return FigureTable(figure_id, columns, notes)
-
-    if figure_id == "fig7":
-        ks = spec.int_values()
-        columns = {"k": ks}
-        for l in spec.fixed.get("l", (3, 5)):
-            columns[f"proposed_l{l}"] = [total_count(l, k) for k in ks]
-            columns[f"cga_l{l}"] = [benchmark_count(l, k) for k in ks]
-        return FigureTable(figure_id, columns, notes)
-
-    ks = spec.int_values()
-    layers = spec.fixed.get("l_values") or ks
-    rows_k: list[int] = []
-    rows_l: list[int] = []
-    proposed: list[int] = []
-    cga: list[int] = []
-    gap: list[int] = []
-    for k in ks:
-        for l in layers:
-            rows_k.append(k)
-            rows_l.append(l)
-            n = total_count(l, k)
-            n_ex = benchmark_count(l, k)
-            proposed.append(n)
-            cga.append(n_ex)
-            gap.append(n_ex - n)
-    return FigureTable(
-        "fig8",
-        {"k": rows_k, "l": rows_l, "proposed": proposed, "cga": cga, "gap": gap},
-        notes,
-    )
+    axis, fixed, values, proposed, comparison = SERIES[figure_id]
+    xs = radii.values() if axis == "r" else list(ks if axis == "k" else ls)
+    columns = {axis: xs}
+    for value in values:
+        columns[f"proposed_{fixed}{value}"] = [proposed(x, value) for x in xs]
+        columns[f"cga_{fixed}{value}"] = [comparison(x, value) for x in xs]
+    return FigureTable(figure_id, columns)
 
 
 def format_value(value) -> str:
@@ -178,7 +170,7 @@ def format_value(value) -> str:
 
 
 def figure_csv_lines(table: FigureTable, version: str) -> list[str]:
-    lines = [f"# meta: tool=hexcover version={version} figure={table.figure_id} note={table.notes}"]
+    lines = [f"# meta: tool=hexcover version={version} figure={table.figure_id} note={NOTE}"]
     names = list(table.columns)
     lines.append(",".join(names))
     length = len(next(iter(table.columns.values()), []))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .deployment import Deployment, InvariantViolation, total_count
 from .geometry import ORIGIN, SQRT3, Hexagon
-from .tiling import SolarModel, region_contains, triangle_samples
+from .tiling import SolarModel, hexagon_count, region_contains, triangle_samples
 
 SMALL_SIDE = Fraction(1, 2)
 
@@ -31,13 +31,23 @@ SMALL_SIDE = Fraction(1, 2)
 def benchmark_count(layers: int, k: int) -> int:
     """Closed-form sensor count of the comparison scheme."""
     if k == 1:
-        return 1 + 3 * layers * (layers - 1)
+        return hexagon_count(layers)
     return k * small_hexagon_formula_count(layers)
 
 
 def small_hexagon_formula_count(layers: int) -> int:
     """The printed tile count for the comparison scheme: 15 l^2 - 27 l + 18."""
     return 15 * layers * layers - 27 * layers + 18
+
+
+def _scan_reach(layers: int) -> int:
+    """``small_hexagon_centers`` scans the axial square |q|, |w| <= 4l + 4."""
+    return 4 * layers + 4
+
+
+def candidate_count(layers: int) -> int:
+    """Small hexagons ``small_hexagon_centers`` tests for containment: (8l + 9)^2."""
+    return (2 * _scan_reach(layers) + 1) ** 2
 
 
 def count_gap(layers: int, k: int) -> int:
@@ -96,7 +106,7 @@ def small_hexagon_centers(
     which counts as inside) or bounded away from zero by the quarter-integer
     lattice, so the band never misclassifies.
     """
-    reach = 4 * model.layers + 4
+    reach = _scan_reach(model.layers)
     steps = np.arange(-reach, reach + 1)
     q, w = np.meshgrid(steps, steps, indexing="ij")
     axial = np.column_stack([q.ravel(), w.ravel()])

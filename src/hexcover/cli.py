@@ -17,6 +17,9 @@ import numpy as np
 
 from . import __version__
 from .analytics import (
+    DEFAULT_KS,
+    DEFAULT_LS,
+    DEFAULT_RADII,
     FIGURE_IDS,
     SweepSpec,
     count_ratio,
@@ -27,6 +30,7 @@ from .analytics import (
 )
 from .benchmark import (
     benchmark_count,
+    candidate_count,
     count_gap,
     place_benchmark,
     small_hexagon_formula_count,
@@ -48,9 +52,9 @@ EXIT_COVERAGE_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 # Record budget of one plan run, counted before anything is built: the
-# closed-form count for the proposed strategy, k * (8l + 9)**2 candidate tiles
-# for the scheme, and for a JSON plan also the patch's 6l**2 vertices, which
-# it embeds with their incident hexagons.  A proposed CSV plan peaks at about
+# closed-form count for the proposed strategy, k * ``candidate_count`` (the
+# (8l + 9)**2 tiles it scans) for the scheme, and for a JSON plan also the
+# patch's 6l**2 vertices, which it embeds with their incident hexagons.  A proposed CSV plan peaks at about
 # 720 bytes per sensor at k = 1 and 540-640 at larger k (the rows); a JSON
 # plan at 700 bytes per sensor or vertex at k = 1 and 570-620 from k = 2; the
 # scheme at 85-390 per counted tile.  So the budget caps a plan near 0.7 GB
@@ -137,13 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser("sweep", help="write the figure CSVs (fig4..fig8)")
     sweep.add_argument("--output", default="figures", help="output directory (default: figures)")
-    sweep.add_argument("--r-start", type=_positive_float, default=1.0, help="radius sweep start (default: 1)")
-    sweep.add_argument("--r-stop", type=_positive_float, default=30.0, help="radius sweep stop (default: 30)")
-    sweep.add_argument("--r-step", type=_positive_float, default=1.0, help="radius sweep step (default: 1)")
-    sweep.add_argument("--k-min", type=_positive_int, default=1, help="coverage sweep start (default: 1)")
-    sweep.add_argument("--k-max", type=_positive_int, default=10, help="coverage sweep stop (default: 10)")
-    sweep.add_argument("--l-min", type=_positive_int, default=1, help="layer sweep start (default: 1)")
-    sweep.add_argument("--l-max", type=_positive_int, default=10, help="layer sweep stop (default: 10)")
+    sweep.add_argument("--r-start", type=_positive_float, default=DEFAULT_RADII.start, help="radius sweep start (default: %(default)g)")
+    sweep.add_argument("--r-stop", type=_positive_float, default=DEFAULT_RADII.stop, help="radius sweep stop (default: %(default)g)")
+    sweep.add_argument("--r-step", type=_positive_float, default=DEFAULT_RADII.step, help="radius sweep step (default: %(default)g)")
+    sweep.add_argument("--k-min", type=_positive_int, default=DEFAULT_KS[0], help="coverage sweep start (default: %(default)s)")
+    sweep.add_argument("--k-max", type=_positive_int, default=DEFAULT_KS[-1], help="coverage sweep stop (default: %(default)s)")
+    sweep.add_argument("--l-min", type=_positive_int, default=DEFAULT_LS[0], help="layer sweep start (default: %(default)s)")
+    sweep.add_argument("--l-max", type=_positive_int, default=DEFAULT_LS[-1], help="layer sweep stop (default: %(default)s)")
 
     return parser
 
@@ -152,7 +156,7 @@ def run_plan(args: argparse.Namespace) -> int:
     if args.strategy == "proposed":
         records = total_count(args.layers, args.coverage)
     else:
-        records = args.coverage * (8 * args.layers + 9) ** 2
+        records = args.coverage * candidate_count(args.layers)
     if args.format == "json":
         records += vertex_count(args.layers)
     if records > MAX_SENSORS:
@@ -272,35 +276,20 @@ def run_compare(args: argparse.Namespace) -> int:
 
 
 def run_sweep(args: argparse.Namespace) -> int:
+    ks = range(args.k_min, args.k_max + 1)
+    ls = range(args.l_min, args.l_max + 1)
     try:
-        specs = {
-            "fig4": SweepSpec("radius", args.r_start, args.r_stop, args.r_step, {"k": (2, 7)}),
-            "fig5": SweepSpec("coverage_k", args.k_min, args.k_max, 1, {"r": (10.0, 20.0)}),
-            "fig6": SweepSpec("layers", args.l_min, args.l_max, 1, {"k": (3, 10)}),
-            "fig7": SweepSpec("coverage_k", args.k_min, args.k_max, 1, {"l": (3, 5)}),
-            "fig8": SweepSpec(
-                "joint", args.k_min, args.k_max, 1,
-                {"l_values": list(range(args.l_min, args.l_max + 1))},
-            ),
-        }
-    except ValueError as exc:  # a stop below its start
+        radii = SweepSpec(args.r_start, args.r_stop, args.r_step)
+        tables = [emit_figure_table(figure_id, radii, ks, ls) for figure_id in FIGURE_IDS]
+    except (ValueError, ArithmeticError) as exc:  # an empty or oversized range, or a value beyond floats
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     out_dir = Path(args.output)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write-test"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        print(f"error: output directory not writable: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    for figure_id in FIGURE_IDS:
-        table = emit_figure_table(figure_id, specs[figure_id])
-        write_figure_csv(table, out_dir / f"{figure_id}.csv", __version__)
-    print(f"sweep: wrote {len(FIGURE_IDS)} figure files to {out_dir}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for table in tables:
+        write_figure_csv(table, out_dir / f"{table.figure_id}.csv", __version__)
+    print(f"sweep: wrote {len(tables)} figure files to {out_dir}")
     return EXIT_OK
 
 

@@ -86,7 +86,7 @@ def per_hexagon_count(k: int) -> int:
 def total_count(layers: int, k: int) -> int:
     """Closed-form sensor count for the whole patch."""
     if k == 1:
-        return 1 + 3 * layers * (layers - 1)
+        return hexagon_count(layers)
     if k == 2:
         return 6 * layers * layers - 3 * layers + 1
     return (

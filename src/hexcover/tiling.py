@@ -117,13 +117,18 @@ class SolarModel:
         for bit.
         """
         half = 0.5 * self.side
-        x_units, y_units = 3 * self.layers - 1, 2 * self.layers - 1
+        x_units, y_units = extreme_units(self.layers)
         return (
             float(-x_units) * half,
             float(-y_units) * SQRT3 * half,
             float(x_units) * half,
             float(y_units) * SQRT3 * half,
         )
+
+
+def extreme_units(layers: int) -> tuple[int, int]:
+    """Largest |x| and |y| lattice coefficients of a patch vertex (see ``bounding_box``)."""
+    return 3 * layers - 1, 2 * layers - 1
 
 
 def hexagon_count(layers: int) -> int:

@@ -50,6 +50,7 @@ from .tiling import (
     SolarModel,
     build_solar_model,
     center_units,
+    extreme_units,
     hexagon_count,
     patch_triangles,
     region_contains,
@@ -135,14 +136,16 @@ def probe_estimate(layers: int, radius: float, grid_step: float | None, mc_sampl
     """Probes ``verify_coverage`` would evaluate, from closed forms, before anything is built.
 
     About 18 structured probes per hexagon, the raw grid over the patch's
-    bounding box ((3l - 1) r wide, (2l - 1) sqrt(3) r high) and the Monte
-    Carlo samples.  Exact rational arithmetic keeps absurd inputs from
-    overflowing.  ``radius`` must lie within ``FLOAT_LIMIT`` and its reciprocal.
+    bounding box (x r wide and y sqrt(3) r high, (x, y) = ``extreme_units``)
+    and the Monte Carlo samples.  Exact rational arithmetic keeps absurd
+    inputs from overflowing.  ``radius`` must lie within ``FLOAT_LIMIT`` and
+    its reciprocal.
     """
     step = default_grid_step(radius) if grid_step is None else grid_step
     per_step = Fraction(radius) / Fraction(step)
-    columns = math.floor((3 * layers - 1) * per_step) + 2
-    rows = math.floor((2 * layers - 1) * Fraction(SQRT3) * per_step) + 2
+    x_units, y_units = extreme_units(layers)
+    columns = math.floor(x_units * per_step) + 2
+    rows = math.floor(y_units * Fraction(SQRT3) * per_step) + 2
     return 18 * hexagon_count(layers) + columns * rows + mc_samples
 
 
@@ -444,8 +447,6 @@ def verify_coverage(
         del stage, counts  # free this stage's probes before the next one is built
 
     if min_coverage is None:
-        min_coverage = 0
-    if len(deployment.sensors) == 0:
         min_coverage = 0
 
     region = (

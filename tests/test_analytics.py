@@ -7,8 +7,11 @@ import pytest
 
 from float_geometry import hexagon_area
 from hexcover.analytics import (
-    DEFAULT_SWEEPS,
+    DEFAULT_KS,
+    DEFAULT_LS,
+    DEFAULT_RADII,
     FIGURE_IDS,
+    MAX_ROWS,
     FigureTable,
     SweepSpec,
     count_ratio,
@@ -87,22 +90,53 @@ class TestRatioLimits:
 
 class TestSweepSpec:
     def test_values_inclusive(self):
-        spec = SweepSpec("radius", 1, 5, 1)
+        spec = SweepSpec(1, 5, 1)
         assert spec.values() == [1, 2, 3, 4, 5]
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            SweepSpec("radius", 1, 5, 0)
+            SweepSpec(1, 5, 0)
 
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
-            SweepSpec("radius", 5, 1, 1)
+            SweepSpec(5, 1, 1)
+
+    def test_values_stop_at_the_row_limit(self):
+        assert len(SweepSpec(1.0, float(MAX_ROWS), 1.0).values()) == MAX_ROWS
+        with pytest.raises(ValueError, match="--r-step"):
+            SweepSpec(1.0, float(MAX_ROWS + 1), 1.0).values()
+
+    def test_step_below_float_spacing_ends(self):
+        # 1.0 + 1e-300 == 1.0: only the row limit ends this loop
+        with pytest.raises(ValueError, match="rows per figure"):
+            SweepSpec(1.0, 2.0, 1e-300).values()
 
 
 class TestFigureTables:
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):
             emit_figure_table("fig9")
+
+    @pytest.mark.parametrize(
+        "figure_id, ks, ls, flags",
+        [
+            ("fig5", range(1, MAX_ROWS + 2), DEFAULT_LS, "--k-min and --k-max"),
+            ("fig7", range(1, 10**12), DEFAULT_LS, "--k-min and --k-max"),
+            ("fig6", DEFAULT_KS, range(1, 10**7), "--l-min and --l-max"),
+            ("fig8", range(1, 1001), range(1, MAX_ROWS // 1000 + 2), "--k-min, --k-max, --l-min and --l-max"),
+            ("fig5", range(3, 3), DEFAULT_LS, "empty sweep range: --k-min and --k-max"),
+            ("fig8", DEFAULT_KS, range(5, 4), "empty sweep range"),
+        ],
+    )
+    def test_oversized_or_empty_ranges_rejected(self, figure_id, ks, ls, flags):
+        with pytest.raises(ValueError, match=flags):
+            emit_figure_table(figure_id, DEFAULT_RADII, ks, ls)
+
+    def test_ranges_at_the_limit_build(self):
+        grid = emit_figure_table("fig8", DEFAULT_RADII, range(1, 1001), range(1, MAX_ROWS // 1000 + 1))
+        assert len(grid.columns["gap"]) == MAX_ROWS
+        layers = emit_figure_table("fig6", DEFAULT_RADII, DEFAULT_KS, range(1, MAX_ROWS + 1))
+        assert len(layers.columns["l"]) == MAX_ROWS
 
     def test_all_defaults_build(self):
         for figure_id in FIGURE_IDS:
@@ -191,11 +225,11 @@ class TestFigureTables:
 
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            FigureTable("fig4", {"a": [1, 2], "b": [1]}, "")
+            FigureTable("fig4", {"a": [1, 2], "b": [1]})
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            FigureTable("fig4", {"a": [float("nan")]}, "")
+            FigureTable("fig4", {"a": [float("nan")]})
 
 
 class TestCsvEmission:
@@ -207,7 +241,7 @@ class TestCsvEmission:
         lines = figure_csv_lines(emit_figure_table("fig4"), "0.1.0")
         assert lines[0].startswith("# meta: tool=hexcover")
         assert lines[1].split(",")[0] == "r"
-        assert len(lines) == 2 + len(DEFAULT_SWEEPS["fig4"].values())
+        assert len(lines) == 2 + len(DEFAULT_RADII.values())
 
     def test_floats_use_six_significant_digits(self):
         lines = figure_csv_lines(emit_figure_table("fig4"), "0.1.0")

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from float_geometry import hexagon_contains_xy
+from hexcover import benchmark
 from hexcover.benchmark import (
     SMALL_SIDE,
     _small_hexagon_xy,
     benchmark_count,
+    candidate_count,
     count_gap,
     place_benchmark,
     small_hexagon_centers,
@@ -75,6 +77,20 @@ class TestClosedForms:
     def test_k1_equals_hexagon_count(self):
         for layers in range(1, 9):
             assert benchmark_count(layers, 1) == 1 + 3 * layers * (layers - 1)
+
+    @pytest.mark.parametrize("layers", [1, 2, 5])
+    def test_candidate_count_is_the_scanned_square(self, layers, monkeypatch):
+        # the plan budget counts these tiles, so it must match the real scan
+        tested = []
+        contains = benchmark.region_contains
+
+        def counting(model, points, tol):
+            tested.append(len(points))
+            return contains(model, points, tol=tol)
+
+        monkeypatch.setattr(benchmark, "region_contains", counting)
+        small_hexagon_centers(build_solar_model(layers))
+        assert tested == [6 * candidate_count(layers)] == [6 * (8 * layers + 9) ** 2]
 
     @pytest.mark.parametrize("layers,k,expected", [(1, 2, 8), (1, 1, 0), (3, 5, 173)])
     def test_count_gap_values(self, layers, k, expected):

@@ -330,6 +330,41 @@ class TestSweep:
         assert run(["sweep", "--output", str(out), *flags]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            # 1.0 + 1e-300 == 1.0, so only the row limit ends the radius loop
+            (["--r-step", "1e-300"], "--r-step"),
+            (["--k-max", "1000000000000"], "--k-max"),
+            # fig6 would have 10^7 rows and fig8 10^8
+            (["--l-max", "10000000"], "--l-max"),
+        ],
+        ids=["tiny-r-step", "huge-k-max", "huge-l-max"],
+    )
+    def test_oversized_sweeps_are_refused_before_writing(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "figs"
+        started = time.perf_counter()
+        code = run(["sweep", "--output", str(out), *flags])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--r-start", "1e-200", "--r-stop", "1e-200"],  # r * r underflows to 0
+            ["--r-start", "1e-160", "--r-stop", "1e-160"],  # the densities overflow to inf
+            ["--k-min", "1" + "0" * 310, "--k-max", "1" + "0" * 310],  # k beyond the float range
+        ],
+        ids=["r-squared-zero", "density-inf", "k-beyond-float"],
+    )
+    def test_values_beyond_floats_are_usage_errors(self, tmp_path, capsys, flags):
+        out = tmp_path / "figs"
+        assert run(["sweep", "--output", str(out), *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_range_overrides(self, tmp_path):
         out = tmp_path / "figs"
         assert run(["sweep", "--output", str(out), "--r-stop", "5", "--k-max", "4",
