@@ -9,7 +9,6 @@ from .geometry import (
     PackingWitness,
     count_packed_small_hexagons,
     packing_diameter,
-    vertex_covers_triangle,
 )
 from .tiling import SolarModel, build_solar_model, hexagon_count
 from .deployment import (
@@ -58,6 +57,5 @@ __all__ = [
     "place_proposed",
     "residual_coverage",
     "total_count",
-    "vertex_covers_triangle",
     "verify_coverage",
 ]

@@ -56,6 +56,17 @@ MAX_ROWS = 100_000
 NOTE = "axis ranges are tool defaults, not normative"
 
 
+def finite(values, flags: str) -> list:
+    """``values`` (a generator, say) as a list; a ValueError naming ``flags`` if one overflows or is not finite."""
+    try:
+        out = list(values)
+        if all(math.isfinite(value) for value in out):
+            return out
+    except ArithmeticError:
+        pass
+    raise ValueError(f"{flags} give values beyond the float range")
+
+
 def _check_rows(rows: int, flags: str) -> None:
     if rows == 0:
         raise ValueError(f"empty sweep range: {flags}")
@@ -106,9 +117,7 @@ class FigureTable:
         if len(lengths) > 1:
             raise ValueError("figure columns must have equal length")
         for series in self.columns.values():
-            for value in series:
-                if not math.isfinite(value):
-                    raise ValueError("figure values must be finite")
+            finite(series, "figure columns")
 
 
 DEFAULT_RADII = SweepSpec(1.0, 30.0, 1.0)
@@ -117,13 +126,15 @@ DEFAULT_LS = range(1, 11)
 
 # Figs. 4-7 each sweep one axis and draw the proposed and the comparison
 # closed form at two values of one fixed parameter: (swept axis, fixed
-# parameter, its values, proposed(x, value), comparison(x, value)).
+# parameter, its values, proposed(x, value), comparison(x, value)).  A value
+# beyond the float range can only come from the swept axis, named by its flags.
 SERIES = {
     "fig4": ("r", "k", (2, 7), lambda r, k: density_proposed(k, r), lambda r, k: density_benchmark(k, r)),
     "fig5": ("k", "r", (10, 20), density_proposed, density_benchmark),
     "fig6": ("l", "k", (3, 10), total_count, benchmark_count),
     "fig7": ("k", "l", (3, 5), lambda k, l: total_count(l, k), lambda k, l: benchmark_count(l, k)),
 }
+AXIS_FLAGS = {"r": "--r-start and --r-stop", "k": "--k-min and --k-max", "l": "--l-min and --l-max"}
 
 
 def emit_figure_table(
@@ -139,25 +150,27 @@ def emit_figure_table(
     for both schemes at the two values ``SERIES`` fixes.  fig8: count gap
     (benchmark - proposed) over the (k, l) grid, k-major.
 
-    Raises ``ValueError`` for an empty range or one above ``MAX_ROWS`` rows.
+    Raises ``ValueError`` for an empty range, one above ``MAX_ROWS`` rows, or
+    one whose values leave the float range, naming the flags that set it.
     """
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}, expected one of {FIGURE_IDS}")
-    _check_rows(len(ks), "--k-min and --k-max")
-    _check_rows(len(ls), "--l-min and --l-max")
+    _check_rows(len(ks), AXIS_FLAGS["k"])
+    _check_rows(len(ls), AXIS_FLAGS["l"])
     if figure_id == "fig8":
-        _check_rows(len(ks) * len(ls), "--k-min, --k-max, --l-min and --l-max")
+        flags = "--k-min, --k-max, --l-min and --l-max"
+        _check_rows(len(ks) * len(ls), flags)
         rows = [(k, l, total_count(l, k), benchmark_count(l, k)) for k in ks for l in ls]
         columns = {name: [row[i] for row in rows] for i, name in enumerate(("k", "l", "proposed", "cga"))}
         columns["gap"] = [cga - proposed for _, _, proposed, cga in rows]
-        return FigureTable(figure_id, columns)
+        return FigureTable(figure_id, {name: finite(series, flags) for name, series in columns.items()})
 
     axis, fixed, values, proposed, comparison = SERIES[figure_id]
     xs = radii.values() if axis == "r" else list(ks if axis == "k" else ls)
     columns = {axis: xs}
     for value in values:
-        columns[f"proposed_{fixed}{value}"] = [proposed(x, value) for x in xs]
-        columns[f"cga_{fixed}{value}"] = [comparison(x, value) for x in xs]
+        columns[f"proposed_{fixed}{value}"] = finite((proposed(x, value) for x in xs), AXIS_FLAGS[axis])
+        columns[f"cga_{fixed}{value}"] = finite((comparison(x, value) for x in xs), AXIS_FLAGS[axis])
     return FigureTable(figure_id, columns)
 
 

@@ -4,9 +4,9 @@ The small honeycomb shares the big tiling's orientation and is anchored at the
 origin (a small hexagon centered there); an exact rational offset can shift
 it.  A small hexagon is identified by its axial coordinates (q, w) on the
 small honeycomb and is handled in floats from there on: it belongs to the
-benchmark iff all six of its vertices pass the patch-membership test
-``tiling.region_contains`` with a 1e-9 band, and each such hexagon receives
-k uniformly sampled sensors from its own deterministic RNG stream.
+benchmark iff all six of its vertices pass ``tiling.region_contains``, the
+rule and band that clip the verify grid, and each such hexagon receives k
+uniformly sampled sensors from its own deterministic RNG stream.
 
 The closed-form count ``benchmark_count`` reports k*(15 l^2 - 27 l + 18) for
 k >= 2 as printed in the source scheme; the geometric enumeration is exposed
@@ -101,17 +101,20 @@ def small_hexagon_centers(
     """Axial coordinates (q, w) of the half-side hexagons inside the patch, in scan order.
 
     ``offset`` shifts the small tiling by rational multiples of the side
-    length along x and y.  Containment uses the float membership test with a
-    1e-9 band: vertex margins are either exactly zero (boundary contact,
-    which counts as inside) or bounded away from zero by the quarter-integer
-    lattice, so the band never misclassifies.
+    length along x and y.  In apothems (sqrt(3)/2 sides), a vertex's exact
+    margin to a patch edge is a multiple of 1/4 at zero offset and of 1/(4d)
+    for an x offset of denominator d: zero (boundary contact, inside) or far
+    wider than ``REGION_TOL`` and the float rounding.  Patch edges sit at
+    multiples of the apothem and a y offset at a rational multiple of the
+    side, so a margin a + b*sqrt(3) can be nonzero yet arbitrarily small; a
+    vertex outside by less than the band counts as inside, as a grid point.
     """
     reach = _scan_reach(model.layers)
     steps = np.arange(-reach, reach + 1)
     q, w = np.meshgrid(steps, steps, indexing="ij")
     axial = np.column_stack([q.ravel(), w.ravel()])
     _, vertices = _small_hexagon_xy(axial, offset, model.side)
-    inside = region_contains(model, vertices.reshape(-1, 2), tol=1e-9)
+    inside = region_contains(model, vertices.reshape(-1, 2))
     return axial[inside.reshape(-1, 6).all(axis=1)]
 
 

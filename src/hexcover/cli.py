@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .analytics import (
     density_benchmark,
     density_proposed,
     emit_figure_table,
+    finite,
     write_figure_csv,
 )
 from .benchmark import (
@@ -62,22 +64,16 @@ EXIT_INTERNAL = 3
 MAX_SENSORS = 1_000_000
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
-
-
 def _checked(parse, accept, expected: str):
     """An argparse ``type=`` that parses with ``parse`` and rejects values failing ``accept``."""
 
     def convert(text: str):
         try:
             value = parse(text)
-        except ValueError:
-            value = None
-        if value is None or not accept(value):
+            accepted = accept(value)
+        except (ValueError, ArithmeticError):  # unparsable, or too large to test
+            accepted = False
+        if not accepted:
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
 
@@ -89,10 +85,19 @@ _non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
 
 
-def _add_patch_args(parser: argparse.ArgumentParser) -> None:
+def _radius_in_range(radius: float) -> bool:
+    """Verify's radii, and so plan's: within ``FLOAT_LIMIT`` and its reciprocal."""
+    return 1 / FLOAT_LIMIT <= radius <= FLOAT_LIMIT
+
+
+_radius = _checked(float, _radius_in_range, f"a radius within [1/{FLOAT_LIMIT:g}, {FLOAT_LIMIT:g}]")
+_offset = _checked(Fraction, lambda v: abs(float(v)) <= FLOAT_LIMIT, f"a rational number within ±{FLOAT_LIMIT:g}")
+
+
+def _add_patch_args(parser: argparse.ArgumentParser, radius_type) -> None:
     parser.add_argument("--layers", type=_positive_int, default=1, help="hexagon rings in the patch (default: 1)")
     parser.add_argument("--coverage", type=_positive_int, default=1, help="coverage target k (default: 1)")
-    parser.add_argument("--radius", type=_positive_float, default=1.0, help="sensing radius / hexagon side in meters (default: 1)")
+    parser.add_argument("--radius", type=radius_type, default=1.0, help="sensing radius / hexagon side in meters (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,15 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
     plan = subparsers.add_parser("plan", help="place sensors and write them to a file")
-    _add_patch_args(plan)
+    _add_patch_args(plan, _radius)
     plan.add_argument("--strategy", choices=("proposed", "benchmark"), default="proposed",
                       help="placement strategy (default: proposed)")
     plan.add_argument("--seed", type=_non_negative_int, default=0, help="RNG seed for the benchmark strategy (default: 0)")
     plan.add_argument("--parity", choices=("even", "odd"), default="even",
                       help="alternate-vertex class used first (default: even)")
-    plan.add_argument("--offset-x", type=_fraction, default=Fraction(0),
+    plan.add_argument("--offset-x", type=_offset, default=Fraction(0),
                       help="benchmark tiling x offset, rational multiple of the radius (default: 0)")
-    plan.add_argument("--offset-y", type=_fraction, default=Fraction(0),
+    plan.add_argument("--offset-y", type=_offset, default=Fraction(0),
                       help="benchmark tiling y offset, rational multiple of the radius (default: 0)")
     plan.add_argument("--output", default="sensors.csv", help="sensor file path (default: sensors.csv)")
     plan.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default: csv)")
@@ -135,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--output", default=None, help="write the JSON report here")
 
     compare = subparsers.add_parser("compare", help="proposed vs benchmark counts and densities")
-    _add_patch_args(compare)
+    _add_patch_args(compare, _positive_float)
     compare.add_argument("--format", choices=("text", "json"), default="text",
                          help="output format (default: text)")
 
@@ -170,6 +175,7 @@ def run_plan(args: argparse.Namespace) -> int:
     if args.strategy == "proposed":
         # place_proposed raises InvariantViolation unless placed == formula.
         deployment = place_proposed(model, args.coverage, parity=args.parity)
+        deployment = replace(deployment, meta={**deployment.meta, "seed": args.seed})
         by_kind = " ".join(
             f"{kind}={np.char.startswith(deployment.provenance, kind).sum()}/{formula}"
             for kind, formula in count_by_kind(args.layers, args.coverage).items()
@@ -195,11 +201,7 @@ def run_plan(args: argparse.Namespace) -> int:
         f"{seed}n={placed} {details}"
     )
 
-    extra_meta = {"seed": args.seed} if args.strategy == "proposed" else None
-    if args.format == "csv":
-        write_sensors_csv(args.output, deployment, extra_meta=extra_meta)
-    else:
-        write_sensors_json(args.output, deployment, extra_meta=extra_meta)
+    (write_sensors_csv if args.format == "csv" else write_sensors_json)(args.output, deployment)
     print(summary)
     print(f"wrote {placed} sensors to {args.output}")
     return EXIT_OK
@@ -218,7 +220,7 @@ def run_verify(args: argparse.Namespace) -> int:
     except SensorFileError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not 1 / FLOAT_LIMIT <= radius <= FLOAT_LIMIT:
+    if not _radius_in_range(radius):
         print(f"error: radius {radius:g} is outside [1/{FLOAT_LIMIT:g}, {FLOAT_LIMIT:g}]", file=sys.stderr)
         return EXIT_USAGE
     probes = probe_estimate(layers, radius, args.grid_step, args.mc_samples)
@@ -254,6 +256,11 @@ def run_compare(args: argparse.Namespace) -> int:
     l, k, r = args.layers, args.coverage, args.radius
     n = total_count(l, k)
     n_ex = benchmark_count(l, k)
+    try:
+        densities = finite((f(k, r) for f in (density_proposed, density_benchmark)), "--coverage and --radius")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     payload = {
         "layers": l,
         "coverage": k,
@@ -262,8 +269,8 @@ def run_compare(args: argparse.Namespace) -> int:
         "benchmark_count": n_ex,
         "gap": count_gap(l, k),
         "count_ratio": count_ratio(l, k),
-        "proposed_density": density_proposed(k, r),
-        "benchmark_density": density_benchmark(k, r),
+        "proposed_density": densities[0],
+        "benchmark_density": densities[1],
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2))

@@ -5,8 +5,8 @@ the center-to-vertex segments, midpoints and centroids of those) has the form
 (x * scale/2, y * sqrt(3) * scale/2) with rational x and y.  A ``LatticePoint``
 stores the two rationals, so equal points compare equal with no epsilon and
 squared distances are the single rational x^2 + 3 y^2.  This module serves
-the packing proofs, the constant offsets that the integer plan and verify
-code is built from, and the tests' exact references; plan and verify
+the packing proofs, the hexagons behind ``tiling.VERTEX_OFFSETS`` and the
+comparison scheme's tiles, and the tests' exact references; plan and verify
 themselves run on integer lattice coefficients (``tiling``).
 """
 
@@ -168,28 +168,6 @@ class EquilateralTriangle:
 
     def vertices_xy(self, scale: float = 1.0) -> tuple[tuple[float, float], ...]:
         return tuple(v.to_xy(scale) for v in self.vertices)
-
-
-def vertex_covers_triangle(
-    triangle: EquilateralTriangle,
-    sensing_radius: float,
-    scale: float = 1.0,
-    anchor: int = 0,
-) -> bool:
-    """True if a disk of ``sensing_radius`` at the anchor vertex holds the triangle.
-
-    A disk is convex, so it contains the triangle iff it contains all three
-    vertices; from a vertex the farthest points are the other two vertices.
-    The comparison is done on squared lengths with zero tolerance.
-    """
-    here = triangle.vertices[anchor]
-    radius_units_sq = (2.0 * sensing_radius / scale) ** 2
-    for j, other in enumerate(triangle.vertices):
-        if j == anchor:
-            continue
-        if float(sq_dist_units(here, other)) > radius_units_sq:
-            return False
-    return True
 
 
 def packing_diameter(config: list[Hexagon] | tuple[Hexagon, ...], scale: float = 1.0) -> float:

@@ -38,7 +38,7 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _meta_pairs(deployment: Deployment, extra_meta: dict | None = None) -> dict[str, str]:
+def _meta_pairs(deployment: Deployment) -> dict[str, str]:
     pairs = {
         "tool": "hexcover",
         "version": __version__,
@@ -48,7 +48,6 @@ def _meta_pairs(deployment: Deployment, extra_meta: dict | None = None) -> dict[
         "l": deployment.model.layers,
         "seed": 0,
         **deployment.meta,
-        **(extra_meta or {}),
     }
     return {key: str(value) for key, value in pairs.items()}
 
@@ -63,17 +62,17 @@ def sensor_rows(deployment: Deployment) -> list[tuple[str, str, str, str, str]]:
     ]
 
 
-def write_sensors_csv(path, deployment, extra_meta: dict | None = None) -> None:
-    meta = " ".join(f"{key}={value}" for key, value in _meta_pairs(deployment, extra_meta).items())
+def write_sensors_csv(path, deployment) -> None:
+    meta = " ".join(f"{key}={value}" for key, value in _meta_pairs(deployment).items())
     lines = ["# meta: " + meta, CSV_HEADER]
     lines.extend(",".join(row) for row in sensor_rows(deployment))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
-def write_sensors_json(path, deployment, extra_meta: dict | None = None) -> None:
+def write_sensors_json(path, deployment) -> None:
     payload = {
-        "meta": _meta_pairs(deployment, extra_meta),
+        "meta": _meta_pairs(deployment),
         "sensors": [
             {"x": float(x), "y": float(y), "provenance": prov, "hexagon": hexagon, "strategy": strategy}
             for x, y, prov, hexagon, strategy in sensor_rows(deployment)

@@ -13,11 +13,12 @@ floats equal the exact points' bit for bit.  The float kernels that sampling
 code shares also live here: the triangle table ``patch_triangles``, the
 patch-membership test ``region_contains`` and the sampler ``triangle_samples``.
 
-``region_contains`` rounds each point to its nearest hexagon center in axial
-coordinates and tests that hexagon and its six neighbors, so its cost is at
-most seven band tests per point whatever the patch size.  It is exact with
-respect to a scan over every patch hexagon: any hexagon whose widened bands
-hold a point is the nearest one or a neighbor of it (see its docstring).
+``region_contains``, at the one band ``REGION_TOL``, clips the verify grid and
+the comparison scheme's tiles.  It rounds each point to its nearest hexagon
+center in axial coordinates and tests that hexagon and its six neighbors, so
+it costs at most seven band tests per point whatever the patch size.  It is
+exact with respect to a scan over every patch hexagon: any hexagon whose
+widened bands hold a point is the nearest one or a neighbor of it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ EVEN = "even"
 ODD = "odd"
 PARITY_NAMES = (EVEN, ODD)
 
-REGION_TOL = 1e-12  # relative, for clipping float points to the patch
+REGION_TOL = 1e-12  # patch-membership band, relative to the side
 REGION_CHUNK = 1 << 15  # points per membership-kernel pass
 
 # Axial neighbor steps, counterclockwise from 30 degrees.
@@ -200,25 +201,23 @@ def build_solar_model(layers: int, side: float = 1.0) -> SolarModel:
     )
 
 
-def region_contains(model: SolarModel, points: np.ndarray, tol: float = REGION_TOL) -> np.ndarray:
+def region_contains(model: SolarModel, points: np.ndarray) -> np.ndarray:
     """Closed membership of each float point (meters) in the union of patch hexagons.
 
-    A point is inside when all three edge-normal bands of some patch
-    hexagon, widened by ``tol`` times the side, hold it.  Only the honeycomb
-    cell nearest to the point (cube rounding of its fractional axial
-    coordinates) and its six neighbors are tested, those in the patch.
-    That is complete: a hexagon whose widened bands hold the point lies
-    within 2/sqrt(3)*tol < 0.6 sides of it, the nearest cell holds it up to
-    float rounding, and two cells that are not neighbors are a whole side
-    apart.  Each test is the same float expression on the same rounded
-    center as in a scan over every hexagon, so the mask is bit-identical to
-    that scan's.  Points go through in chunks of ``REGION_CHUNK``, so the
-    temporaries stay small whatever the input and patch sizes.
+    A point is inside when all three edge-normal bands of some patch hexagon,
+    widened by ``REGION_TOL`` times the side, hold it.  Only the cell nearest
+    to the point (cube rounding of its fractional axial coordinates) and its
+    six neighbors are tested, those in the patch.  That is complete: a hexagon
+    whose widened bands hold the point lies within 2/sqrt(3)*REGION_TOL sides
+    of it (under 0.6 sides for any band below half a side), the nearest cell
+    holds it up to float rounding, and two cells that are not neighbors are a
+    whole side apart.  Each test is the same float expression on the same
+    rounded center as in a scan over every hexagon, so the mask is
+    bit-identical to that scan's.  Points go through in chunks of
+    ``REGION_CHUNK``, so the temporaries stay small whatever the sizes.
     """
-    if not 0 <= tol < 0.5:
-        raise ValueError(f"region tolerance must lie in [0, 0.5), got {tol}")
     half = 0.5 * model.side
-    bound = SQRT3 * half + tol * model.side
+    bound = SQRT3 * half + REGION_TOL * model.side
     reach = model.layers - 1
     # A point in a widened patch hexagon has axial coordinates within
     # reach + 2/3; clamping the rest (fmin/fmax also clamp nan and inf)

@@ -4,9 +4,9 @@ Three point families are evaluated against the sensing disks:
 
 * structured points: the vertices, edge midpoints and centroid of every
   center-vertex-vertex triangle of every patch hexagon, keyed by integer
-  multiples of 1/6 lattice unit, so deduplication and ordering are exact.
-  Triangle vertices are the worst-case points under the placement
-  strategy, so a failure cannot hide from this family;
+  multiples of 1/6 lattice unit built from ``tiling.VERTEX_OFFSETS``, so
+  deduplication, ordering and their count (``structured_count``) are exact.
+  Triangle vertices are the worst-case points under the placement strategy;
 * a square grid of pitch ``grid_step`` clipped to the patch by
   ``tiling.region_contains``, which tests each point against its nearest
   hexagon and that hexagon's neighbors only, so clipping is O(points);
@@ -28,9 +28,9 @@ ends of every interval are settled with that same float predicate, so the
 counts are the predicate's bit for bit, at a cost of O(sensors × rows per
 disk) instead of O(disk hits).
 
-The same disk decides which sensors hold whole triangles (``covering_pairs``).
-That one kernel serves ``triangle_coverage_certificate``, a proof of coverage
-with no sampling, and the grid search of ``minimum_sensors_lower_bound``.
+The same disk decides which sensors hold whole triangles: ``covering_pairs``
+is the package's one triangle-in-disk kernel, behind the sampling-free
+``triangle_coverage_certificate`` and ``minimum_sensors_lower_bound``.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .deployment import Deployment, InvariantViolation, remove_sensors
-from .geometry import ORIGIN, SQRT3, Hexagon, centroid, midpoint
 from .tiling import (
+    SQRT3,
+    VERTEX_OFFSETS,
     SolarModel,
     build_solar_model,
     center_units,
@@ -105,15 +106,10 @@ class CoverageReport:
         }
 
 
-# Six times the lattice coefficients (x, y) of the 42 probes of the unit
-# hexagon at the origin (seven per triangle): all integers.
-_PROBE_OFFSETS6 = np.array(
-    [
-        (int(6 * p.x), int(6 * p.y))
-        for a, b, c in (triangle.vertices for triangle in Hexagon(ORIGIN).triangles())
-        for p in (a, b, c, midpoint(a, b), midpoint(b, c), midpoint(c, a), centroid(a, b, c))
-    ]
-)
+# Six times the lattice coefficients of the unit hexagon's 42 probes: in each
+# triangle (0, A, B) of spokes A, B, the corners, edge midpoints and centroid.
+_A, _B = VERTEX_OFFSETS, np.roll(VERTEX_OFFSETS, -1, axis=0)
+_PROBE_OFFSETS6 = np.concatenate([0 * _A, 6 * _A, 6 * _B, 3 * _A, 3 * (_A + _B), 3 * _B, 2 * (_A + _B)])
 
 
 def structured_points(model: SolarModel) -> np.ndarray:
@@ -128,6 +124,11 @@ def structured_points(model: SolarModel) -> np.ndarray:
     return units_xy(keys / 6.0, model.side)
 
 
+def structured_count(layers: int) -> int:
+    """``len(structured_points)``: H centers, 6l^2 vertices, 6H + 9l^2 - 3l edge midpoints, 6H centroids."""
+    return 13 * hexagon_count(layers) + 15 * layers * layers - 3 * layers
+
+
 def default_grid_step(radius: float) -> float:
     return radius / 20.0
 
@@ -135,18 +136,18 @@ def default_grid_step(radius: float) -> float:
 def probe_estimate(layers: int, radius: float, grid_step: float | None, mc_samples: int) -> int:
     """Probes ``verify_coverage`` would evaluate, from closed forms, before anything is built.
 
-    About 18 structured probes per hexagon, the raw grid over the patch's
-    bounding box (x r wide and y sqrt(3) r high, (x, y) = ``extreme_units``)
-    and the Monte Carlo samples.  Exact rational arithmetic keeps absurd
-    inputs from overflowing.  ``radius`` must lie within ``FLOAT_LIMIT`` and
-    its reciprocal.
+    The structured probes (``structured_count``), the raw grid over the
+    patch's bounding box (x r wide and y sqrt(3) r high, (x, y) =
+    ``extreme_units``) and the Monte Carlo samples.  Exact rational
+    arithmetic keeps absurd inputs from overflowing.  ``radius`` must lie
+    within ``FLOAT_LIMIT`` and its reciprocal.
     """
     step = default_grid_step(radius) if grid_step is None else grid_step
     per_step = Fraction(radius) / Fraction(step)
     x_units, y_units = extreme_units(layers)
     columns = math.floor(x_units * per_step) + 2
     rows = math.floor(y_units * Fraction(SQRT3) * per_step) + 2
-    return 18 * hexagon_count(layers) + columns * rows + mc_samples
+    return structured_count(layers) + columns * rows + mc_samples
 
 
 def _grid_axes(model: SolarModel, step: float) -> tuple[np.ndarray, np.ndarray]:

@@ -84,9 +84,9 @@ class TestClosedForms:
         tested = []
         contains = benchmark.region_contains
 
-        def counting(model, points, tol):
+        def counting(model, points):
             tested.append(len(points))
-            return contains(model, points, tol=tol)
+            return contains(model, points)
 
         monkeypatch.setattr(benchmark, "region_contains", counting)
         small_hexagon_centers(build_solar_model(layers))

@@ -272,6 +272,49 @@ class TestArgumentValidation:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestExtremeNumbers:
+    """Numbers beyond what plan, verify and compare can carry are usage errors, not exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["plan", "--radius", "1e-200"], "--radius"),
+            (["plan", "--radius", "1e200"], "--radius"),
+            (["plan", "--strategy", "benchmark", "--offset-x", "1e400"], "--offset-x"),
+            (["plan", "--strategy", "benchmark", "--offset-y", "1e400"], "--offset-y"),
+            (["compare", "--radius", "1e-200"], "--radius"),
+            (["compare", "--radius", "1e-160", "--format", "json"], "--radius"),
+            (["compare", "--coverage", "1" + "0" * 400], "--coverage"),
+        ],
+        ids=["plan-tiny-radius", "plan-huge-radius", "plan-offset-x", "plan-offset-y", "compare-tiny-radius",
+             "compare-infinite-density", "compare-huge-coverage"],
+    )
+    def test_refused_with_the_flag_named(self, argv, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = run(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert flag in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("radius", ["1e-150", "1e150"])
+    def test_plans_at_the_radius_limits_verify(self, radius, tmp_path):
+        # one layer: its vertices reach the radius, which verify still reads
+        out = tmp_path / "sensors.csv"
+        assert run(["plan", "--radius", radius, "--coverage", "3", "--output", str(out)]) == 0
+        assert run(["verify", "--input", str(out), "--mc-samples", "100"]) == 0
+
+    def test_offsets_at_the_limit_plan(self, tmp_path):
+        out = tmp_path / "sensors.csv"
+        assert run(["plan", "--strategy", "benchmark", "--offset-x=1e150", "--offset-y=-1e150",
+                    "--output", str(out)]) == 0
+
+
 class TestCompare:
     def test_gap_example(self, capsys):
         assert run(["compare", "--layers", "1", "--coverage", "2", "--radius", "1"]) == 0
@@ -351,18 +394,19 @@ class TestSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, named",
         [
-            ["--r-start", "1e-200", "--r-stop", "1e-200"],  # r * r underflows to 0
-            ["--r-start", "1e-160", "--r-stop", "1e-160"],  # the densities overflow to inf
-            ["--k-min", "1" + "0" * 310, "--k-max", "1" + "0" * 310],  # k beyond the float range
+            (["--r-start", "1e-200", "--r-stop", "1e-200"], "--r-start and --r-stop"),  # r * r underflows to 0
+            (["--r-start", "1e-160", "--r-stop", "1e-160"], "--r-start and --r-stop"),  # densities overflow to inf
+            (["--k-min", "1" + "0" * 310, "--k-max", "1" + "0" * 310], "--k-min and --k-max"),  # k beyond floats
+            (["--l-min", "1" + "0" * 200, "--l-max", "1" + "0" * 200], "--l-min and --l-max"),  # counts beyond floats
         ],
-        ids=["r-squared-zero", "density-inf", "k-beyond-float"],
+        ids=["r-squared-zero", "density-inf", "k-beyond-float", "l-counts-beyond-float"],
     )
-    def test_values_beyond_floats_are_usage_errors(self, tmp_path, capsys, flags):
+    def test_values_beyond_floats_are_usage_errors(self, tmp_path, capsys, flags, named):
         out = tmp_path / "figs"
         assert run(["sweep", "--output", str(out), *flags]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_range_overrides(self, tmp_path):

@@ -27,7 +27,6 @@ from hexcover.geometry import (
     packed_hexagon_triple,
     packing_diameter,
     sq_dist_units,
-    vertex_covers_triangle,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -168,44 +167,6 @@ class TestContainsPoint:
             )
             x, y = p.to_xy(1.0)
             assert h.contains(p) == hexagon_contains_xy(h, x, y, tol=1e-9)
-
-
-class TestVertexCoversTriangle:
-    def _unit_triangle(self):
-        return Hexagon(ORIGIN).triangles()[0]
-
-    def test_covers_at_exact_radius(self):
-        tri = self._unit_triangle()
-        assert vertex_covers_triangle(tri, 1.0)
-
-    def test_smaller_radius_fails(self):
-        tri = self._unit_triangle()
-        assert not vertex_covers_triangle(tri, 0.99)
-
-    def test_scale_invariance(self):
-        tri = Hexagon(ORIGIN).triangles()[2]
-        assert vertex_covers_triangle(tri, 10.0, scale=10.0)
-        assert not vertex_covers_triangle(tri, 9.99, scale=10.0)
-
-    def test_any_anchor_works(self):
-        tri = self._unit_triangle()
-        for anchor in range(3):
-            assert vertex_covers_triangle(tri, 1.0, anchor=anchor)
-
-    def test_sampled_points_stay_in_disk(self):
-        # distance from a vertex to 1000 random triangle points never exceeds
-        # the side length
-        tri = self._unit_triangle()
-        (ax, ay), (bx, by), (cx, cy) = tri.vertices_xy(1.0)
-        rng = np.random.default_rng(5)
-        u = rng.random(1000)
-        v = rng.random(1000)
-        fold = u + v > 1.0
-        u[fold], v[fold] = 1.0 - u[fold], 1.0 - v[fold]
-        px = ax + u * (bx - ax) + v * (cx - ax)
-        py = ay + u * (by - ay) + v * (cy - ay)
-        dist = np.hypot(px - ax, py - ay)
-        assert (dist <= 1.0 + 1e-12).all()
 
 
 class TestPackingDiameter:

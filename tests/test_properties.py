@@ -6,6 +6,7 @@ Examples are derandomized and bounded so the suite stays fast and repeatable.
 
 import functools
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_reference import exact_placement
-from hexcover import verifier
-from hexcover.benchmark import place_benchmark
+from hexcover import benchmark, tiling, verifier
+from hexcover.benchmark import place_benchmark, small_hexagon_centers
 from hexcover.cli import main
 from hexcover.deployment import place_proposed, total_count
 from hexcover.geometry import SQRT3, Hexagon, midpoint
@@ -55,10 +56,9 @@ def brute_force_contains(model, points, tol):
 
 @st.composite
 def membership_cases(draw):
-    """A patch, a tolerance and points on, just off and between hexagon boundaries."""
+    """A patch and points on, just off and between hexagon boundaries."""
     layers = draw(st.integers(1, 8))
     radius = draw(st.sampled_from(RADII))
-    tol = draw(st.sampled_from([REGION_TOL, 1e-9]))
     model = model_for(layers, radius)
     min_x, min_y, max_x, max_y = model.bounding_box()
     nudge = st.sampled_from([-1e-13, 0.0, 1e-13])
@@ -78,22 +78,23 @@ def membership_cases(draw):
         lambda uv: (min_x + uv[0] * (max_x - min_x), min_y + uv[1] * (max_y - min_y))
     )
     points = draw(st.lists(st.one_of(boundary.map(on_boundary), uniform), min_size=1, max_size=60))
-    return model, tol, np.array(points)
+    return model, np.array(points)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(case=membership_cases())
 def test_region_contains_equals_per_hexagon_union(case):
-    model, tol, points = case
-    assert np.array_equal(region_contains(model, points, tol), brute_force_contains(model, points, tol))
+    model, points = case
+    assert np.array_equal(region_contains(model, points), brute_force_contains(model, points, REGION_TOL))
 
 
-# At tol = 0.45 a hexagon's widened bands reach 0.52 sides past it.  Rounding
-# q and w separately can land half a side off the nearest cell, outside the
-# neighbors of a hexagon that holds the point; only cube rounding stays
-# complete there.
+# At a band of 0.45 a hexagon's widened bands reach 0.52 sides past it.
+# Rounding q and w separately can land half a side off the nearest cell,
+# outside the neighbors of a hexagon that holds the point; only cube rounding
+# stays complete there.  The kernel reads the module's band on each call.
 @pytest.mark.parametrize("tol", [REGION_TOL, 0.45])
-def test_region_contains_equals_per_hexagon_union_across_chunks(tol):
+def test_region_contains_equals_per_hexagon_union_across_chunks(tol, monkeypatch):
+    monkeypatch.setattr(tiling, "REGION_TOL", tol)
     model = model_for(4, 2.5)
     min_x, min_y, max_x, max_y = model.bounding_box()
     rng = np.random.default_rng(11)
@@ -101,9 +102,51 @@ def test_region_contains_equals_per_hexagon_union_across_chunks(tol):
     points = np.column_stack(
         [rng.uniform(min_x - 2.5, max_x + 2.5, count), rng.uniform(min_y - 2.5, max_y + 2.5, count)]
     )
-    inside = region_contains(model, points, tol)
+    inside = region_contains(model, points)
     assert 0 < inside.sum() < count
     assert np.array_equal(inside, brute_force_contains(model, points, tol))
+
+
+def tiles_at_old_band(model, offset):
+    """The scheme's tiles by its former rule: all six vertices inside the patch widened by 1e-9 sides.
+
+    Only scanned tiles centered near the patch are tested: a tile's center
+    is the mean of its vertices, so a kept tile is centered in the patch's
+    bounding box widened by the band.
+    """
+    reach = benchmark._scan_reach(model.layers)
+    steps = np.arange(-reach, reach + 1)
+    axial = np.stack(np.meshgrid(steps, steps, indexing="ij"), axis=-1).reshape(-1, 2)
+    centers, _ = benchmark._small_hexagon_xy(axial, offset, model.side)
+    min_x, min_y, max_x, max_y = model.bounding_box()
+    margin = model.side
+    near = (
+        (centers[:, 0] >= min_x - margin) & (centers[:, 0] <= max_x + margin)
+        & (centers[:, 1] >= min_y - margin) & (centers[:, 1] <= max_y + margin)
+    )
+    _, vertices = benchmark._small_hexagon_xy(axial[near], offset, model.side)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tiling, "REGION_TOL", 1e-9)
+        inside = region_contains(model, vertices.reshape(-1, 2))
+    return axial[near][inside.reshape(-1, 6).all(axis=1)]
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5, 10.0, 1e-150, 1e150])
+def test_scheme_tiles_at_the_grid_band_equal_the_old_band(radius):
+    # At offset 0 every vertex margin is a multiple of a quarter apothem, so the bands agree.
+    zero = (Fraction(0), Fraction(0))
+    for layers in range(1, 31):
+        model = model_for(layers, radius)
+        assert np.array_equal(small_hexagon_centers(model), tiles_at_old_band(model, zero)), layers
+
+
+def test_scheme_tiles_at_offsets_equal_the_old_band():
+    # Offsets with denominators up to 12; a y offset makes margins a + b*sqrt(3).
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        offset = tuple(Fraction(int(rng.integers(-24, 25)), int(rng.integers(1, 13))) for _ in range(2))
+        model = model_for(int(rng.integers(1, 9)), float(rng.choice([1.0, 2.5, 10.0])))
+        assert np.array_equal(small_hexagon_centers(model, offset), tiles_at_old_band(model, offset)), offset
 
 
 def effective_radius(radius):

@@ -1,5 +1,6 @@
 """Tests for sensor-file export and import."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -88,9 +89,13 @@ class TestJson:
         assert all(s["provenance"] == "random" for s in payload["sensors"])
 
     def test_extra_meta_recorded(self, model, tmp_path):
+        # a meta pair the strategy did not set is written in the default's place
         path = tmp_path / "sensors.csv"
-        write_sensors_csv(path, place_proposed(model, 1), extra_meta={"seed": 9})
-        assert read_sensors_csv(path).meta["seed"] == "9"
+        deployment = place_proposed(model, 1)
+        write_sensors_csv(path, dataclasses.replace(deployment, meta={**deployment.meta, "seed": 9}))
+        meta = read_sensors_csv(path).meta
+        assert meta["seed"] == "9"
+        assert list(meta) == ["tool", "version", "strategy", "r", "k", "l", "seed", "parity"]
 
 
 class TestMalformedFiles:

@@ -13,6 +13,8 @@ from hexcover.tiling import (
     EVEN,
     ODD,
     PARITY_NAMES,
+    REGION_TOL,
+    SQRT3,
     axial_distance,
     build_solar_model,
     hexagon_count,
@@ -230,7 +232,9 @@ class TestRegionContains:
     def test_empty_input(self):
         assert region_contains(build_solar_model(2), np.zeros((0, 2))).shape == (0,)
 
-    @pytest.mark.parametrize("tol", [-1e-12, 0.5, float("nan")])
-    def test_rejects_tolerances_outside_half_a_side(self, tol):
-        with pytest.raises(ValueError):
-            region_contains(build_solar_model(1), np.zeros((1, 2)), tol=tol)
+    @pytest.mark.parametrize("radius", [1.0, 1e-150, 1e150])
+    def test_band_is_region_tol(self, radius):
+        # points past the top edge by half the band and by twice the band
+        edge = SQRT3 / 2 * radius
+        points = np.array([[0.0, edge + 0.5 * REGION_TOL * radius], [0.0, edge + 2 * REGION_TOL * radius]])
+        assert region_contains(build_solar_model(1, radius), points).tolist() == [True, False]

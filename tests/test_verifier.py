@@ -24,6 +24,7 @@ from hexcover.verifier import (
     probe_estimate,
     region_contains,
     residual_coverage,
+    structured_count,
     structured_points,
     triangle_coverage_certificate,
     verify_coverage,
@@ -122,6 +123,10 @@ class TestSampling:
 
 
 class TestProbeEstimate:
+    def test_structured_count_is_exact(self):
+        for layers in range(1, 41):
+            assert structured_count(layers) == len(structured_points(build_solar_model(layers))), layers
+
     @pytest.mark.parametrize("layers", [1, 2, 4])
     @pytest.mark.parametrize("radius,step", [(1.0, None), (2.5, 0.3), (10.0, 0.5)])
     def test_closed_form_tracks_the_built_probes(self, layers, radius, step):
@@ -377,3 +382,39 @@ class TestLowerBound:
         best = np.bincount(covering_pairs(UNIT_TRIANGLES, candidates, 1.0)[1]).max()
         assert best == 2
         assert 2 * best < 6
+
+
+def corner_disk_holds(scale, triangle, corner, radius):
+    """Whether the disk of ``radius`` at one corner of a triangle of the side-``scale`` hexagon holds it."""
+    triangles = patch_triangles(build_solar_model(1, scale))[triangle : triangle + 1]
+    held, _ = covering_pairs(triangles, triangles[0, corner : corner + 1], radius)
+    return len(held) == 1
+
+
+class TestCoveringPairsAtCorners:
+    """A disk at a corner of a side-s triangle holds it at radius s and not at 0.99 s."""
+
+    def test_covers_at_exact_radius(self):
+        assert corner_disk_holds(1.0, 0, 0, 1.0)
+
+    def test_smaller_radius_fails(self):
+        assert not corner_disk_holds(1.0, 0, 0, 0.99)
+
+    def test_scale_invariance(self):
+        assert corner_disk_holds(10.0, 2, 0, 10.0)
+        assert not corner_disk_holds(10.0, 2, 0, 9.9)
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_any_anchor_works(self, scale):
+        for triangle in range(6):
+            for corner in range(3):
+                assert corner_disk_holds(scale, triangle, corner, scale)
+                assert not corner_disk_holds(scale, triangle, corner, 0.99 * scale)
+
+    def test_sampled_points_stay_in_disk(self):
+        # the disk that holds the triangle counts each of 1000 points sampled in it
+        center, a, b = UNIT_TRIANGLES[0]
+        rng = np.random.default_rng(5)
+        points = triangle_samples(center, a, b, rng.random(1000), rng.random(1000))
+        assert corner_disk_holds(1.0, 0, 1, 1.0)
+        assert (coverage_counts(points, a[None], 1.0) == 1).all()
