@@ -174,21 +174,18 @@ def emit_figure_table(
     return FigureTable(figure_id, columns)
 
 
-def format_value(value) -> str:
-    if isinstance(value, bool):
+def format_column(series: list) -> list[str]:
+    """CSV cells of one figure column: ``str`` of each value if all are ints, else ``.6g``."""
+    kinds = set(map(type, series))
+    if bool in kinds:
         raise TypeError("boolean in figure column")
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".6g")
+    return list(map(str if kinds <= {int} else "{:.6g}".format, series))
 
 
 def figure_csv_lines(table: FigureTable, version: str) -> list[str]:
     lines = [f"# meta: tool=hexcover version={version} figure={table.figure_id} note={NOTE}"]
-    names = list(table.columns)
-    lines.append(",".join(names))
-    length = len(next(iter(table.columns.values()), []))
-    for row in range(length):
-        lines.append(",".join(format_value(table.columns[name][row]) for name in names))
+    lines.append(",".join(table.columns))
+    lines.extend(map(",".join, zip(*map(format_column, table.columns.values()))))
     return lines
 
 

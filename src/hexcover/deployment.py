@@ -38,6 +38,7 @@ from .tiling import (
     SolarModel,
     center_units,
     hexagon_count,
+    row_keys,
     units_xy,
 )
 
@@ -136,8 +137,7 @@ def place_proposed(model: SolarModel, k: int, parity: str = EVEN) -> Deployment:
     vertices = [model.vertex_class(p) for p in vertex_parities]
     segments = (d * centers + VERTEX_OFFSETS[segment_vertices][:, :, None, :]) / d
     units = np.concatenate([centers, *vertices, segments.reshape(-1, 2)]).astype(float)
-    # A row viewed as one complex number equals another iff both coordinates do.
-    if len(np.unique(units.view(complex))) != len(units):
+    if len(np.unique(row_keys(units))) != len(units):
         raise InvariantViolation("duplicate sensor positions after placement")
     expected = total_count(model.layers, k)
     if len(units) != expected:

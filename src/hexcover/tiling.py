@@ -7,18 +7,17 @@ coordinates so neighbor arithmetic stays exact.  A point (x * r/2,
 y * sqrt(3) * r/2) is stored as its lattice coefficients (x, y): the center
 of the hexagon at axial (q, w) is the integer pair (3q, q + 2w), its vertices
 add ``VERTEX_OFFSETS``, and the patch's 6 l^2 distinct vertices are one
-integer array, deduplicated exactly with ``np.unique``.  ``units_xy`` turns
-coefficients into meters with ``LatticePoint.to_xy``'s expression, so the
-floats equal the exact points' bit for bit.  The float kernels that sampling
-code shares also live here: the triangle table ``patch_triangles``, the
-patch-membership test ``region_contains`` and the sampler ``triangle_samples``.
+integer array, deduplicated exactly by ``np.unique`` of their ``row_keys``.
+``units_xy`` turns coefficients into meters with ``LatticePoint.to_xy``'s
+expression, so the floats equal the exact points' bit for bit.  The float
+kernels that sampling code shares also live here: the triangle table
+``patch_triangles``, the patch-membership test ``region_contains`` and the
+sampler ``triangle_samples``.
 
 ``region_contains``, at the one band ``REGION_TOL``, clips the verify grid and
-the comparison scheme's tiles.  It rounds each point to its nearest hexagon
-center in axial coordinates and tests that hexagon and its six neighbors, so
-it costs at most seven band tests per point whatever the patch size.  It is
-exact with respect to a scan over every patch hexagon: any hexagon whose
-widened bands hold a point is the nearest one or a neighbor of it.
+the comparison scheme's tiles.  It tests each point against the four cells of
+its floor block in axial coordinates, four band tests per point whatever the
+patch size, and agrees with a scan over every patch hexagon.
 """
 
 from __future__ import annotations
@@ -87,7 +86,6 @@ class SolarModel:
     layers: int
     side: float
     axial: tuple[tuple[int, int], ...]
-    layer_of: tuple[int, ...]
     vertices: np.ndarray
 
     def __post_init__(self) -> None:
@@ -166,12 +164,19 @@ def patch_triangles(model: SolarModel) -> np.ndarray:
     return units_xy(corners.reshape(-1, 2), model.side).reshape(-1, 3, 2)
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each (x, y) row of ``rows`` (n, 2) as one complex key x + iy, equal iff both coordinates are.
+
+    ``np.unique`` sorts the keys in (x, y) order.  Exact for floats and for
+    integers below 2**53, which convert to floats exactly.
+    """
+    return np.ascontiguousarray(rows, dtype=float).view(complex)[:, 0]
+
+
 def _corners(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct corners (m, 2) of the hexagons at ``centers``, first occurrence first, and their (h, 6) indices."""
     listed = (centers[:, None, :] + VERTEX_OFFSETS).reshape(-1, 2)
-    # Each row as one complex number (integers below 2**53 convert exactly)
-    # equals another iff both coefficients do.
-    _, first, inverse = np.unique(listed.astype(float).view(complex), return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(row_keys(listed), return_index=True, return_inverse=True)
     order = np.argsort(first)
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
@@ -185,18 +190,14 @@ def build_solar_model(layers: int, side: float = 1.0) -> SolarModel:
     if not 0 < side < math.inf:
         raise ValueError(f"side length must be positive and finite, got {side}")
 
-    axial: list[tuple[int, int]] = [(0, 0)]
-    layer_of: list[int] = [1]
+    axial = [(0, 0)]
     for ring in range(1, layers):
-        for cell in axial_ring(ring):
-            axial.append(cell)
-            layer_of.append(ring + 1)
+        axial.extend(axial_ring(ring))
 
     return SolarModel(
         layers=layers,
         side=side,
         axial=tuple(axial),
-        layer_of=tuple(layer_of),
         vertices=_corners(center_units(axial))[0],
     )
 
@@ -205,23 +206,24 @@ def region_contains(model: SolarModel, points: np.ndarray) -> np.ndarray:
     """Closed membership of each float point (meters) in the union of patch hexagons.
 
     A point is inside when all three edge-normal bands of some patch hexagon,
-    widened by ``REGION_TOL`` times the side, hold it.  Only the cell nearest
-    to the point (cube rounding of its fractional axial coordinates) and its
-    six neighbors are tested, those in the patch.  That is complete: a hexagon
-    whose widened bands hold the point lies within 2/sqrt(3)*REGION_TOL sides
-    of it (under 0.6 sides for any band below half a side), the nearest cell
-    holds it up to float rounding, and two cells that are not neighbors are a
-    whole side apart.  Each test is the same float expression on the same
-    rounded center as in a scan over every hexagon, so the mask is
-    bit-identical to that scan's.  Points go through in chunks of
-    ``REGION_CHUNK``, so the temporaries stay small whatever the sizes.
+    widened by ``REGION_TOL`` times the side, hold it.  With q0 and w0 the
+    floors of the point's fractional axial coordinates, only the patch cells
+    among (q0, w0), (q0 + 1, w0), (q0, w0 + 1) and (q0 + 1, w0 + 1) are
+    tested.  That is complete: a hexagon widened by a band of t sides reaches
+    at most (2/3)(1 + 2t/sqrt(3)) axial units from its center in q and in w,
+    below 1 for any band below sqrt(3)/4 sides, so only the two integers
+    around each coordinate can hold the point; at ``REGION_TOL`` the margin
+    is a third of a unit, far above the float rounding.  Each test is the
+    same float expression on the same rounded center as in a scan over every
+    hexagon, so the mask is bit-identical to that scan's.  Points go through
+    in chunks of ``REGION_CHUNK``, so the temporaries stay small.
     """
     half = 0.5 * model.side
     bound = SQRT3 * half + REGION_TOL * model.side
     reach = model.layers - 1
     # A point in a widened patch hexagon has axial coordinates within
-    # reach + 2/3; clamping the rest (fmin/fmax also clamp nan and inf)
-    # keeps the rounded coordinates small integers.
+    # reach + 1; clamping the rest (fmin/fmax also clamp nan and inf)
+    # keeps the floors small integers.
     clamp = reach + 2.0
     inside = np.zeros(len(points), dtype=bool)
     for start in range(0, len(points), REGION_CHUNK):
@@ -229,16 +231,10 @@ def region_contains(model: SolarModel, points: np.ndarray) -> np.ndarray:
         x, y = points[chunk, 0], points[chunk, 1]
         fq = np.fmin(np.fmax(x / (3.0 * half), -clamp), clamp)
         fw = np.fmin(np.fmax((y / (SQRT3 * half) - fq) * 0.5, -clamp), clamp)
-        fs = -fq - fw
-        q, w, s = np.rint(fq), np.rint(fw), np.rint(fs)
-        dq, dw, ds = np.abs(q - fq), np.abs(w - fw), np.abs(s - fs)
-        fix_q = (dq > dw) & (dq > ds)
-        fix_w = ~fix_q & (dw > ds)
-        q = np.where(fix_q, -w - s, q).astype(np.int64)
-        w = np.where(fix_w, -q - s, w).astype(np.int64)
+        q, w = np.floor(fq).astype(np.int64), np.floor(fw).astype(np.int64)
         hit = inside[chunk]
-        for dq_step, dw_step in ((0, 0),) + AXIAL_DIRECTIONS:
-            cq, cw = q + dq_step, w + dw_step
+        for dq, dw in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            cq, cw = q + dq, w + dw
             dx = x - (3 * cq).astype(float) * half
             dy = y - (cq + 2 * cw).astype(float) * SQRT3 * half
             hit |= (

@@ -5,11 +5,12 @@ Three point families are evaluated against the sensing disks:
 * structured points: the vertices, edge midpoints and centroid of every
   center-vertex-vertex triangle of every patch hexagon, keyed by integer
   multiples of 1/6 lattice unit built from ``tiling.VERTEX_OFFSETS``, so
-  deduplication, ordering and their count (``structured_count``) are exact.
+  deduplication by ``tiling.row_keys``, ordering and their count
+  (``structured_count``) are exact.
   Triangle vertices are the worst-case points under the placement strategy;
 * a square grid of pitch ``grid_step`` clipped to the patch by
-  ``tiling.region_contains``, which tests each point against its nearest
-  hexagon and that hexagon's neighbors only, so clipping is O(points);
+  ``tiling.region_contains``, which tests each point against the four
+  hexagons of its axial floor block only, so clipping is O(points);
 * seeded uniform samples over the patch.
 
 The disk test compares squared distances with a 1e-9 relative tolerance so
@@ -55,6 +56,7 @@ from .tiling import (
     hexagon_count,
     patch_triangles,
     region_contains,
+    row_keys,
     triangle_samples,
     units_xy,
 )
@@ -116,12 +118,12 @@ def structured_points(model: SolarModel) -> np.ndarray:
     """Per-triangle probe points (vertices, edge midpoints, centroids), deduplicated.
 
     Probes are keyed by six times their lattice coefficients, which are
-    integers, so deduplication is exact and ``np.unique`` sorts them in
+    integers, so ``np.unique`` of their ``row_keys`` dedupes them exactly in
     exact (x, y) order.  X/6 and Y/6 are correctly rounded divisions, so
     each coordinate is ``LatticePoint.to_xy`` of the exact point, bit for bit.
     """
-    keys = np.unique((6 * center_units(model.axial)[:, None, :] + _PROBE_OFFSETS6).reshape(-1, 2), axis=0)
-    return units_xy(keys / 6.0, model.side)
+    keys = np.unique(row_keys((6 * center_units(model.axial)[:, None, :] + _PROBE_OFFSETS6).reshape(-1, 2)))
+    return units_xy(keys.view(float).reshape(-1, 2) / 6.0, model.side)
 
 
 def structured_count(layers: int) -> int:
@@ -412,20 +414,18 @@ def _stages(deployment: Deployment, step: float, seed: int, mc_samples: int):
 
 def verify_coverage(
     deployment: Deployment,
-    target_k: int | None = None,
     grid_step: float | None = None,
     seed: int = 0,
     mc_samples: int = 50_000,
     fail_fast: bool = False,
 ) -> CoverageReport:
-    """Sample the patch and report the minimum observed coverage.
+    """Sample the patch and report the minimum observed coverage against ``deployment.k``.
 
     With ``fail_fast`` the stages (structured, grid, random) stop at the
     first one that contains a failing point; later stages are not built.
     """
     model: SolarModel = deployment.model
     radius = deployment.r
-    target = deployment.k if target_k is None else target_k
     step = default_grid_step(radius) if grid_step is None else grid_step
 
     histogram: dict[int, int] = {}
@@ -440,7 +440,7 @@ def verify_coverage(
             values, freqs = np.unique(counts, return_counts=True)
             for value, freq in zip(values.tolist(), freqs.tolist()):
                 histogram[int(value)] = histogram.get(int(value), 0) + int(freq)
-            bad = np.nonzero(counts < target)[0]
+            bad = np.nonzero(counts < deployment.k)[0]
             for index in bad[: MAX_FAILING_POINTS - len(failing)]:
                 failing.append((float(stage[index, 0]), float(stage[index, 1])))
             if fail_fast and len(bad):
@@ -455,17 +455,17 @@ def verify_coverage(
         f"hexagons={len(model.axial)}, side={model.side}"
     )
     return CoverageReport(
-        target_k=target,
+        target_k=deployment.k,
         samples=samples,
         min_coverage=min_coverage,
         failing_points=tuple(failing),
         coverage_histogram=histogram,
         region=region,
-        passed=min_coverage >= target,
+        passed=min_coverage >= deployment.k,
     )
 
 
 def residual_coverage(deployment: Deployment, failures: list[int], **verify_kwargs) -> CoverageReport:
     """Coverage report after removing the sensors at ``failures`` (target = k)."""
     reduced = remove_sensors(deployment, failures)
-    return verify_coverage(reduced, target_k=deployment.k, **verify_kwargs)
+    return verify_coverage(reduced, **verify_kwargs)

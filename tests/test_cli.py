@@ -309,6 +309,25 @@ class TestExtremeNumbers:
         assert run(["plan", "--radius", radius, "--coverage", "3", "--output", str(out)]) == 0
         assert run(["verify", "--input", str(out), "--mc-samples", "100"]) == 0
 
+    # At l = 2 the patch reaches 5r/2 along x and 3 sqrt(3) r/2 along y:
+    # both beyond 1e150 at r = 1e150, only the y extent at r = 3.9e149.
+    @pytest.mark.parametrize("radius", ["1e150", "3.9e149"])
+    @pytest.mark.parametrize("strategy", ["proposed", "benchmark"])
+    def test_patches_reaching_beyond_the_limit_are_refused(self, strategy, radius, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["plan", "--strategy", strategy, "--radius", radius, "--layers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "--radius" in err and "--layers" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("strategy, verdict", [("proposed", 0), ("benchmark", 1)])
+    def test_patches_just_inside_the_limit_verify(self, strategy, verdict, tmp_path):
+        # the y extent is 0.987e150 at r = 3.8e149
+        out = tmp_path / "sensors.csv"
+        assert run(["plan", "--strategy", strategy, "--radius", "3.8e149", "--layers", "2", "--coverage", "3",
+                    "--output", str(out)]) == 0
+        assert run(["verify", "--input", str(out), "--mc-samples", "100"]) == verdict
+
     def test_offsets_at_the_limit_plan(self, tmp_path):
         out = tmp_path / "sensors.csv"
         assert run(["plan", "--strategy", "benchmark", "--offset-x=1e150", "--offset-y=-1e150",

@@ -88,11 +88,11 @@ def test_region_contains_equals_per_hexagon_union(case):
     assert np.array_equal(region_contains(model, points), brute_force_contains(model, points, REGION_TOL))
 
 
-# At a band of 0.45 a hexagon's widened bands reach 0.52 sides past it.
-# Rounding q and w separately can land half a side off the nearest cell,
-# outside the neighbors of a hexagon that holds the point; only cube rounding
-# stays complete there.  The kernel reads the module's band on each call.
-@pytest.mark.parametrize("tol", [REGION_TOL, 0.45])
+# A hexagon widened by a band of t sides reaches (2/3)(1 + 2t/sqrt(3)) axial
+# units from its center in q and in w, so the floor block holds every cell
+# that can hold a point for any band below sqrt(3)/4 = 0.433 sides; 0.43 is
+# just under that bound.  The kernel reads the module's band on each call.
+@pytest.mark.parametrize("tol", [REGION_TOL, 0.43])
 def test_region_contains_equals_per_hexagon_union_across_chunks(tol, monkeypatch):
     monkeypatch.setattr(tiling, "REGION_TOL", tol)
     model = model_for(4, 2.5)
@@ -105,6 +105,29 @@ def test_region_contains_equals_per_hexagon_union_across_chunks(tol, monkeypatch
     inside = region_contains(model, points)
     assert 0 < inside.sum() < count
     assert np.array_equal(inside, brute_force_contains(model, points, tol))
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5, 1e-150, 1e150])
+@pytest.mark.parametrize("layers", [1, 2, 5])
+def test_region_contains_equals_per_hexagon_union_at_the_rim_and_beyond_floats(layers, radius):
+    # Every patch vertex, one ulp either way and scaled by 1 +- 1e-12, and
+    # every pairing of infinite, nan and finite coordinates.
+    model = model_for(layers, radius)
+    vertices = tiling.units_xy(model.vertices, radius)
+    specials = np.array([np.inf, -np.inf, np.nan, 0.0, radius])
+    points = np.concatenate([
+        vertices,
+        np.nextafter(vertices, np.inf),
+        np.nextafter(vertices, -np.inf),
+        vertices * (1 + 1e-12),
+        vertices * (1 - 1e-12),
+        np.stack(np.meshgrid(specials, specials), axis=-1).reshape(-1, 2),
+    ])
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and x / r at r = 1e-150
+        inside = region_contains(model, points)
+        assert np.array_equal(inside, brute_force_contains(model, points, REGION_TOL))
+    assert inside[: len(vertices)].all()
+    assert not inside[-len(specials) ** 2:][~np.isfinite(points[-len(specials) ** 2:]).any(axis=1)].any()
 
 
 def tiles_at_old_band(model, offset):

@@ -21,6 +21,7 @@ from hexcover.tiling import (
     model_to_dict,
     patch_triangles,
     region_contains,
+    row_keys,
     units_xy,
     vertex_count,
 )
@@ -65,10 +66,12 @@ class TestBuildSolarModel:
         with pytest.raises(ValueError):
             build_solar_model(2, side=side)
 
-    def test_ring_membership_matches_axial_distance(self):
+    def test_hexagons_come_ring_by_ring(self):
+        # The CSV's hexagon column indexes this order: the center, then each
+        # ring of 6j cells at axial distance j, counterclockwise from (j, 0).
         m = build_solar_model(4)
-        for (q, w), layer in zip(m.axial, m.layer_of):
-            assert axial_distance(q, w) == layer - 1
+        assert [axial_distance(q, w) for q, w in m.axial] == [0] + [1] * 6 + [2] * 12 + [3] * 18
+        assert m.axial[:7] == ((0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
     def test_neighbor_centers_at_unit_graph_distance(self):
         m = build_solar_model(3, side=2.0)
@@ -156,14 +159,21 @@ class TestRegistry:
     def test_inner_layers_have_all_neighbors(self):
         m = build_solar_model(4)
         cells = set(m.axial)
-        for (q, w), layer in zip(m.axial, m.layer_of):
-            if layer <= m.layers - 1:
+        for q, w in m.axial:
+            if axial_distance(q, w) < m.layers - 1:
                 assert all((q + dq, w + dw) in cells for dq, dw in AXIAL_DIRECTIONS)
 
     def test_incidence_totals(self):
         m = build_solar_model(5)
         total = sum(len(hexagons) for hexagons in incident_hexagons(m).values())
         assert total == 6 * len(m.hexagons)
+
+
+@pytest.mark.parametrize("scale", [1, 2**50, 0.1])
+def test_row_keys_dedupe_and_sort_like_rows(scale):
+    rows = np.random.default_rng(5).integers(-3, 4, size=(500, 2)) * scale
+    keys = np.unique(row_keys(rows))
+    assert np.array_equal(keys.view(float).reshape(-1, 2), np.unique(rows, axis=0))
 
 
 @pytest.mark.parametrize("layers", range(1, 11))

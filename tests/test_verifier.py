@@ -162,14 +162,14 @@ class TestVerifyCoverage:
         deployment = place_proposed(model_l1, 2)
         victim = deployment.provenance.tolist().index("vertex:even")
         broken = remove_sensors(deployment, [victim])
-        report = verify_coverage(broken, target_k=2, mc_samples=MC)
+        report = verify_coverage(broken, mc_samples=MC)
         assert not report.passed
         assert len(report.failing_points) > 0
 
     def test_empty_deployment_reports_zero(self, model_l1):
         deployment = place_proposed(model_l1, 1)
         empty = remove_sensors(deployment, [0])
-        report = verify_coverage(empty, target_k=1, mc_samples=MC)
+        report = verify_coverage(empty, mc_samples=MC)
         assert report.min_coverage == 0
         assert not report.passed
 
@@ -180,7 +180,7 @@ class TestVerifyCoverage:
 
     def test_monotone_in_k_on_identical_samples(self, model_l2):
         reports = [
-            verify_coverage(place_proposed(model_l2, k), target_k=1, seed=3, mc_samples=MC)
+            verify_coverage(place_proposed(model_l2, k), seed=3, mc_samples=MC)
             for k in (1, 2, 3, 4)
         ]
         mins = [r.min_coverage for r in reports]
@@ -202,8 +202,8 @@ class TestVerifyCoverage:
         deployment = place_proposed(model_l1, 2)
         victim = deployment.provenance.tolist().index("vertex:even")
         broken = remove_sensors(deployment, [victim])
-        eager = verify_coverage(broken, target_k=2, mc_samples=MC, fail_fast=True)
-        full = verify_coverage(broken, target_k=2, mc_samples=MC)
+        eager = verify_coverage(broken, mc_samples=MC, fail_fast=True)
+        full = verify_coverage(broken, mc_samples=MC)
         assert not eager.passed
         assert eager.samples < full.samples
 
@@ -221,7 +221,7 @@ class TestVerifyCoverage:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(verifier, name, recorded)
-        report = verify_coverage(broken, target_k=2, mc_samples=MC, fail_fast=fail_fast)
+        report = verify_coverage(broken, mc_samples=MC, fail_fast=fail_fast)
         assert not report.passed
         assert built == ([] if fail_fast else ["grid_points", "monte_carlo_points"])
 
@@ -268,7 +268,7 @@ class TestResidualCoverage:
             assert np.array_equal(getattr(reduced, column), getattr(deployment, column)[kept])
         report = residual_coverage(deployment, [0, 2], mc_samples=MC)
         assert report.target_k == 2
-        assert report == verify_coverage(reduced, target_k=2, mc_samples=MC)
+        assert report == verify_coverage(reduced, mc_samples=MC)
 
     def test_duplicate_failures_rejected(self, model_l1):
         deployment = place_proposed(model_l1, 3)
@@ -329,7 +329,7 @@ class TestTriangleCoverage:
     def test_certificate_implies_a_sampled_pass(self, layout):
         deployment = CROSS_CHECK_LAYOUTS[layout]()
         certified = triangle_coverage_certificate(deployment)
-        report = verify_coverage(deployment, target_k=certified, mc_samples=MC)
+        report = verify_coverage(dataclasses.replace(deployment, k=certified), mc_samples=MC)
         assert report.passed, f"certificate {certified}, sampled minimum {report.min_coverage}"
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
