@@ -116,8 +116,6 @@ class FigureTable:
         lengths = {len(series) for series in self.columns.values()}
         if len(lengths) > 1:
             raise ValueError("figure columns must have equal length")
-        for series in self.columns.values():
-            finite(series, "figure columns")
 
 
 DEFAULT_RADII = SweepSpec(1.0, 30.0, 1.0)

@@ -46,7 +46,7 @@ from .sensor_io import (
     write_sensors_csv,
     write_sensors_json,
 )
-from .tiling import SQRT3, build_solar_model, extreme_units, vertex_count
+from .tiling import build_solar_model, vertex_count
 from .verifier import FLOAT_LIMIT, MAX_PROBES, probe_estimate, verify_coverage
 
 EXIT_OK = 0
@@ -171,13 +171,11 @@ def run_plan(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    # The farthest patch vertices, rounded as ``SolarModel.bounding_box`` rounds them.
-    x_units, y_units = extreme_units(args.layers)
-    if max(x_units * 0.5 * args.radius, y_units * SQRT3 * 0.5 * args.radius) > FLOAT_LIMIT:
+    model = build_solar_model(args.layers, args.radius)
+    if max(map(abs, model.bounding_box())) > FLOAT_LIMIT:
         print(f"error: --radius {args.radius:g} and --layers {args.layers} give a patch reaching beyond "
               f"±{FLOAT_LIMIT:g}, which verify refuses", file=sys.stderr)
         return EXIT_USAGE
-    model = build_solar_model(args.layers, args.radius)
     if args.strategy == "proposed":
         # place_proposed raises InvariantViolation unless placed == formula.
         deployment = place_proposed(model, args.coverage, parity=args.parity)

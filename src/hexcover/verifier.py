@@ -8,9 +8,11 @@ Three point families are evaluated against the sensing disks:
   deduplication by ``tiling.row_keys``, ordering and their count
   (``structured_count``) are exact.
   Triangle vertices are the worst-case points under the placement strategy;
-* a square grid of pitch ``grid_step`` clipped to the patch by
-  ``tiling.region_contains``, which tests each point against the four
-  hexagons of its axial floor block only, so clipping is O(points);
+* a square grid of pitch ``grid_step``: one lattice, its two axes and a
+  (rows, columns) mask of the nodes ``tiling.region_contains`` keeps (it
+  tests each node against the four hexagons of its axial floor block only,
+  so clipping is O(points)); the kept nodes and their counts are both read
+  off that mask;
 * seeded uniform samples over the patch.
 
 The disk test compares squared distances with a 1e-9 relative tolerance so
@@ -63,15 +65,15 @@ from .tiling import (
 
 DISK_TOL = 1e-9  # relative, on squared distances
 MAX_FAILING_POINTS = 100
-# Probe budget of one verify run.  Building and clipping the grid peaks at
-# 51 bytes per raw grid point (the meshgrid, the stacked points, the mask and
-# the kept points; the clipping kernel's own temporaries are per chunk).
-# Counting the grid on its lattice comes after that peak and stays below it:
-# about 31 bytes per raw point (4 for the lattice counts, the rest for the
-# kept points, their row and column indices and their counts) plus a few MB
-# of per-chunk temporaries.  Monte Carlo sampling peaks at 130 bytes per
-# sample.  So the budget caps those temporaries near 0.5 and 1.3 GB
-# (tracemalloc at l = 10 and 20, r = 10, step r/20).
+# Probe budget of one verify run.  The grid stage peaks at 37 bytes per raw
+# grid point.  Clipping holds the 16-byte nodes and their 1-byte mask (the
+# clipping kernel's own temporaries are per chunk), 18-25 bytes per raw
+# point.  Reading the kept nodes off the mask then holds their row and
+# column indices, the two gathered coordinates and the stacked nodes, 48
+# bytes per kept node, 36 per raw point at the patch's 74% keep ratio; the
+# 4-byte lattice counts come after that.  Monte Carlo sampling peaks at 130
+# bytes per sample.  So the budget caps those temporaries near 0.37 and
+# 1.3 GB (tracemalloc at l = 10, 20 and 30, r = 10, step r/20).
 MAX_PROBES = 10_000_000
 LATTICE_CHUNK = 1 << 14  # (sensor, row) intervals per lattice-counting pass
 # KD-tree leaf size and fewest probes per query thread of ``coverage_counts``
@@ -160,16 +162,19 @@ def _grid_axes(model: SolarModel, step: float) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(min_x, max_x + step * 0.5, step), np.arange(min_y, max_y + step * 0.5, step)
 
 
-def grid_points(model: SolarModel, step: float) -> np.ndarray:
-    """Square grid of pitch ``step`` clipped to the patch, in row-major order.
+def grid_points(model: SolarModel, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Square grid of pitch ``step``: its axes ``xs``, ``ys`` and the mask of its nodes in the patch.
 
-    The grid is anchored at the bounding-box corner, so halving the step keeps
-    every existing point and refinement can only lower the observed minimum.
+    The mask has shape (len(ys), len(xs)); node (i, j) is (xs[j], ys[i]).
+    The grid is anchored at the bounding-box corner, so halving the step
+    keeps every existing node and refinement can only lower the observed
+    minimum.
     """
     xs, ys = _grid_axes(model, step)
-    gx, gy = np.meshgrid(xs, ys)
-    points = np.column_stack([gx.ravel(), gy.ravel()])
-    return points[region_contains(model, points)]
+    nodes = np.empty((len(ys), len(xs), 2))
+    nodes[..., 0] = xs
+    nodes[..., 1] = ys[:, None]
+    return xs, ys, region_contains(model, nodes.reshape(-1, 2)).reshape(len(ys), len(xs))
 
 
 def monte_carlo_points(model: SolarModel, count: int, seed: int) -> np.ndarray:
@@ -393,12 +398,10 @@ def _counted(points: np.ndarray, sensors: np.ndarray, radius: float) -> tuple[np
 def _grid_stage(
     model: SolarModel, step: float, sensors: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The clipped grid and its counts, read off the counts of the whole lattice."""
-    points = grid_points(model, step)
-    xs, ys = _grid_axes(model, step)
-    counts = lattice_counts(xs, ys, sensors, radius)
-    # Kept points are grid nodes, copied exactly, so searching the axes finds their indices.
-    return points, counts[np.searchsorted(ys, points[:, 1]), np.searchsorted(xs, points[:, 0])]
+    """The grid nodes in the patch, in row-major order, and their counts, both read off one mask."""
+    xs, ys, kept = grid_points(model, step)
+    rows, columns = np.nonzero(kept)
+    return np.column_stack([xs[columns], ys[rows]]), lattice_counts(xs, ys, sensors, radius)[kept]
 
 
 def _stages(deployment: Deployment, step: float, seed: int, mc_samples: int):

@@ -227,10 +227,6 @@ class TestFigureTables:
         with pytest.raises(ValueError):
             FigureTable("fig4", {"a": [1, 2], "b": [1]})
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            FigureTable("fig4", {"a": [float("nan")]})
-
 
 class TestCsvEmission:
     def test_lines_are_deterministic(self):

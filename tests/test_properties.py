@@ -269,6 +269,36 @@ def test_lattice_counts_across_chunks(monkeypatch):
     assert np.array_equal(counts.ravel(), coverage_counts(grid_nodes(xs, ys), sensors, 1.3))
 
 
+@st.composite
+def grid_stage_cases(draw):
+    """A patch, a grid pitch from r/20 to beyond the patch's width, and sensors around the patch."""
+    layers = draw(st.integers(1, 6))
+    radius = draw(st.sampled_from([1e-150, 1.0, 2.5] + ([1e150] if layers == 1 else [])))
+    model = model_for(layers, radius)
+    # the patch is 3l - 1 sides wide
+    step = radius * draw(st.sampled_from([0.05, 0.13, 0.3, 1.0, 2.5, 3 * layers]))
+    min_x, min_y, max_x, max_y = model.bounding_box()
+    unit = st.floats(0, 1)
+    sensor = st.tuples(
+        unit.map(lambda f: min_x - radius + f * (max_x - min_x + 2 * radius)),
+        unit.map(lambda f: min_y - radius + f * (max_y - min_y + 2 * radius)),
+    )
+    sensors = np.array(draw(st.lists(sensor, min_size=1, max_size=10)), dtype=float)
+    return model, step, sensors, radius
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=grid_stage_cases())
+def test_grid_stage_is_the_clipped_meshgrid_with_its_lattice_counts(case):
+    model, step, sensors, radius = case
+    xs, ys = verifier._grid_axes(model, step)
+    nodes = grid_nodes(xs, ys)
+    inside = region_contains(model, nodes)
+    points, counts = verifier._grid_stage(model, step, sensors, radius)
+    assert np.array_equal(points.view(np.uint64), nodes[inside].view(np.uint64))
+    assert np.array_equal(counts, brute_force_lattice_counts(xs, ys, sensors, radius).ravel()[inside])
+
+
 def affinity_cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 

@@ -85,11 +85,11 @@ class TestSampling:
         assert region_contains(model_l2, points).all()
 
     def test_grid_respects_step_and_region(self, model_l1):
-        points = grid_points(model_l1, 0.05)
-        assert region_contains(model_l1, points).all()
-        xs = np.unique(points[:, 0])
-        gaps = np.diff(np.sort(xs))
-        assert gaps.min() == pytest.approx(0.05, rel=1e-9)
+        xs, ys, kept = grid_points(model_l1, 0.05)
+        assert np.diff(xs) == pytest.approx(0.05, rel=1e-9)
+        assert kept.shape == (len(ys), len(xs))
+        rows, columns = np.nonzero(kept)
+        assert region_contains(model_l1, np.column_stack([xs[columns], ys[rows]])).all()
 
     def test_grid_rejects_bad_step(self, model_l1):
         with pytest.raises(ValueError):
