@@ -1,7 +1,7 @@
 """Command-line front end: plan, verify, compare, sweep.
 
-Exit codes: 0 success / coverage pass, 1 coverage fail, 2 usage or input
-error, 3 internal invariant violation.  All randomness flows from --seed.
+Exit codes: 0 success / coverage pass, 1 coverage fail, 2 usage, input or
+memory error, 3 internal invariant violation.  All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -319,6 +319,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # not a coverage result, so never exit 1
+        print("error: out of memory; use fewer --layers or a lower --coverage, "
+              "or for verify a coarser --grid-step or fewer --mc-samples", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -11,8 +11,8 @@ Three point families are evaluated against the sensing disks:
 * a square grid of pitch ``grid_step``: one lattice, its two axes and a
   (rows, columns) mask of the nodes ``tiling.region_contains`` keeps (it
   tests each node against the four hexagons of its axial floor block only,
-  so clipping is O(points)); the kept nodes and their counts are both read
-  off that mask;
+  so clipping is O(points)); the kept nodes' counts are read off that mask,
+  and a node's coordinates are built only when it is reported as failing;
 * seeded uniform samples over the patch.
 
 The disk test compares squared distances with a 1e-9 relative tolerance so
@@ -65,15 +65,14 @@ from .tiling import (
 
 DISK_TOL = 1e-9  # relative, on squared distances
 MAX_FAILING_POINTS = 100
-# Probe budget of one verify run.  The grid stage peaks at 37 bytes per raw
-# grid point.  Clipping holds the 16-byte nodes and their 1-byte mask (the
-# clipping kernel's own temporaries are per chunk), 18-25 bytes per raw
-# point.  Reading the kept nodes off the mask then holds their row and
-# column indices, the two gathered coordinates and the stacked nodes, 48
-# bytes per kept node, 36 per raw point at the patch's 74% keep ratio; the
-# 4-byte lattice counts come after that.  Monte Carlo sampling peaks at 130
-# bytes per sample.  So the budget caps those temporaries near 0.37 and
-# 1.3 GB (tracemalloc at l = 10, 20 and 30, r = 10, step r/20).
+# Probe budget of one verify run.  The grid stage peaks while clipping: the
+# 16-byte nodes, their 1-byte mask and the clipping kernel's per-chunk
+# temporaries, 25, 19 and 18 bytes per raw grid point.  Counting then holds
+# the mask, the 4-byte difference array and the kept nodes' counts, 14, 8
+# and 8 bytes per raw point; only failing nodes get coordinates.  Monte
+# Carlo sampling peaks at 130 bytes per sample.  So the budget caps those
+# temporaries near 0.2 and 1.3 GB (tracemalloc at l = 10, 20 and 30, r = 10,
+# step r/20).
 MAX_PROBES = 10_000_000
 LATTICE_CHUNK = 1 << 14  # (sensor, row) intervals per lattice-counting pass
 # KD-tree leaf size and fewest probes per query thread of ``coverage_counts``
@@ -154,23 +153,18 @@ def probe_estimate(layers: int, radius: float, grid_step: float | None, mc_sampl
     return structured_count(layers) + columns * rows + mc_samples
 
 
-def _grid_axes(model: SolarModel, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Column abscissae and row ordinates of the raw grid, both increasing."""
-    if step <= 0:
-        raise ValueError(f"grid step must be positive, got {step}")
-    min_x, min_y, max_x, max_y = model.bounding_box()
-    return np.arange(min_x, max_x + step * 0.5, step), np.arange(min_y, max_y + step * 0.5, step)
-
-
 def grid_points(model: SolarModel, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Square grid of pitch ``step``: its axes ``xs``, ``ys`` and the mask of its nodes in the patch.
 
-    The mask has shape (len(ys), len(xs)); node (i, j) is (xs[j], ys[i]).
-    The grid is anchored at the bounding-box corner, so halving the step
-    keeps every existing node and refinement can only lower the observed
-    minimum.
+    The axes are increasing and the mask has shape (len(ys), len(xs)); node
+    (i, j) is (xs[j], ys[i]).  The grid is anchored at the bounding-box
+    corner, so halving the step keeps every existing node and refinement can
+    only lower the observed minimum.
     """
-    xs, ys = _grid_axes(model, step)
+    if step <= 0:
+        raise ValueError(f"grid step must be positive, got {step}")
+    min_x, min_y, max_x, max_y = model.bounding_box()
+    xs, ys = np.arange(min_x, max_x + step * 0.5, step), np.arange(min_y, max_y + step * 0.5, step)
     nodes = np.empty((len(ys), len(xs), 2))
     nodes[..., 0] = xs
     nodes[..., 1] = ys[:, None]
@@ -391,21 +385,23 @@ def lattice_counts(xs: np.ndarray, ys: np.ndarray, sensors: np.ndarray, radius: 
     return counts[:, :nx]
 
 
-def _counted(points: np.ndarray, sensors: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    return points, coverage_counts(points, sensors, radius)
+def _counted(points: np.ndarray, sensors: np.ndarray, radius: float):
+    return coverage_counts(points, sensors, radius), points.__getitem__
 
 
-def _grid_stage(
-    model: SolarModel, step: float, sensors: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The grid nodes in the patch, in row-major order, and their counts, both read off one mask."""
+def _grid_stage(model: SolarModel, step: float, sensors: np.ndarray, radius: float):
+    """Counts of the grid nodes in the patch, in row-major order, and a lookup of those nodes by index."""
     xs, ys, kept = grid_points(model, step)
-    rows, columns = np.nonzero(kept)
-    return np.column_stack([xs[columns], ys[rows]]), lattice_counts(xs, ys, sensors, radius)[kept]
+
+    def nodes(index: np.ndarray) -> np.ndarray:
+        row, column = np.divmod(np.flatnonzero(kept)[index], len(xs))
+        return np.column_stack([xs[column], ys[row]])
+
+    return lattice_counts(xs, ys, sensors, radius)[kept], nodes
 
 
 def _stages(deployment: Deployment, step: float, seed: int, mc_samples: int):
-    """(probes, counts) of each stage in turn; a stage is built only when the caller asks for it."""
+    """(counts, probe lookup by index) of each stage in turn; a stage is built only when the caller asks for it."""
     # Each stage is built inside a call, so no local here keeps a finished
     # stage alive while the next one is built.
     model, sensors, radius = deployment.model, deployment.sensors, deployment.r
@@ -435,20 +431,20 @@ def verify_coverage(
     failing: list[tuple[float, float]] = []
     min_coverage: int | None = None
     samples = 0
-    for stage, counts in _stages(deployment, step, seed, mc_samples):
-        samples += len(stage)
+    for counts, probes in _stages(deployment, step, seed, mc_samples):
+        samples += len(counts)
         if len(counts):
             stage_min = int(counts.min())
             min_coverage = stage_min if min_coverage is None else min(min_coverage, stage_min)
             values, freqs = np.unique(counts, return_counts=True)
             for value, freq in zip(values.tolist(), freqs.tolist()):
                 histogram[int(value)] = histogram.get(int(value), 0) + int(freq)
-            bad = np.nonzero(counts < deployment.k)[0]
-            for index in bad[: MAX_FAILING_POINTS - len(failing)]:
-                failing.append((float(stage[index, 0]), float(stage[index, 1])))
-            if fail_fast and len(bad):
+            bad = np.flatnonzero(counts < deployment.k)[: MAX_FAILING_POINTS - len(failing)]
+            if len(bad):
+                failing.extend(map(tuple, probes(bad).tolist()))
+            if fail_fast and stage_min < deployment.k:
                 break
-        del stage, counts  # free this stage's probes before the next one is built
+        del counts, probes  # free this stage's probes before the next one is built
 
     if min_coverage is None:
         min_coverage = 0

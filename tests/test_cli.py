@@ -137,6 +137,37 @@ class TestInternalErrors:
         assert code == 3
 
 
+class TestOutOfMemory:
+    """Running out of memory is not a coverage result: exit 2, one line naming the size flags, nothing written."""
+
+    @staticmethod
+    def _out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 GiB")
+
+    def _assert_refused(self, code, capsys, written):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        for flag in ("--layers", "--coverage", "--grid-step", "--mc-samples"):
+            assert flag in err
+        assert not written.exists()
+
+    def test_plan(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "place_proposed", self._out_of_memory)
+        out = tmp_path / "sensors.csv"
+        code = run(["plan", "--layers", "2", "--coverage", "3", "--output", str(out)])
+        self._assert_refused(code, capsys, out)
+
+    def test_verify(self, tmp_path, monkeypatch, capsys):
+        sensors, report = tmp_path / "sensors.csv", tmp_path / "report.json"
+        assert run(["plan", "--layers", "2", "--coverage", "3", "--output", str(sensors)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "verify_coverage", self._out_of_memory)
+        code = run(["verify", "--input", str(sensors), "--output", str(report)])
+        self._assert_refused(code, capsys, report)
+
+
 class TestVerify:
     def _plan(self, tmp_path, *, layers, coverage):
         out = tmp_path / "sensors.csv"

@@ -6,6 +6,7 @@ Examples are derandomized and bounded so the suite stays fast and repeatable.
 
 import functools
 import os
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from exact_reference import exact_placement
 from hexcover import benchmark, tiling, verifier
 from hexcover.benchmark import place_benchmark, small_hexagon_centers
 from hexcover.cli import main
-from hexcover.deployment import place_proposed, total_count
+from hexcover.deployment import place_proposed, remove_sensors, total_count
 from hexcover.geometry import SQRT3, Hexagon, midpoint
 from hexcover.sensor_io import load_deployment, read_sensors_csv, write_sensors_csv
 from hexcover.tiling import (
@@ -291,12 +292,85 @@ def grid_stage_cases(draw):
 @given(case=grid_stage_cases())
 def test_grid_stage_is_the_clipped_meshgrid_with_its_lattice_counts(case):
     model, step, sensors, radius = case
-    xs, ys = verifier._grid_axes(model, step)
+    xs, ys, _ = verifier.grid_points(model, step)
     nodes = grid_nodes(xs, ys)
     inside = region_contains(model, nodes)
-    points, counts = verifier._grid_stage(model, step, sensors, radius)
-    assert np.array_equal(points.view(np.uint64), nodes[inside].view(np.uint64))
+    counts, lookup = verifier._grid_stage(model, step, sensors, radius)
+    assert np.array_equal(lookup(np.arange(len(counts))).view(np.uint64), nodes[inside].view(np.uint64))
+    assert np.array_equal(lookup(np.arange(len(counts))[::-3]), nodes[inside][::-3])
     assert np.array_equal(counts, brute_force_lattice_counts(xs, ys, sensors, radius).ravel()[inside])
+
+
+def brute_force_report(deployment, seed, mc_samples, fail_fast):
+    """``verify_coverage``'s report from every stage's full point array, counted by the KD-tree.
+
+    The grid's kept nodes come from the whole meshgrid.  Also returns each
+    built stage's number of failing probes.
+    """
+    model, k = deployment.model, deployment.k
+    xs, ys, _ = verifier.grid_points(model, verifier.default_grid_step(deployment.r))
+    nodes = grid_nodes(xs, ys)
+    stages = [verifier.structured_points(model), nodes[region_contains(model, nodes)]]
+    if mc_samples > 0:
+        stages.append(verifier.monte_carlo_points(model, mc_samples, seed))
+    histogram, failing, stage_failures = Counter(), [], []
+    for points in stages:
+        counts = coverage_counts(points, deployment.sensors, deployment.r)
+        histogram.update(counts.tolist())
+        failing += points[counts < k].tolist()
+        stage_failures.append(int((counts < k).sum()))
+        if fail_fast and stage_failures[-1]:
+            break
+    minimum = min(histogram)
+    report = {
+        "target_k": k,
+        "samples": sum(histogram.values()),
+        "min_coverage": minimum,
+        "passed": minimum >= k,
+        "failing_points": failing[: verifier.MAX_FAILING_POINTS],
+        "coverage_histogram": {str(c): histogram[c] for c in sorted(histogram)},
+        "region": f"solar-model patch: layers={model.layers}, hexagons={len(model.axial)}, side={model.side}",
+    }
+    return report, stage_failures
+
+
+def thinned(layers, k, every):
+    deployment = place_proposed(model_for(layers, 1.0), k)
+    return remove_sensors(deployment, list(range(0, deployment.sensor_count(), every)))
+
+
+def reporting_stages(stage_failures):
+    """The stages whose failing probes are among a report's first ``MAX_FAILING_POINTS``."""
+    stages, room = [], verifier.MAX_FAILING_POINTS
+    for stage, count in zip(("structured", "grid", "monte-carlo"), stage_failures):
+        if count and room:
+            stages.append(stage)
+            room -= min(count, room)
+    return stages
+
+
+# layout, and the stages that report its failing points without fail_fast
+REPORT_CASES = {
+    "scheme-l2-k1-seed0": (lambda: place_benchmark(model_for(2, 1.0), 1, seed=0), ["structured", "grid", "monte-carlo"]),
+    "scheme-l3-k2-seed7": (lambda: place_benchmark(model_for(3, 1.0), 2, seed=7), ["structured", "grid"]),
+    "scheme-l4-k4-seed0": (lambda: place_benchmark(model_for(4, 1.0), 4, seed=0), ["structured", "grid"]),
+    "thinned-l2-k2": (lambda: thinned(2, 2, 5), ["structured", "grid"]),
+    "thinned-l3-k4": (lambda: thinned(3, 4, 4), ["structured", "grid"]),
+    "thinned-l4-k3": (lambda: thinned(4, 3, 2), ["structured"]),
+    "proposed-l3-k2": (lambda: place_proposed(model_for(3, 1.0), 2), []),
+}
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+@pytest.mark.parametrize("name", REPORT_CASES)
+def test_verify_report_equals_brute_force_stages(name, fail_fast):
+    layout, stages = REPORT_CASES[name]
+    deployment = layout()
+    expected, stage_failures = brute_force_report(deployment, seed=3, mc_samples=300, fail_fast=fail_fast)
+    report = verifier.verify_coverage(deployment, seed=3, mc_samples=300, fail_fast=fail_fast)
+    assert report.to_dict() == expected
+    if not fail_fast:
+        assert reporting_stages(stage_failures) == stages
 
 
 def affinity_cpus():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from hexcover.tiling import build_solar_model, patch_triangles, triangle_samples
 from hexcover.verifier import (
     covering_pairs,
     coverage_counts,
+    default_grid_step,
     grid_points,
     minimum_sensors_lower_bound,
     monte_carlo_points,
@@ -224,6 +226,21 @@ class TestVerifyCoverage:
         report = verify_coverage(broken, mc_samples=MC, fail_fast=fail_fast)
         assert not report.passed
         assert built == ([] if fail_fast else ["grid_points", "monte_carlo_points"])
+
+    def test_grid_stage_lists_no_kept_nodes(self):
+        # Clipping holds 17 bytes per raw node plus per-chunk temporaries; a
+        # list of every kept node's coordinates pushed the peak to 37.
+        model = build_solar_model(10, 10.0)
+        deployment = place_benchmark(model, 10, seed=7)
+        xs, ys, _ = grid_points(model, default_grid_step(10.0))
+        tracemalloc.start()
+        try:
+            report = verify_coverage(deployment, mc_samples=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.passed and len(report.failing_points) == 100
+        assert peak < 28 * len(xs) * len(ys)
 
     def test_report_serialization(self, model_l1):
         report = verify_coverage(place_proposed(model_l1, 1), mc_samples=MC)
