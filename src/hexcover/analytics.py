@@ -20,19 +20,26 @@ _DENOM = 3.0 * math.sqrt(3.0)
 FIGURE_IDS = ("fig4", "fig5", "fig6", "fig7", "fig8")
 
 
+def _area(r: float) -> float:
+    """3 sqrt(3) r^2; an OverflowError where it is infinite, which would read every density as 0."""
+    if (area := _DENOM * r * r) == math.inf:
+        raise OverflowError(f"3 sqrt(3) r^2 overflows at r = {r:g}")
+    return area
+
+
 def density_proposed(k: int, r: float) -> float:
     """Sensors per unit area of the proposed scheme: 2(3k-2) / (3 sqrt(3) r^2)."""
-    return 2.0 * (3 * k - 2) / (_DENOM * r * r)
+    return 2.0 * (3 * k - 2) / _area(r)
 
 
 def density_benchmark(k: int, r: float) -> float:
     """Sensors per unit area of the comparison scheme: 8k / (3 sqrt(3) r^2)."""
-    return 8.0 * k / (_DENOM * r * r)
+    return 8.0 * k / _area(r)
 
 
 def density_gain(k: int, r: float) -> float:
     """How much denser the comparison scheme is: (2k+4) / (3 sqrt(3) r^2)."""
-    return (2.0 * k + 4.0) / (_DENOM * r * r)
+    return (2.0 * k + 4.0) / _area(r)
 
 
 def density_ratio_limit(k_probe: int) -> float:
@@ -153,11 +160,13 @@ def emit_figure_table(
     """
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}, expected one of {FIGURE_IDS}")
-    _check_rows(len(ks), AXIS_FLAGS["k"])
-    _check_rows(len(ls), AXIS_FLAGS["l"])
+    # len() of a range raises OverflowError past sys.maxsize, naming no flag.
+    k_rows, l_rows = (max(0, -((values.start - values.stop) // values.step)) for values in (ks, ls))
+    _check_rows(k_rows, AXIS_FLAGS["k"])
+    _check_rows(l_rows, AXIS_FLAGS["l"])
     if figure_id == "fig8":
         flags = "--k-min, --k-max, --l-min and --l-max"
-        _check_rows(len(ks) * len(ls), flags)
+        _check_rows(k_rows * l_rows, flags)
         rows = [(k, l, total_count(l, k), benchmark_count(l, k)) for k in ks for l in ls]
         columns = {name: [row[i] for row in rows] for i, name in enumerate(("k", "l", "proposed", "cga"))}
         columns["gap"] = [cga - proposed for _, _, proposed, cga in rows]

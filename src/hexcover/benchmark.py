@@ -22,8 +22,10 @@ from fractions import Fraction
 import numpy as np
 
 from .deployment import Deployment, InvariantViolation, total_count
-from .geometry import ORIGIN, SQRT3, Hexagon
-from .tiling import SolarModel, hexagon_count, region_contains, triangle_samples
+# Nothing here builds a ``Hexagon``; the name stays because perfbench/spans.py
+# wraps ``benchmark.Hexagon`` and tests/test_tracing.py runs that tracer.
+from .geometry import SQRT3, Hexagon
+from .tiling import VERTEX_OFFSETS, SolarModel, hexagon_count, region_contains, triangle_samples
 
 SMALL_SIDE = Fraction(1, 2)
 
@@ -61,10 +63,8 @@ def count_gap(layers: int, k: int) -> int:
 
 
 # Twice the lattice coefficients (x, y) of the center and the six vertices of
-# the half-side hexagon at the origin: all integers.
-_SMALL_X2, _SMALL_Y2 = np.array(
-    [(int(2 * p.x), int(2 * p.y)) for p in (ORIGIN,) + Hexagon(ORIGIN, SMALL_SIDE).vertices()]
-).T
+# the half-side hexagon at the origin: the unit hexagon's coefficients.
+_SMALL_X2, _SMALL_Y2 = np.vstack([[0, 0], VERTEX_OFFSETS]).T
 
 
 def _small_hexagon_xy(

@@ -111,18 +111,11 @@ class SolarModel:
         The extreme vertices have lattice coefficients x = ±(3l - 1) (the
         angle-0 and angle-180 vertices of the outermost cells on the x axis)
         and y = ±(2l - 1) (the top and bottom vertices of the outermost cells
-        on the y axis).  Each bound is the expression ``LatticePoint.to_xy``
-        evaluates on that vertex, so it equals a scan over every vertex bit
-        for bit.
+        on the y axis).  The bounds are ``units_xy`` of those coefficients,
+        so they equal a scan over every vertex bit for bit.
         """
-        half = 0.5 * self.side
         x_units, y_units = extreme_units(self.layers)
-        return (
-            float(-x_units) * half,
-            float(-y_units) * SQRT3 * half,
-            float(x_units) * half,
-            float(y_units) * SQRT3 * half,
-        )
+        return tuple(units_xy(np.array([[-x_units, -y_units], [x_units, y_units]]), self.side).ravel().tolist())
 
 
 def extreme_units(layers: int) -> tuple[int, int]:

@@ -15,6 +15,9 @@ Three point families are evaluated against the sensing disks:
   and a node's coordinates are built only when it is reported as failing;
 * seeded uniform samples over the patch.
 
+The report keeps each count's frequency and up to ``MAX_FAILING_POINTS``
+failing probes; its sample count, minimum and verdict are read off that histogram.
+
 The disk test compares squared distances with a 1e-9 relative tolerance so
 exact boundary contacts survive the float conversion.  Structured and Monte
 Carlo probes are counted with a KD-tree (``coverage_counts``), on as many
@@ -87,15 +90,24 @@ FLOAT_LIMIT = 1e150
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Outcome of sampling a deployment against a target coverage."""
+    """Outcome of sampling a deployment against a target coverage; its sample count, minimum and verdict are read off its histogram."""
 
     target_k: int
-    samples: int
-    min_coverage: int
     failing_points: tuple[tuple[float, float], ...]
     coverage_histogram: dict[int, int]
     region: str
-    passed: bool
+
+    @property
+    def samples(self) -> int:
+        return sum(self.coverage_histogram.values())
+
+    @property
+    def min_coverage(self) -> int:
+        return min(self.coverage_histogram, default=0)
+
+    @property
+    def passed(self) -> bool:
+        return self.min_coverage >= self.target_k
 
     def to_dict(self) -> dict:
         return {
@@ -280,8 +292,8 @@ def minimum_sensors_lower_bound() -> int:
     n = 24
     i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
     u, v = i[i + j <= n] / n, j[i + j <= n] / n
-    center, a, b = (triangles[:, None, corner] for corner in range(3))
-    candidates = (u[:, None] * center + v[:, None] * a + (1.0 - u - v)[:, None] * b).reshape(-1, 2)
+    center, a, b = np.repeat(triangles, len(u), axis=0).transpose(1, 0, 2)
+    candidates = triangle_samples(center, a, b, np.tile(u, 6), np.tile(v, 6))
     _, sensor = covering_pairs(triangles, candidates, 1.0)
     held = np.bincount(sensor, minlength=len(candidates))
     at_center = (candidates == 0.0).all(axis=1)
@@ -429,38 +441,23 @@ def verify_coverage(
 
     histogram: dict[int, int] = {}
     failing: list[tuple[float, float]] = []
-    min_coverage: int | None = None
-    samples = 0
     for counts, probes in _stages(deployment, step, seed, mc_samples):
-        samples += len(counts)
-        if len(counts):
-            stage_min = int(counts.min())
-            min_coverage = stage_min if min_coverage is None else min(min_coverage, stage_min)
-            values, freqs = np.unique(counts, return_counts=True)
-            for value, freq in zip(values.tolist(), freqs.tolist()):
-                histogram[int(value)] = histogram.get(int(value), 0) + int(freq)
+        values, freqs = np.unique(counts, return_counts=True)
+        for value, freq in zip(values.tolist(), freqs.tolist()):
+            histogram[value] = histogram.get(value, 0) + freq
+        failed = len(values) > 0 and values[0] < deployment.k
+        if failed and len(failing) < MAX_FAILING_POINTS:
             bad = np.flatnonzero(counts < deployment.k)[: MAX_FAILING_POINTS - len(failing)]
-            if len(bad):
-                failing.extend(map(tuple, probes(bad).tolist()))
-            if fail_fast and stage_min < deployment.k:
-                break
+            failing.extend(map(tuple, probes(bad).tolist()))
         del counts, probes  # free this stage's probes before the next one is built
+        if fail_fast and failed:
+            break
 
-    if min_coverage is None:
-        min_coverage = 0
-
-    region = (
-        f"solar-model patch: layers={model.layers}, "
-        f"hexagons={len(model.axial)}, side={model.side}"
-    )
     return CoverageReport(
         target_k=deployment.k,
-        samples=samples,
-        min_coverage=min_coverage,
         failing_points=tuple(failing),
         coverage_histogram=histogram,
-        region=region,
-        passed=min_coverage >= deployment.k,
+        region=f"solar-model patch: layers={model.layers}, hexagons={len(model.axial)}, side={model.side}",
     )
 
 

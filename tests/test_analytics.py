@@ -56,6 +56,13 @@ class TestDensities:
             assert gap == pytest.approx(density_gain(k, r), rel=1e-12)
             assert gap > 0.0
 
+    @pytest.mark.parametrize("density", [density_proposed, density_benchmark, density_gain])
+    def test_an_infinite_area_overflows_instead_of_reading_zero(self, density):
+        # 3 sqrt(3) r^2 overflows from r ~ 5.9e153, though the density at 1e160 is about 1e-320
+        with pytest.raises(OverflowError):
+            density(1, 1e160)
+        assert density(1, 5e153) > 0.0
+
     def test_proposed_density_is_isolated_hexagon_density(self):
         # exactly the single-hexagon count divided by the hexagon area
         for k in range(1, 12):
@@ -123,6 +130,7 @@ class TestFigureTables:
             ("fig5", range(1, MAX_ROWS + 2), DEFAULT_LS, "--k-min and --k-max"),
             ("fig7", range(1, 10**12), DEFAULT_LS, "--k-min and --k-max"),
             ("fig6", DEFAULT_KS, range(1, 10**7), "--l-min and --l-max"),
+            ("fig6", DEFAULT_KS, range(1, 10**20), "--l-min and --l-max"),  # len() would overflow
             ("fig8", range(1, 1001), range(1, MAX_ROWS // 1000 + 2), "--k-min, --k-max, --l-min and --l-max"),
             ("fig5", range(3, 3), DEFAULT_LS, "empty sweep range: --k-min and --k-max"),
             ("fig8", DEFAULT_KS, range(5, 4), "empty sweep range"),

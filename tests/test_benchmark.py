@@ -12,6 +12,8 @@ from float_geometry import hexagon_contains_xy
 from hexcover import benchmark
 from hexcover.benchmark import (
     SMALL_SIDE,
+    _SMALL_X2,
+    _SMALL_Y2,
     _small_hexagon_xy,
     benchmark_count,
     candidate_count,
@@ -21,7 +23,7 @@ from hexcover.benchmark import (
     small_hexagon_formula_count,
 )
 from hexcover.deployment import total_count
-from hexcover.geometry import Hexagon, LatticePoint
+from hexcover.geometry import ORIGIN, Hexagon, LatticePoint
 from hexcover.tiling import build_solar_model, hexagon_count, triangle_samples
 
 # Geometric enumeration of fully contained half-side hexagons, origin-anchored
@@ -122,6 +124,11 @@ class TestEnumeration:
         # enumeration drives actual placement
         for layers, enumerated in ENUMERATED_SMALL_HEXAGONS.items():
             assert enumerated < small_hexagon_formula_count(layers)
+
+    def test_tile_table_is_twice_the_exact_half_side_hexagon(self):
+        # the table reuses the unit hexagon's vertex offsets; the exact tile is its reference
+        exact = [(2 * p.x, 2 * p.y) for p in (ORIGIN,) + Hexagon(ORIGIN, SMALL_SIDE).vertices()]
+        assert list(zip(_SMALL_X2.tolist(), _SMALL_Y2.tolist())) == exact
 
     @pytest.mark.parametrize("layers", sorted(ENUMERATED_SMALL_HEXAGONS))
     def test_float_enumeration_matches_exact(self, layers):

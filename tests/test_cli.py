@@ -316,9 +316,10 @@ class TestExtremeNumbers:
             (["compare", "--radius", "1e-200"], "--radius"),
             (["compare", "--radius", "1e-160", "--format", "json"], "--radius"),
             (["compare", "--coverage", "1" + "0" * 400], "--coverage"),
+            (["compare", "--radius", "1e160"], "--coverage and --radius"),  # 3 sqrt(3) r^2 overflows: density 0
         ],
         ids=["plan-tiny-radius", "plan-huge-radius", "plan-offset-x", "plan-offset-y", "compare-tiny-radius",
-             "compare-infinite-density", "compare-huge-coverage"],
+             "compare-infinite-density", "compare-huge-coverage", "compare-overflowing-area"],
     )
     def test_refused_with_the_flag_named(self, argv, flag, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -332,6 +333,12 @@ class TestExtremeNumbers:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_compare_prints_densities_just_below_the_area_overflow(self, capsys):
+        # 3 sqrt(3) r^2 stays finite up to r ~ 5.9e153 (compare-overflowing-area above is refused)
+        assert run(["compare", "--radius", "5e153", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["proposed_density"] > 0.0 and payload["benchmark_density"] > 0.0
 
     @pytest.mark.parametrize("radius", ["1e-150", "1e150"])
     def test_plans_at_the_radius_limits_verify(self, radius, tmp_path):
@@ -431,8 +438,11 @@ class TestSweep:
             (["--k-max", "1000000000000"], "--k-max"),
             # fig6 would have 10^7 rows and fig8 10^8
             (["--l-max", "10000000"], "--l-max"),
+            # len() of a range past sys.maxsize raises an OverflowError that names no flag
+            (["--l-max", "1" + "0" * 20], "--l-min and --l-max"),
+            (["--k-max", "1" + "0" * 20], "--k-min and --k-max"),
         ],
-        ids=["tiny-r-step", "huge-k-max", "huge-l-max"],
+        ids=["tiny-r-step", "huge-k-max", "huge-l-max", "l-max-past-index-limit", "k-max-past-index-limit"],
     )
     def test_oversized_sweeps_are_refused_before_writing(self, tmp_path, capsys, flags, named):
         out = tmp_path / "figs"
@@ -448,10 +458,11 @@ class TestSweep:
         [
             (["--r-start", "1e-200", "--r-stop", "1e-200"], "--r-start and --r-stop"),  # r * r underflows to 0
             (["--r-start", "1e-160", "--r-stop", "1e-160"], "--r-start and --r-stop"),  # densities overflow to inf
+            (["--r-start", "6e153", "--r-stop", "6.02e153", "--r-step", "1e151"], "--r-start and --r-stop"),  # 3 sqrt(3) r^2 overflows
             (["--k-min", "1" + "0" * 310, "--k-max", "1" + "0" * 310], "--k-min and --k-max"),  # k beyond floats
             (["--l-min", "1" + "0" * 200, "--l-max", "1" + "0" * 200], "--l-min and --l-max"),  # counts beyond floats
         ],
-        ids=["r-squared-zero", "density-inf", "k-beyond-float", "l-counts-beyond-float"],
+        ids=["r-squared-zero", "density-inf", "r-squared-inf", "k-beyond-float", "l-counts-beyond-float"],
     )
     def test_values_beyond_floats_are_usage_errors(self, tmp_path, capsys, flags, named):
         out = tmp_path / "figs"
