@@ -5,23 +5,33 @@ enough to rebuild the patch for verification.  Exports are byte-stable: the
 sensor order is fixed by the placement contract and floats are printed with a
 fixed format.  A CSV file loads back as a ``Deployment`` with the same
 provenance and hexagon columns.
+
+Files are written and read a column at a time: each distinct coordinate or
+hexagon value is formatted once, and each distinct field text parsed once,
+where a column repeats them.  A file the column reader rejects is read
+again row by row (``_check_row``), which names its first bad line.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .deployment import Deployment
+from .deployment import Deployment, InvariantViolation
 from .tiling import build_solar_model, model_to_dict
 from .verifier import FLOAT_LIMIT
 
 CSV_HEADER = "x,y,provenance,hexagon,strategy"
 SHARED = "shared"  # hexagon field of a shared vertex sensor (hexagon -1)
+# Data rows ``read_sensors_csv`` splits into fields at a time: one string per
+# field of 2**16 rows is about 20 MB besides the file's lines.
+READ_CHUNK = 1 << 16
 # Meta keys with a Deployment field of their own; the rest is Deployment.meta.
 _FIELD_KEYS = ("tool", "version", "strategy", "r", "k", "l")
 
@@ -52,20 +62,49 @@ def _meta_pairs(deployment: Deployment) -> dict[str, str]:
     return {key: str(value) for key, value in pairs.items()}
 
 
-def sensor_rows(deployment: Deployment) -> list[tuple[str, str, str, str, str]]:
-    strategy = deployment.strategy
-    return [
-        (_fmt(x), _fmt(y), provenance, SHARED if hexagon < 0 else str(hexagon), strategy)
-        for (x, y), provenance, hexagon in zip(
-            deployment.sensors.tolist(), deployment.provenance.tolist(), deployment.hexagon.tolist()
-        )
-    ]
+def _repeats(keys: list | np.ndarray) -> bool:
+    """Whether a column has repeated values, judged on about 1024 evenly spaced ones.
+
+    Only speed depends on it: a lookup table pays where values repeat, as
+    the lattice coordinates of a proposed plan do, and costs more than it
+    saves on distinct ones, such as the scheme's random coordinates.
+    """
+    sample = keys[:: max(1, len(keys) // 1024)]
+    return len(set(sample.tolist() if isinstance(sample, np.ndarray) else sample)) < len(sample)
+
+
+def _texts(values: np.ndarray, spec: str) -> list[str]:
+    """``format(value, spec)`` of each entry of a float64 or int64 column, once per distinct value where values repeat.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own texts.
+    """
+    keys = values.view(np.int64)
+    if not _repeats(keys):
+        return list(map(format, values.tolist(), itertools.repeat(spec)))
+    distinct = np.unique(keys)
+    table = np.array(list(map(format, distinct.view(values.dtype).tolist(), itertools.repeat(spec))), dtype=object)
+    return table[np.searchsorted(distinct, keys)].tolist()
+
+
+def sensor_rows(deployment: Deployment) -> tuple[list[str], list[str], list[str], list[str], list[str]]:
+    """The five CSV fields of every sensor as text, one list per column (x, y, provenance, hexagon, strategy)."""
+    sensors, hexagon = deployment.sensors, deployment.hexagon.astype(np.int64, copy=False)
+    hexagons = _texts(hexagon, "d")
+    for shared in np.flatnonzero(hexagon < 0).tolist():
+        hexagons[shared] = SHARED
+    return (
+        _texts(sensors[:, 0], ".12g"),
+        _texts(sensors[:, 1], ".12g"),
+        deployment.provenance.tolist(),
+        hexagons,
+        [deployment.strategy] * len(sensors),
+    )
 
 
 def write_sensors_csv(path, deployment) -> None:
     meta = " ".join(f"{key}={value}" for key, value in _meta_pairs(deployment).items())
     lines = ["# meta: " + meta, CSV_HEADER]
-    lines.extend(",".join(row) for row in sensor_rows(deployment))
+    lines.extend(map(",".join, zip(*sensor_rows(deployment))))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -75,7 +114,7 @@ def write_sensors_json(path, deployment) -> None:
         "meta": _meta_pairs(deployment),
         "sensors": [
             {"x": float(x), "y": float(y), "provenance": prov, "hexagon": hexagon, "strategy": strategy}
-            for x, y, prov, hexagon, strategy in sensor_rows(deployment)
+            for x, y, prov, hexagon, strategy in zip(*sensor_rows(deployment))
         ],
         "model": model_to_dict(deployment.model),
     }
@@ -84,55 +123,161 @@ def write_sensors_json(path, deployment) -> None:
         handle.write("\n")
 
 
+class SensorRows(Sequence):
+    """A sensor file's rows (x, y, provenance, hexagon, strategy), built from its columns as they are read."""
+
+    def __init__(self, sensor_file: SensorFile):
+        self._file = sensor_file
+
+    def __len__(self) -> int:
+        return len(self._file.hexagon)
+
+    def __iter__(self):
+        f = self._file
+        return zip(*f.sensors.T.tolist(), f.provenance, f.hexagon.tolist(), f.strategy)
+
+    def __getitem__(self, index: int):
+        f = self._file
+        x, y = f.sensors[index].tolist()
+        return x, y, f.provenance[index], int(f.hexagon[index]), f.strategy[index]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 @dataclass
 class SensorFile:
-    """Parsed sensor file: meta pairs plus rows (x, y, provenance, hexagon, strategy).
+    """Parsed sensor file: meta pairs plus one column per field.
 
-    ``hexagon`` is the owning hexagon index, -1 for a shared vertex.
+    ``sensors`` holds the (n, 2) coordinates, ``provenance`` and ``strategy``
+    the fields' text as written, and ``hexagon`` the owning hexagon index,
+    -1 for a shared vertex.  ``rows`` reads them as (x, y, provenance,
+    hexagon, strategy) tuples.
     """
 
     meta: dict[str, str]
-    rows: list[tuple[float, float, str, int, str]]
+    sensors: np.ndarray
+    provenance: list[str]
+    hexagon: np.ndarray
+    strategy: list[str]
     meta_line: int = 0  # line number of the (last) meta header, 0 if none
+
+    @property
+    def rows(self) -> SensorRows:
+        return SensorRows(self)
+
+
+def _hexagon_index(text: str) -> int:
+    """The hexagon field's index, -1 for ``shared``; ValueError unless it is that or a decimal below 10**18."""
+    hexagon = text.strip()
+    if hexagon == SHARED:
+        return -1
+    if not (hexagon.isdecimal() and len(hexagon) <= 18):
+        raise ValueError(text)
+    return int(hexagon)
+
+
+def _check_row(number: int, line: str) -> None:
+    """Raise the SensorFileError of a malformed data row: the row-by-row form of ``_columns``' rules."""
+    parts = line.split(",")
+    if len(parts) != 5:
+        raise SensorFileError(number, f"expected 5 columns, got {len(parts)}")
+    try:
+        x = float(parts[0])
+        y = float(parts[1])
+    except ValueError as exc:
+        raise SensorFileError(number, f"bad coordinate: {exc}") from None
+    if not (abs(x) <= FLOAT_LIMIT and abs(y) <= FLOAT_LIMIT):
+        raise SensorFileError(number, f"coordinate not finite or beyond {FLOAT_LIMIT:g}: {parts[0]},{parts[1]}")
+    try:
+        _hexagon_index(parts[3])
+    except ValueError:
+        raise SensorFileError(number, f"hexagon must be {SHARED!r} or an index below 10**18, got {parts[3]!r}") from None
+
+
+def _parsed(texts: list[str], parse) -> list:
+    """``parse`` of each text, once per distinct text where texts repeat."""
+    if not _repeats(texts):
+        return list(map(parse, texts))
+    table = dict.fromkeys(texts)
+    for text in table:
+        table[text] = parse(text)
+    return list(map(table.__getitem__, texts))
+
+
+def _columns(data: list[str]) -> tuple[np.ndarray, list[str], np.ndarray, list[str]]:
+    """(sensors, provenance, hexagon, strategy) of the data rows; ValueError if a row breaks one of ``_check_row``'s rules.
+
+    The rows are split ``READ_CHUNK`` at a time, so only one chunk's
+    coordinate and hexagon texts exist at once.
+    """
+    sensors = np.empty((len(data), 2))
+    hexagon = np.empty(len(data), dtype=np.int64)
+    provenance: list[str] = []
+    strategy: list[str] = []
+    for start in range(0, len(data), READ_CHUNK):
+        rows = data[start : start + READ_CHUNK]
+        n = len(rows)
+        # Rows joined by a "\n" field: only a separator can be that field, so
+        # they sit every sixth field exactly when every row has 5 fields.
+        fields = ",\n,".join(rows).split(",")
+        if len(fields) != 6 * n - 1 or fields[5::6].count("\n") != n - 1:
+            raise ValueError("a row without exactly 5 fields")
+        chunk = slice(start, start + n)
+        sensors[chunk, 0] = _parsed(fields[0::6], float)
+        sensors[chunk, 1] = _parsed(fields[1::6], float)
+        hexagon[chunk] = _parsed(fields[3::6], _hexagon_index)
+        provenance += fields[2::6]
+        strategy += fields[4::6]
+    if not (np.abs(sensors) <= FLOAT_LIMIT).all():
+        raise ValueError("a coordinate not finite or beyond FLOAT_LIMIT")
+    return sensors, provenance, hexagon, strategy
+
+
+def _comments(text: str, lines: list[str]):
+    """(number, line) of each comment line of ``text``: its stripped line starts with "#".
+
+    Only lines holding a "#" are looked at, found by searching the text.
+    """
+    number, counted = 1, 0
+    position = text.find("#")
+    while position >= 0:
+        number += text.count("\n", counted, position)
+        counted = position
+        if lines[number - 1][:1] == "#":
+            yield number, lines[number - 1]
+        end = text.find("\n", position)
+        position = -1 if end < 0 else text.find("#", end)
 
 
 def read_sensors_csv(path) -> SensorFile:
-    meta: dict[str, str] = {}
-    meta_line = 0
-    rows: list[tuple[float, float, str, int, str]] = []
+    """Parse a sensor CSV a column at a time; a malformed row raises SensorFileError naming the first bad line."""
     # Bytes that are not UTF-8 become U+FFFD: text fields keep it, and in a
     # number or an index it fails like any other bad field, with its line.
+    # The whole text is read in text mode, so \r\n and \r end lines as \n does.
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("meta:"):
-                    meta_line = number
-                    for item in body[len("meta:"):].split():
-                        if "=" in item:
-                            key, value = item.split("=", 1)
-                            meta[key] = value
-                continue
-            if line == CSV_HEADER:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise SensorFileError(number, f"expected 5 columns, got {len(parts)}")
-            try:
-                x = float(parts[0])
-                y = float(parts[1])
-            except ValueError as exc:
-                raise SensorFileError(number, f"bad coordinate: {exc}") from None
-            if not (abs(x) <= FLOAT_LIMIT and abs(y) <= FLOAT_LIMIT):
-                raise SensorFileError(number, f"coordinate not finite or beyond {FLOAT_LIMIT:g}: {parts[0]},{parts[1]}")
-            hexagon = parts[3].strip()
-            if hexagon != SHARED and not (hexagon.isdecimal() and len(hexagon) <= 18):
-                raise SensorFileError(number, f"hexagon must be {SHARED!r} or an index below 10**18, got {parts[3]!r}")
-            rows.append((x, y, parts[2], -1 if hexagon == SHARED else int(hexagon), parts[4]))
-    return SensorFile(meta=meta, rows=rows, meta_line=meta_line)
+        text = handle.read()
+    lines = list(map(str.strip, text.split("\n")))
+    meta: dict[str, str] = {}
+    meta_line = 0
+    for number, line in _comments(text, lines):
+        body = line.lstrip("#").strip()
+        if body.startswith("meta:"):
+            meta_line = number
+            for item in body[len("meta:"):].split():
+                if "=" in item:
+                    key, value = item.split("=", 1)
+                    meta[key] = value
+    del text  # the lines hold the same characters
+    data = [line for line in lines if line and line[0] != "#" and line != CSV_HEADER]
+    try:
+        columns = _columns(data)
+    except ValueError:  # the first malformed row, found row by row
+        for number, line in enumerate(lines, start=1):
+            if line and line[0] != "#" and line != CSV_HEADER:
+                _check_row(number, line)
+        raise InvariantViolation("the column reader rejected a sensor file that every row check accepts") from None
+    return SensorFile(meta, *columns, meta_line=meta_line)
 
 
 def deployment_parameters(
@@ -172,13 +317,12 @@ def load_deployment(
 ) -> Deployment:
     """Rebuild the patch from the meta header (flags win over the file) with the file's columns."""
     layers, radius, k = deployment_parameters(sensor_file, layers, radius, k)
-    rows = sensor_file.rows
     return Deployment(
         model=build_solar_model(layers, radius),
         k=k,
         strategy=sensor_file.meta.get("strategy", "unknown"),
-        sensors=np.array([row[:2] for row in rows], dtype=float).reshape(-1, 2),
-        provenance=np.array([row[2] for row in rows], dtype=str),
-        hexagon=np.array([row[3] for row in rows], dtype=int),
+        sensors=sensor_file.sensors,
+        provenance=np.array(sensor_file.provenance, dtype=str),
+        hexagon=sensor_file.hexagon,
         meta={key: value for key, value in sensor_file.meta.items() if key not in _FIELD_KEYS},
     )

@@ -4,14 +4,16 @@ The first two are the Fraction constructions the integer-coefficient code
 replaced: every vertex and sensor is a ``LatticePoint`` of two
 ``Fraction``s, shared vertices are deduplicated in a dict, duplicates are
 checked with a set and sensors are sorted by exact keys.  The third tests
-every (triangle, sensor) pair with verify's float disk predicate.  Tests
-compare the fast code with them bit for bit.
+every (triangle, sensor) pair with verify's float disk predicate, and the
+fourth finds the same pairs among the sensors within eff of each centroid.
+Tests compare the fast code with them bit for bit.
 """
 
 import functools
 from fractions import Fraction
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from hexcover.tiling import EVEN, ODD, PARITY_NAMES, build_solar_model
 from hexcover.verifier import DISK_TOL
@@ -71,3 +73,14 @@ def dense_covering(triangles, sensors, radius):
     dx = triangles[:, None, :, 0] - sensors[None, :, None, 0]
     dy = triangles[:, None, :, 1] - sensors[None, :, None, 1]
     return (dx * dx + dy * dy <= eff * eff).all(axis=2)
+
+
+def eff_radius_pairs(triangles, sensors, radius):
+    """``covering_pairs`` with every sensor within eff of a centroid as a candidate, in triangle order."""
+    eff = radius * np.sqrt(1.0 + DISK_TOL)
+    hits = cKDTree(sensors).query_ball_point(triangles.mean(axis=1), eff)
+    triangle = np.repeat(np.arange(len(triangles)), [len(h) for h in hits])
+    sensor = np.array([i for h in hits for i in h], dtype=np.intp)
+    corners = triangles[triangle] - sensors[sensor][:, None, :]
+    holds = ((corners[..., 0] * corners[..., 0] + corners[..., 1] * corners[..., 1]) <= eff * eff).all(axis=1)
+    return triangle[holds], sensor[holds]

@@ -15,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_reference import exact_placement
-from hexcover import benchmark, tiling, verifier
+from sensor_io_reference import assert_reads_like_reference, reference_csv, reference_json
+from hexcover import benchmark, sensor_io, tiling, verifier
 from hexcover.benchmark import place_benchmark, small_hexagon_centers
 from hexcover.cli import main
 from hexcover.deployment import place_proposed, remove_sensors, total_count
 from hexcover.geometry import SQRT3, Hexagon, midpoint
-from hexcover.sensor_io import load_deployment, read_sensors_csv, write_sensors_csv
+from hexcover.sensor_io import load_deployment, read_sensors_csv, write_sensors_csv, write_sensors_json
 from hexcover.tiling import (
     PARITY_NAMES,
     REGION_CHUNK,
@@ -416,6 +417,8 @@ def test_coverage_counts_are_exact_on_any_thread_count(case):
         clear &= np.abs(d2 - eff2) >= 1e-12 * eff2
     assert clear.mean() > 0.9
     assert np.array_equal(counts[clear], expected[clear])
+    # the probes are queried in a spatial order of their own; the counts come back in the caller's
+    assert np.array_equal(coverage_counts(probes[::-1], sensors, radius), counts[::-1])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verifier, "_cpu_count", lambda: 1)
         assert verifier.query_workers(len(probes)) == 1
@@ -540,3 +543,63 @@ def test_fuzzed_sensor_files_exit_0_1_or_2(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("fuzz") / "sensors.csv"
     path.write_bytes(content)
     assert main(["verify", "--input", str(path), "--mc-samples", "0"]) in (0, 1, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(content=_file)
+def test_fuzzed_sensor_files_read_like_the_line_reader(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "sensors.csv"
+    path.write_bytes(content)
+    assert_reads_like_reference(path)
+    with pytest.MonkeyPatch.context() as patch:  # rows split over several chunks
+        patch.setattr(sensor_io, "READ_CHUNK", 2)
+        assert_reads_like_reference(path)
+
+
+def assert_writes_like_reference(deployment, directory):
+    for write, reference, name in ((write_sensors_csv, reference_csv, "csv"), (write_sensors_json, reference_json, "json")):
+        write(directory / f"columns.{name}", deployment)
+        reference(directory / f"rows.{name}", deployment)
+        assert (directory / f"columns.{name}").read_bytes() == (directory / f"rows.{name}").read_bytes()
+
+
+# The radii the writer's formatting meets: digits below the unit, plain, and far above.
+WRITER_RADII = (1e-3, 2.5, 10.0, 1e100)
+
+
+@BOUNDED
+@given(
+    layers=st.integers(1, 8),
+    k=st.integers(1, 12),
+    parity=st.sampled_from(PARITY_NAMES),
+    radius=st.sampled_from(WRITER_RADII),
+)
+def test_proposed_files_equal_the_row_writer(tmp_path_factory, layers, k, parity, radius):
+    deployment = place_proposed(model_for(layers, radius), k, parity=parity)
+    assert_writes_like_reference(deployment, tmp_path_factory.mktemp("proposed"))
+
+
+@BOUNDED
+@given(
+    layers=st.integers(1, 4),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    radius=st.sampled_from(WRITER_RADII),
+)
+def test_scheme_files_equal_the_row_writer(tmp_path_factory, layers, k, seed, radius):
+    deployment = place_benchmark(model_for(layers, radius), k, seed=seed)
+    assert_writes_like_reference(deployment, tmp_path_factory.mktemp("scheme"))
+
+
+@BOUNDED
+@given(
+    layers=st.integers(1, 4),
+    k=st.integers(1, 8),
+    radius=st.sampled_from(WRITER_RADII),
+    data=st.data(),
+)
+def test_thinned_files_equal_the_row_writer(tmp_path_factory, layers, k, radius, data):
+    deployment = place_proposed(model_for(layers, radius), k)
+    count = deployment.sensor_count()
+    removed = data.draw(st.lists(st.integers(0, count - 1), unique=True, max_size=count))
+    assert_writes_like_reference(remove_sensors(deployment, removed), tmp_path_factory.mktemp("thinned"))

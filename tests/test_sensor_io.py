@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from hexcover import sensor_io
 from hexcover.benchmark import place_benchmark
 from hexcover.deployment import place_proposed
 from hexcover.sensor_io import (
@@ -16,6 +17,7 @@ from hexcover.sensor_io import (
     write_sensors_json,
 )
 from hexcover.tiling import build_solar_model
+from sensor_io_reference import assert_reads_like_reference, column_outcome, reference_csv, reference_outcome
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +172,87 @@ class TestLoadDeployment:
         write_sensors_csv(path, place_proposed(model, 3))
         loaded = load_deployment(read_sensors_csv(path), k=4)
         assert loaded.k == 4
+
+
+HEADER = b"x,y,provenance,hexagon,strategy"
+ROW = b"1.5,-2,center,0,proposed"
+
+
+class TestColumnReaderMatchesLineReader:
+    """Crafted files on which a column reader could part from the line-by-line one."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"# meta: l=1 k=1\r\n" + HEADER + b"\r\n" + ROW + b"\r\n" + ROW + b"\r\n",  # CRLF
+            b"# meta: l=1\r" + HEADER + b"\r" + ROW + b"\r1,2,center,shared,proposed",  # lone CR
+            b"\n\n" + HEADER + b"\n\n" + ROW + b"\n   \n\t\n" + ROW + b"\n\n",  # blank lines
+            HEADER + b"\n" + ROW + b"\n# note, with, four, commas, here\n" + HEADER + b"\n  " + HEADER + b"  \n" + ROW,
+            b"# meta: k=2\n" + ROW + b"\n## meta: k=3 l=2\n" + ROW + b"\n#meta:r=2.5\n",  # meta lines mid-file
+            b"  1.5 ,\t-2 , center , 0 , proposed  \n",  # spaces around fields
+            b" 1_0,2_5.5,center,1,proposed\n",  # underscores in numbers
+            "1,2,center,\u0661\u0662,proposed\n3,4,center, \u0663 ,proposed\n".encode(),  # Arabic-Indic digits
+            "1,2,center,\u00b2,proposed\n".encode(),  # a digit that is not decimal
+            "\u0661.5,2,center,0,proposed\n".encode(),  # Unicode digits in a coordinate
+            b"1,2,cent\xff\xfeer,0,propo\xc3sed\n",  # non-UTF-8 bytes in text fields
+            b"1,2,center,\xff,proposed\n",  # non-UTF-8 byte in the hexagon field
+            b"1\xff,2,center,0,proposed\n",  # non-UTF-8 byte in a coordinate
+            ROW + b"\n" + ROW,  # no final newline
+            b"1,2,a\x00,0,b\x00\n0,0,\x00,shared,\x00\n",  # trailing NULs in text fields
+            b"-0,0,center,0,proposed\n0,-0.0,center,1,proposed\n",  # signed zeros
+            b"1e150,-1e150,center,0,proposed\n",  # at the coordinate limit
+            b"1,2,center,0,proposed\n1e151,0,center,0,proposed\n",  # beyond it
+            b"1,2,center,0,proposed\nnan,0,center,0,proposed\n",
+            b"1,2,center,0,proposed\n1,2,center,0,proposed,extra\n",  # six fields
+            b"1,2,center,0,proposed,x\n1,2,center,0\n",  # six then four: five on average
+            b"1,2,center,0\n1,2,center,0,proposed,x\n",
+            b"1,2,center,0,proposed,3,4,5\n6,7\n",  # eight then two: every column still parses
+            b"1,2,center,0,proposed\n,,,,\n",  # empty fields
+            b"1,2,center,123456789012345678,proposed\n1,2,center,1234567890123456789,proposed\n",
+            b"1,2,center,-1,proposed\n",
+            b"1,2,center,Shared,proposed\n",
+            b"1,2,center, shared ,proposed\n",
+            b"\x1c1,2,center,0,proposed\x1f\n",  # separators that str.strip removes
+            b"1,2,center,0,proposed\x0b\x0c\n\x85\n",
+            "1,2,center,0,proposed\u2028tail,3\n".encode(),  # a line separator that is not a line end
+            b"",
+        ],
+    )
+    def test_crafted_file(self, tmp_path, content):
+        path = tmp_path / "sensors.csv"
+        path.write_bytes(content)
+        assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("chunk", [sensor_io.READ_CHUNK, 1000, 1])
+    def test_first_bad_line_is_named_among_many(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(sensor_io, "READ_CHUNK", chunk)
+        rows = [b"%d.5,%d,center,%d,proposed" % (i, -i, i % 7) for i in range(3000)]
+        path = tmp_path / "sensors.csv"
+        path.write_bytes(HEADER + b"\n" + b"\n".join(rows) + b"\n")
+        assert_reads_like_reference(path)
+        rows[1700] = b"1,2,center,x,proposed"
+        rows[2500] = b"1,2,3"
+        path.write_bytes(HEADER + b"\n" + b"\n".join(rows) + b"\n")
+        assert column_outcome(path) == reference_outcome(path) == (
+            "error", "line 1702: hexagon must be 'shared' or an index below 10**18, got 'x'", 1702
+        )
+
+    def test_rows_view(self, model, tmp_path):
+        path = tmp_path / "sensors.csv"
+        write_sensors_csv(path, place_proposed(model, 3))
+        rows = read_sensors_csv(path).rows
+        listed = list(rows)
+        assert len(rows) == len(listed) and rows == listed
+        assert rows[0] == listed[0] and rows[-1] == listed[-1]
+        assert all(type(value) is float for value in listed[0][:2]) and type(listed[0][3]) is int
+
+    def test_signed_zeros_keep_their_texts(self, model, tmp_path):
+        # -0.0 and 0.0 are equal floats but print as "-0" and "0"; repeated, they take the lookup path
+        deployment = place_proposed(model, 3)
+        sensors = np.tile([[0.0, -0.0], [-0.0, 0.0]], (len(deployment.sensors) // 2 + 1, 1))[: len(deployment.sensors)]
+        deployment = dataclasses.replace(deployment, sensors=sensors)
+        write_sensors_csv(tmp_path / "columns.csv", deployment)
+        reference_csv(tmp_path / "rows.csv", deployment)
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert "-0,0,center" in (tmp_path / "columns.csv").read_text()
+        assert_reads_like_reference(tmp_path / "columns.csv")

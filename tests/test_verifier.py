@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_reference import dense_covering
+from exact_reference import dense_covering, eff_radius_pairs
 from hexcover.benchmark import place_benchmark
 from hexcover.cli import main
 from hexcover.deployment import place_proposed, remove_sensors
@@ -319,6 +319,16 @@ CROSS_CHECK_LAYOUTS = {
     "jittered-l3-k3": lambda: jittered(place_proposed(build_solar_model(3), 3), 4, 0.05),
 }
 
+# Proposed plans, whose corner sensors sit exactly on the disks' boundaries, across the radii plan accepts.
+PROPOSED_LAYOUTS = {
+    "proposed-l3-k4": lambda: place_proposed(build_solar_model(3, 2.5), 4),
+    "proposed-l5-k60": lambda: place_proposed(build_solar_model(5, 10.0), 60),
+    "proposed-l4-k1-small": lambda: place_proposed(build_solar_model(4, 1e-3), 1),
+    "proposed-l2-k9-large": lambda: place_proposed(build_solar_model(2, 1e100), 9, parity="odd"),
+    "proposed-l3-k2-extreme": lambda: place_proposed(build_solar_model(3, 1e-150), 2),
+}
+COVERING_LAYOUTS = {**CROSS_CHECK_LAYOUTS, **PROPOSED_LAYOUTS}
+
 # The unit hexagon's six triangles.
 UNIT_TRIANGLES = patch_triangles(build_solar_model(1))
 
@@ -341,6 +351,28 @@ class TestTriangleCoverage:
         assert held.sum() == len(triangle)
         assert (np.diff(triangle) >= 0).all()
         assert np.array_equal(held, dense_covering(triangles, deployment.sensors, radius))
+
+    @pytest.mark.parametrize("layout", COVERING_LAYOUTS)
+    @pytest.mark.parametrize("widen", [1.0, 0.6, 2.5])
+    def test_covering_pairs_equal_an_eff_radius_query(self, layout, widen):
+        # The reach sqrt(eff**2 - m) drops candidates that cannot hold their triangle, and no pair.
+        deployment = COVERING_LAYOUTS[layout]()
+        triangles, radius = patch_triangles(deployment.model), widen * deployment.r
+        pairs = [
+            np.unique(np.column_stack(find(triangles, deployment.sensors, radius)), axis=0)
+            for find in (covering_pairs, eff_radius_pairs)
+        ]
+        assert np.array_equal(*pairs)
+
+    @pytest.mark.parametrize("radius", [1e-3, 2.5, 1e100])
+    def test_inscribed_triangles_are_held_by_their_circle(self, radius):
+        # Corners on the disk's circle put its center exactly sqrt(r**2 - m) from the
+        # centroid, the reach's bound: a shorter reach would miss the pair.
+        angles = np.random.default_rng(11).uniform(0.0, 2 * np.pi, size=(500, 3, 1))
+        center = np.array([3.0, -1.0]) * radius
+        triangles = center + radius * np.concatenate([np.cos(angles), np.sin(angles)], axis=2)
+        triangle, sensor = covering_pairs(triangles, center[None], radius)
+        assert np.array_equal(triangle, np.arange(len(triangles))) and not sensor.any()
 
     @pytest.mark.parametrize("layout", CROSS_CHECK_LAYOUTS)
     def test_certificate_implies_a_sampled_pass(self, layout):
