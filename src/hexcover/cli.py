@@ -58,9 +58,9 @@ EXIT_INTERNAL = 3
 # (8l + 9)**2 tiles it scans) for the scheme, and for a JSON plan also the
 # patch's 6l**2 vertices, which it embeds with their incident hexagons.  A proposed CSV plan peaks at about
 # 700 bytes per sensor at k = 1, where the patch outweighs the sensors, and
-# 280-390 from k = 2 (the formatted columns); a JSON plan at 700 bytes per
-# sensor or vertex at k = 1, 570-620 at k = 2 and 3 and 400-520 from k = 10;
-# the scheme at 35-375 per counted tile.  So the budget caps a plan near
+# 280-360 from k = 2 (the formatted columns); a JSON plan at 700 bytes per
+# sensor or vertex at k = 1, 570-620 at k = 2 and 3 and 400-490 from k = 10;
+# the scheme at 34-375 per counted tile.  So the budget caps a plan near
 # 0.7 GB (tracemalloc, l = 1 to 200, k = 1 to 30000).
 MAX_SENSORS = 1_000_000
 

@@ -7,9 +7,9 @@ fixed format.  A CSV file loads back as a ``Deployment`` with the same
 provenance and hexagon columns.
 
 Files are written and read a column at a time: each distinct coordinate or
-hexagon value is formatted once, and each distinct field text parsed once,
-where a column repeats them.  A file the column reader rejects is read
-again row by row (``_check_row``), which names its first bad line.
+hexagon value is formatted once, and each distinct hexagon field text parsed
+once.  A file the column reader rejects is read again row by row
+(``_check_row``), which names its first bad line.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,28 +61,14 @@ def _meta_pairs(deployment: Deployment) -> dict[str, str]:
     return {key: str(value) for key, value in pairs.items()}
 
 
-def _repeats(keys: list | np.ndarray) -> bool:
-    """Whether a column has repeated values, judged on about 1024 evenly spaced ones.
-
-    Only speed depends on it: a lookup table pays where values repeat, as
-    the lattice coordinates of a proposed plan do, and costs more than it
-    saves on distinct ones, such as the scheme's random coordinates.
-    """
-    sample = keys[:: max(1, len(keys) // 1024)]
-    return len(set(sample.tolist() if isinstance(sample, np.ndarray) else sample)) < len(sample)
-
-
 def _texts(values: np.ndarray, spec: str) -> list[str]:
-    """``format(value, spec)`` of each entry of a float64 or int64 column, once per distinct value where values repeat.
+    """``format(value, spec)`` of each entry of a float64 or int64 column, once per distinct value.
 
     Values are told apart by their bits, so -0.0 and 0.0 keep their own texts.
     """
-    keys = values.view(np.int64)
-    if not _repeats(keys):
-        return list(map(format, values.tolist(), itertools.repeat(spec)))
-    distinct = np.unique(keys)
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
     table = np.array(list(map(format, distinct.view(values.dtype).tolist(), itertools.repeat(spec))), dtype=object)
-    return table[np.searchsorted(distinct, keys)].tolist()
+    return table[inverse].tolist()
 
 
 def sensor_rows(deployment: Deployment) -> tuple[list[str], list[str], list[str], list[str], list[str]]:
@@ -123,8 +108,8 @@ def write_sensors_json(path, deployment) -> None:
         handle.write("\n")
 
 
-class SensorRows(Sequence):
-    """A sensor file's rows (x, y, provenance, hexagon, strategy), built from its columns as they are read."""
+class SensorRows:
+    """A sensor file's rows (x, y, provenance, hexagon, strategy), built from its columns as they are iterated."""
 
     def __init__(self, sensor_file: SensorFile):
         self._file = sensor_file
@@ -136,16 +121,11 @@ class SensorRows(Sequence):
         f = self._file
         return zip(*f.sensors.T.tolist(), f.provenance, f.hexagon.tolist(), f.strategy)
 
-    def __getitem__(self, index: int):
-        f = self._file
-        x, y = f.sensors[index].tolist()
-        return x, y, f.provenance[index], int(f.hexagon[index]), f.strategy[index]
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
+        return isinstance(other, (list, SensorRows)) and list(self) == list(other)
 
 
-@dataclass
+@dataclass(eq=False)
 class SensorFile:
     """Parsed sensor file: meta pairs plus one column per field.
 
@@ -195,13 +175,11 @@ def _check_row(number: int, line: str) -> None:
         raise SensorFileError(number, f"hexagon must be {SHARED!r} or an index below 10**18, got {parts[3]!r}") from None
 
 
-def _parsed(texts: list[str], parse) -> list:
-    """``parse`` of each text, once per distinct text where texts repeat."""
-    if not _repeats(texts):
-        return list(map(parse, texts))
+def _hexagon_indices(texts: list[str]) -> list[int]:
+    """``_hexagon_index`` of each text, once per distinct text."""
     table = dict.fromkeys(texts)
     for text in table:
-        table[text] = parse(text)
+        table[text] = _hexagon_index(text)
     return list(map(table.__getitem__, texts))
 
 
@@ -224,30 +202,14 @@ def _columns(data: list[str]) -> tuple[np.ndarray, list[str], np.ndarray, list[s
         if len(fields) != 6 * n - 1 or fields[5::6].count("\n") != n - 1:
             raise ValueError("a row without exactly 5 fields")
         chunk = slice(start, start + n)
-        sensors[chunk, 0] = _parsed(fields[0::6], float)
-        sensors[chunk, 1] = _parsed(fields[1::6], float)
-        hexagon[chunk] = _parsed(fields[3::6], _hexagon_index)
+        sensors[chunk, 0] = list(map(float, fields[0::6]))
+        sensors[chunk, 1] = list(map(float, fields[1::6]))
+        hexagon[chunk] = _hexagon_indices(fields[3::6])
         provenance += fields[2::6]
         strategy += fields[4::6]
     if not (np.abs(sensors) <= FLOAT_LIMIT).all():
         raise ValueError("a coordinate not finite or beyond FLOAT_LIMIT")
     return sensors, provenance, hexagon, strategy
-
-
-def _comments(text: str, lines: list[str]):
-    """(number, line) of each comment line of ``text``: its stripped line starts with "#".
-
-    Only lines holding a "#" are looked at, found by searching the text.
-    """
-    number, counted = 1, 0
-    position = text.find("#")
-    while position >= 0:
-        number += text.count("\n", counted, position)
-        counted = position
-        if lines[number - 1][:1] == "#":
-            yield number, lines[number - 1]
-        end = text.find("\n", position)
-        position = -1 if end < 0 else text.find("#", end)
 
 
 def read_sensors_csv(path) -> SensorFile:
@@ -256,20 +218,21 @@ def read_sensors_csv(path) -> SensorFile:
     # number or an index it fails like any other bad field, with its line.
     # The whole text is read in text mode, so \r\n and \r end lines as \n does.
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        text = handle.read()
-    lines = list(map(str.strip, text.split("\n")))
+        lines = list(map(str.strip, handle.read().split("\n")))
     meta: dict[str, str] = {}
     meta_line = 0
-    for number, line in _comments(text, lines):
-        body = line.lstrip("#").strip()
-        if body.startswith("meta:"):
-            meta_line = number
-            for item in body[len("meta:"):].split():
-                if "=" in item:
-                    key, value = item.split("=", 1)
-                    meta[key] = value
-    del text  # the lines hold the same characters
-    data = [line for line in lines if line and line[0] != "#" and line != CSV_HEADER]
+    data = []
+    for number, line in enumerate(lines, start=1):
+        if line[:1] == "#":
+            body = line.lstrip("#").strip()
+            if body.startswith("meta:"):
+                meta_line = number
+                for item in body[len("meta:"):].split():
+                    if "=" in item:
+                        key, value = item.split("=", 1)
+                        meta[key] = value
+        elif line and line != CSV_HEADER:
+            data.append(line)
     try:
         columns = _columns(data)
     except ValueError:  # the first malformed row, found row by row
@@ -315,7 +278,11 @@ def load_deployment(
     radius: float | None = None,
     k: int | None = None,
 ) -> Deployment:
-    """Rebuild the patch from the meta header (flags win over the file) with the file's columns."""
+    """Rebuild the patch from the meta header (flags win over the file) with the file's columns.
+
+    The deployment shares the file's ``sensors`` and ``hexagon`` arrays,
+    which it makes read-only.
+    """
     layers, radius, k = deployment_parameters(sensor_file, layers, radius, k)
     return Deployment(
         model=build_solar_model(layers, radius),

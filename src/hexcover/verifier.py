@@ -233,30 +233,17 @@ def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> n
     and 128 on the structured and Monte Carlo probes of both benchmark
     workloads (l = 5, k = 60 and the comparison scheme at l = 10, k = 10):
     0.84 and 0.95 of leaf size 16's time on one thread, 0.47 and 0.55 on two.
-    The probes are queried in ``_spatial_order``, so consecutive probes
-    walk the same tree leaves, and their counts are scattered back to the
-    callers' order: on the 50 000 Monte Carlo probes of those workloads this
-    took 0.81 and 0.87 of the time in the callers' order, on two threads.
     """
     if len(points) == 0:
         return np.zeros(0, dtype=int)
     if len(sensors) == 0:
         return np.zeros(len(points), dtype=int)
     tree = cKDTree(sensors, leafsize=KDTREE_LEAFSIZE)
-    order = _spatial_order(points, radius)
-    counts = np.empty(len(points), dtype=np.intp)
-    counts[order] = tree.query_ball_point(
-        points[order], _effective_radius(radius), return_length=True, workers=query_workers(len(points))
+    return np.asarray(
+        tree.query_ball_point(
+            points, _effective_radius(radius), return_length=True, workers=query_workers(len(points))
+        )
     )
-    return counts
-
-
-def _spatial_order(points: np.ndarray, radius: float) -> np.ndarray:
-    """A stable order of ``points`` along row-major cells of side ``radius``, coarser where that would exceed 2**24 a side."""
-    low = points.min(axis=0)
-    side = max(radius, float(np.ptp(points, axis=0).max()) / 2**24) or 1.0
-    cells = ((points - low) / side).astype(np.int64)
-    return np.argsort(cells[:, 1] * (cells[:, 0].max() + 1) + cells[:, 0], kind="stable")
 
 
 def covering_pairs(triangles: np.ndarray, sensors: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
