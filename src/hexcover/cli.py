@@ -1,7 +1,8 @@
 """Command-line front end: plan, verify, compare, sweep.
 
 Exit codes: 0 success / coverage pass, 1 coverage fail, 2 usage, input or
-memory error, 3 internal invariant violation.  All randomness flows from --seed.
+memory error (or, for verify, a scipy that fails to import), 3 internal
+invariant violation.  All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -212,38 +213,49 @@ def run_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Refused(Exception):
+    """A verify run refused from the file's meta pairs and the flags; its text follows ``error:``."""
+
+
 def run_verify(args: argparse.Namespace) -> int:
     path = Path(args.input)
     if not path.exists():
         print(f"error: sensor file not found: {path}", file=sys.stderr)
         return EXIT_USAGE
+    flags = {"layers": args.layers, "radius": args.radius, "k": args.coverage}
+
+    def admit(meta: dict[str, str], meta_line: int) -> None:
+        layers, radius, _ = deployment_parameters(meta, meta_line, **flags)
+        if not _radius_in_range(radius):
+            raise _Refused(f"radius {radius:g} is outside [1/{FLOAT_LIMIT:g}, {FLOAT_LIMIT:g}]")
+        probes = probe_estimate(layers, radius, args.grid_step, args.mc_samples)
+        if probes > MAX_PROBES:
+            raise _Refused(
+                f"verify would sample about 10^{math.log10(probes):.1f} points, above the limit of {MAX_PROBES}; "
+                "use a coarser --grid-step, fewer --mc-samples or a smaller patch"
+            )
+
     try:
-        sensor_file = read_sensors_csv(path)
-        layers, radius, k = deployment_parameters(
-            sensor_file, layers=args.layers, radius=args.radius, k=args.coverage
-        )
+        # admit runs before the data rows are split, so a refusal costs one scan of the lines
+        sensor_file = read_sensors_csv(path, admit=admit)
     except SensorFileError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not _radius_in_range(radius):
-        print(f"error: radius {radius:g} is outside [1/{FLOAT_LIMIT:g}, {FLOAT_LIMIT:g}]", file=sys.stderr)
+    except _Refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    probes = probe_estimate(layers, radius, args.grid_step, args.mc_samples)
-    if probes > MAX_PROBES:
-        print(
-            f"error: verify would sample about 10^{math.log10(probes):.1f} points, above the limit of {MAX_PROBES}; "
-            "use a coarser --grid-step, fewer --mc-samples or a smaller patch",
-            file=sys.stderr,
+    loaded = load_deployment(sensor_file, **flags)
+    try:
+        report = verify_coverage(
+            loaded,
+            grid_step=args.grid_step,
+            seed=args.seed,
+            mc_samples=args.mc_samples,
+            fail_fast=args.fail_fast,
         )
+    except ImportError as exc:  # scipy is imported on the first KD-tree build
+        print(f"error: verify counts disks with scipy, which failed to import: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    loaded = load_deployment(sensor_file, layers=layers, radius=radius, k=k)
-    report = verify_coverage(
-        loaded,
-        grid_step=args.grid_step,
-        seed=args.seed,
-        mc_samples=args.mc_samples,
-        fail_fast=args.fail_fast,
-    )
     payload = report.to_dict()
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as handle:

@@ -212,8 +212,13 @@ def _columns(data: list[str]) -> tuple[np.ndarray, list[str], np.ndarray, list[s
     return sensors, provenance, hexagon, strategy
 
 
-def read_sensors_csv(path) -> SensorFile:
-    """Parse a sensor CSV a column at a time; a malformed row raises SensorFileError naming the first bad line."""
+def read_sensors_csv(path, admit=None) -> SensorFile:
+    """Parse a sensor CSV a column at a time; a malformed row raises SensorFileError naming the first bad line.
+
+    ``admit(meta, meta_line)``, when given, is called once the meta pairs are
+    known and before any data row is split, so a caller can refuse a file
+    from its header alone; whatever it raises propagates.
+    """
     # Bytes that are not UTF-8 become U+FFFD: text fields keep it, and in a
     # number or an index it fails like any other bad field, with its line.
     # The whole text is read in text mode, so \r\n and \r end lines as \n does.
@@ -233,6 +238,8 @@ def read_sensors_csv(path) -> SensorFile:
                         meta[key] = value
         elif line and line != CSV_HEADER:
             data.append(line)
+    if admit is not None:
+        admit(meta, meta_line)
     try:
         columns = _columns(data)
     except ValueError:  # the first malformed row, found row by row
@@ -244,21 +251,22 @@ def read_sensors_csv(path) -> SensorFile:
 
 
 def deployment_parameters(
-    sensor_file: SensorFile,
+    meta: dict[str, str],
+    meta_line: int,
     layers: int | None = None,
     radius: float | None = None,
     k: int | None = None,
 ) -> tuple[int, float, int]:
-    """(layers, radius, k) from the meta header, each replaced by its flag when given.
+    """(layers, radius, k) from a file's meta pairs, each replaced by its flag when given.
 
-    Raises SensorFileError when a meta value that is used is not a positive
-    integer (``l``, ``k``) or a positive finite number (``r``).
+    Raises SensorFileError at ``meta_line`` when a meta value that is used is
+    not a positive integer (``l``, ``k``) or a positive finite number (``r``).
     """
 
     def chosen(flag, key: str, parse, default):
         if flag is not None:
             return flag
-        text = sensor_file.meta.get(key)
+        text = meta.get(key)
         if text is None:
             return default
         try:
@@ -266,7 +274,7 @@ def deployment_parameters(
         except ValueError:
             value = None
         if value is None or not 0 < value < math.inf:
-            raise SensorFileError(sensor_file.meta_line, f"meta {key}={text} is not positive and finite")
+            raise SensorFileError(meta_line, f"meta {key}={text} is not positive and finite")
         return value
 
     return chosen(layers, "l", int, 1), chosen(radius, "r", float, 1.0), chosen(k, "k", int, 1)
@@ -283,7 +291,7 @@ def load_deployment(
     The deployment shares the file's ``sensors`` and ``hexagon`` arrays,
     which it makes read-only.
     """
-    layers, radius, k = deployment_parameters(sensor_file, layers, radius, k)
+    layers, radius, k = deployment_parameters(sensor_file.meta, sensor_file.meta_line, layers, radius, k)
     return Deployment(
         model=build_solar_model(layers, radius),
         k=k,

@@ -37,6 +37,11 @@ disk) instead of O(disk hits).
 The same disk decides which sensors hold whole triangles: ``covering_pairs``
 is the package's one triangle-in-disk kernel, behind the sampling-free
 ``triangle_coverage_certificate`` and ``minimum_sensors_lower_bound``.
+
+Both KD-tree users build their tree with ``_kdtree``, the package's one
+tree constructor and its only import of scipy.  scipy is imported there, on
+the first tree build, so importing the package and running plan, compare or
+sweep never loads it.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .deployment import Deployment, InvariantViolation, remove_sensors
 from .tiling import (
@@ -220,6 +224,13 @@ def query_workers(probes: int) -> int:
     return max(1, min(_cpu_count(), probes // MIN_PROBES_PER_WORKER))
 
 
+def _kdtree(sensors: np.ndarray):
+    """scipy's KD-tree over ``sensors`` at ``KDTREE_LEAFSIZE``; a missing or broken scipy raises ImportError here."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(sensors, leafsize=KDTREE_LEAFSIZE)
+
+
 def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> np.ndarray:
     """Number of sensors whose closed disk of ``radius`` holds each point.
 
@@ -238,9 +249,8 @@ def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> n
         return np.zeros(0, dtype=int)
     if len(sensors) == 0:
         return np.zeros(len(points), dtype=int)
-    tree = cKDTree(sensors, leafsize=KDTREE_LEAFSIZE)
     return np.asarray(
-        tree.query_ball_point(
+        _kdtree(sensors).query_ball_point(
             points, _effective_radius(radius), return_length=True, workers=query_workers(len(points))
         )
     )
@@ -267,8 +277,7 @@ def covering_pairs(triangles: np.ndarray, sensors: np.ndarray, radius: float) ->
     spread = ((triangles - centroids[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
     margin = np.abs(triangles).max(axis=(1, 2), initial=0.0) * 2.0**-48
     reach = np.sqrt(np.maximum(eff * eff * (1.0 + COVER_SLACK) - spread, 0.0)) + margin
-    tree = cKDTree(sensors, leafsize=KDTREE_LEAFSIZE)
-    hits = tree.query_ball_point(centroids, reach)
+    hits = _kdtree(sensors).query_ball_point(centroids, reach)
     lengths = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
     sensor = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=int(lengths.sum()))
     triangle = np.repeat(np.arange(len(triangles)), lengths)

@@ -1,12 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from hexcover import cli
+from hexcover import cli, sensor_io
 from hexcover.cli import main
 from hexcover.deployment import count_by_kind, total_count
 from hexcover.sensor_io import read_sensors_csv
@@ -249,17 +253,25 @@ class TestVerify:
             ("l=" + "9" * 400 + " r=1", ["--mc-samples", "0"]),
             ("l=1 r=1e200", ["--mc-samples", "0"]),
             ("l=1 r=5e-324", ["--mc-samples", "0"]),
+            ("l=1 r=1", ["--layers", "1000000"]),
         ],
-        ids=["grid-step", "mc-samples", "layers", "400-digit-layers", "huge-radius", "tiny-radius"],
+        ids=["grid-step", "mc-samples", "layers", "400-digit-layers", "huge-radius", "tiny-radius", "layers-flag"],
     )
-    def test_oversized_runs_are_refused_before_sampling(self, tmp_path, capsys, meta, flags):
+    def test_oversized_runs_are_refused_before_sampling(self, tmp_path, capsys, monkeypatch, meta, flags):
         sensors = tmp_path / "sensors.csv"
         sensors.write_text(f"# meta: tool=hexcover k=1 {meta}\n0,0,center,0,proposed\n")
+        # refused from the meta pairs and the flags, before any data row is split
+        monkeypatch.setattr(sensor_io, "_columns", pytest.fail)
         started = time.perf_counter()
         code = run(["verify", "--input", str(sensors), *flags])
         assert time.perf_counter() - started < 1.0
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_flags_win_over_an_oversized_meta(self, tmp_path):
+        sensors = tmp_path / "sensors.csv"
+        sensors.write_text("# meta: tool=hexcover k=1 l=1000000 r=1\n0,0,center,0,proposed\n")
+        assert run(["verify", "--input", str(sensors), "--layers", "1", "--mc-samples", "100"]) == 0
 
     def test_non_utf8_bytes_are_usage_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -489,3 +501,50 @@ class TestPlanVerifyPipeline:
         # this is expected to fail the target honestly rather than error
         code = run(["verify", "--input", str(out), "--mc-samples", "500"])
         assert code in (0, 1)
+
+
+class TestScipyIsLoadedByVerifyOnly:
+    """scipy is imported on verify's first KD-tree build; nothing else loads it or needs it."""
+
+    CHILD = (
+        "import json, sys\n"
+        "if sys.argv[1] == 'without-scipy':\n"
+        "    sys.modules['scipy'] = None\n"
+        "import hexcover, hexcover.cli\n"
+        "hexcover.cli.build_parser()\n"
+        "steps = [['import', 0, 'scipy' in sys.modules]]\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    steps.append([argv[0], hexcover.cli.main(argv), 'scipy' in sys.modules])\n"
+        "print(json.dumps(steps))\n"
+    )
+
+    def _child(self, scipy: str, tmp_path):
+        """(subcommand, exit code, scipy in sys.modules) after each step of a fresh interpreter, and its stderr."""
+        sensors = str(tmp_path / "sensors.csv")
+        runs = [
+            ["compare", "--layers", "3", "--coverage", "5", "--radius", "10"],
+            ["sweep", "--output", str(tmp_path / "figures"), "--l-max", "3", "--k-max", "3", "--r-stop", "3"],
+            ["plan", "--layers", "2", "--coverage", "3", "--output", sensors],
+            ["verify", "--input", sensors, "--mc-samples", "100"],
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", self.CHILD, scipy, json.dumps(runs)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        return json.loads(child.stdout.splitlines()[-1]), child.stderr
+
+    def test_only_verify_imports_scipy(self, tmp_path):
+        steps, _ = self._child("with-scipy", tmp_path)
+        assert steps == [
+            ["import", 0, False], ["compare", 0, False], ["sweep", 0, False], ["plan", 0, False], ["verify", 0, True],
+        ]
+
+    def test_verify_without_scipy_is_a_usage_error(self, tmp_path):
+        steps, err = self._child("without-scipy", tmp_path)
+        assert [(name, code) for name, code, _ in steps] == [
+            ("import", 0), ("compare", 0), ("sweep", 0), ("plan", 0), ("verify", 2),
+        ]
+        assert err.startswith("error: ") and err.count("\n") == 1 and "scipy" in err
