@@ -261,7 +261,7 @@ class TestVerify:
         sensors = tmp_path / "sensors.csv"
         sensors.write_text(f"# meta: tool=hexcover k=1 {meta}\n0,0,center,0,proposed\n")
         # refused from the meta pairs and the flags, before any data row is split
-        monkeypatch.setattr(sensor_io, "_columns", pytest.fail)
+        monkeypatch.setattr(sensor_io, "_columns", lambda data: pytest.fail("a refused file reached the row split"))
         started = time.perf_counter()
         code = run(["verify", "--input", str(sensors), *flags])
         assert time.perf_counter() - started < 1.0
