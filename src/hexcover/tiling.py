@@ -11,19 +11,26 @@ integer array, deduplicated exactly by ``np.unique`` of their ``row_keys``.
 ``units_xy`` turns coefficients into meters with ``LatticePoint.to_xy``'s
 expression, so the floats equal the exact points' bit for bit.  The float
 kernels that sampling code shares also live here: the triangle table
-``patch_triangles``, the patch-membership test ``region_contains`` and the
-sampler ``triangle_samples``.
+``patch_triangles``, the patch-membership tests ``region_contains`` and
+``region_mask``, the run kernels behind ``region_mask`` and verify's lattice
+counts, and the sampler ``triangle_samples``.
 
-``region_contains``, at the one band ``REGION_TOL``, clips the verify grid and
-the comparison scheme's tiles.  It tests each point against the four cells of
-its floor block in axial coordinates, four band tests per point whatever the
-patch size, and agrees with a scan over every patch hexagon.
+Patch membership has one band, ``REGION_TOL``, and one float expression per
+hexagon edge (``slant_bands`` and |dy|).  ``region_contains`` tests points
+one by one against the four cells of each point's floor block in axial
+coordinates, four band tests per point whatever the patch size, and clips
+the comparison scheme's tiles.  ``region_mask`` clips the verify grid row by
+row: a hexagon's bands hold on one run of columns per grid row, whose ends
+``run_ends`` settles with the same tests, so the mask equals
+``region_contains`` on every node without building the nodes.  Both agree
+with a scan over every patch hexagon.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +42,7 @@ ODD = "odd"
 PARITY_NAMES = (EVEN, ODD)
 
 REGION_TOL = 1e-12  # patch-membership band, relative to the side
-REGION_CHUNK = 1 << 15  # points per membership-kernel pass
+REGION_CHUNK = 1 << 15  # points, or (hexagon, row) runs, per membership-kernel pass
 
 # Axial neighbor steps, counterclockwise from 30 degrees.
 AXIAL_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
@@ -195,6 +202,18 @@ def build_solar_model(layers: int, side: float = 1.0) -> SolarModel:
     )
 
 
+def slant_bands(dx, dy, bound: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A hexagon's two slanted edge-normal band tests at offsets (dx, dy) from its center, with the values they test.
+
+    One (s, |s| * 0.5 <= bound) pair for each of s = fl(sqrt(3) dx + dy) and
+    s = fl(sqrt(3) dx - dy); the third band is |dy| <= bound.  At a fixed dy
+    each s is non-decreasing in dx and its test holds on an interval of s
+    around 0, so along a grid row each band holds on one run of columns.
+    """
+    tilt = SQRT3 * dx
+    return [(s, np.abs(s) * 0.5 <= bound) for s in (tilt + dy, tilt - dy)]
+
+
 def region_contains(model: SolarModel, points: np.ndarray) -> np.ndarray:
     """Closed membership of each float point (meters) in the union of patch hexagons.
 
@@ -207,9 +226,10 @@ def region_contains(model: SolarModel, points: np.ndarray) -> np.ndarray:
     below 1 for any band below sqrt(3)/4 sides, so only the two integers
     around each coordinate can hold the point; at ``REGION_TOL`` the margin
     is a third of a unit, far above the float rounding.  Each test is the
-    same float expression on the same rounded center as in a scan over every
-    hexagon, so the mask is bit-identical to that scan's.  Points go through
-    in chunks of ``REGION_CHUNK``, so the temporaries stay small.
+    same float expression (``slant_bands``) on the same rounded center as in
+    a scan over every hexagon, so the mask is bit-identical to that scan's.
+    Points go through in chunks of ``REGION_CHUNK``, so the temporaries stay
+    small.
     """
     half = 0.5 * model.side
     bound = SQRT3 * half + REGION_TOL * model.side
@@ -230,13 +250,130 @@ def region_contains(model: SolarModel, points: np.ndarray) -> np.ndarray:
             cq, cw = q + dq, w + dw
             dx = x - (3 * cq).astype(float) * half
             dy = y - (cq + 2 * cw).astype(float) * SQRT3 * half
-            hit |= (
-                (axial_distance(cq, cw) <= reach)
-                & (np.abs(dy) <= bound)
-                & (np.abs(SQRT3 * dx + dy) * 0.5 <= bound)
-                & (np.abs(SQRT3 * dx - dy) * 0.5 <= bound)
-            )
+            (_, plus), (_, minus) = slant_bands(dx, dy, bound)
+            hit |= (axial_distance(cq, cw) <= reach) & (np.abs(dy) <= bound) & plus & minus
     return inside
+
+
+def first_true(holds, start: np.ndarray, n: int) -> np.ndarray:
+    """First index in [0, n] where each of many monotone predicates holds; n where one never does.
+
+    ``holds(index, which)`` evaluates the predicates ``which`` (an index
+    array, or ``slice(None)`` for all of them) at ``index``, each in [0, n),
+    n >= 1; along the axis each predicate fails and then holds.  ``start``
+    is any float or integer estimate of the answers.  One test on each side
+    of it settles an exact estimate; the others bisect the side their
+    answer lies on, so every estimate gives the same answer, and only the
+    cost depends on it.
+    """
+    hi = np.fmin(np.fmax(start, 0), n).astype(np.intp)  # holds here, or n
+    lo = hi - 1  # fails here, or -1
+    up = (hi < n) & ~holds(np.minimum(hi, n - 1), slice(None))
+    down = (hi > 0) & holds(np.maximum(lo, 0), slice(None))
+    lo[up], hi[up] = hi[up], n
+    hi[down], lo[down] = lo[down], -1
+    which = np.flatnonzero(hi - lo > 1)
+    while which.size:
+        middle = (lo[which] + hi[which]) // 2
+        held = holds(middle, which)
+        hi[which[held]], lo[which[~held]] = middle[held], middle[~held]
+        which = which[hi[which] - lo[which] > 1]
+    return hi
+
+
+def run_ends(tests, axis: np.ndarray, low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The run [lo, hi) of indices of an increasing ``axis`` where every test holds, for each of many problems.
+
+    ``tests(index, which)`` gives a list of (s, holds) pairs for problems
+    ``which`` at ``index``: s is non-decreasing along the axis, and holds,
+    a function of s, is non-decreasing in s below 0 and non-increasing from
+    0 on.  So each test holds on one run, which starts at the first index
+    where s >= 0 or the test holds and ends at the first where s >= 0 and
+    it fails; the tests' common run starts where all the first predicates
+    hold and ends where any second one does.  ``first_true`` settles each
+    end with the tests themselves, from an estimate of where the run would
+    span the axis values [low, high] if the axis were evenly spaced: an
+    uneven axis costs time, never the result.  An empty run is lo == hi.
+    """
+    n = len(axis)
+    if n == 0:
+        return np.zeros(len(low), dtype=np.intp), np.zeros(len(low), dtype=np.intp)
+
+    def entered(index, which):
+        return functools.reduce(operator.and_, [(s >= 0) | held for s, held in tests(index, which)])
+
+    def left(index, which):
+        return functools.reduce(operator.or_, [(s >= 0) & ~held for s, held in tests(index, which)])
+
+    pitch = (axis[-1] - axis[0]) / (n - 1) if n > 1 else 1.0
+    with np.errstate(all="ignore"):  # estimates only: first_true clamps nan and inf
+        lo_estimate, hi_estimate = np.ceil((low - axis[0]) / pitch), np.floor((high - axis[0]) / pitch) + 1
+    lo = first_true(entered, lo_estimate, n)
+    return lo, np.maximum(first_true(left, hi_estimate, n), lo)
+
+
+def run_counts(shape: tuple[int, int], rows, columns, chunk: int, dtype) -> np.ndarray:
+    """How many runs hold each node of a (rows, columns) lattice of ``shape``, given one run of columns per (owner, row).
+
+    ``rows`` holds each owner's run of rows (lo, hi); ``columns(owner,
+    row)`` gives the runs of columns (lo, hi) of (owner, row) pairs.  The
+    pairs are expanded with ``np.repeat``, owner by owner, in blocks of
+    whole row runs: at most ``chunk`` pairs, or one longer run.  Each run
+    adds +1 at lo and -1 at hi of a (rows, columns + 1) difference array,
+    whose row-wise cumulative sum in ``dtype`` is the count.
+    """
+    ny, nx = shape
+    row_lo, row_hi = rows
+    spans = row_hi - row_lo
+    ends = np.cumsum(spans)
+    first = ends - spans
+    shift = row_lo - first
+    diff = np.zeros(ny * (nx + 1), dtype=dtype)
+    start = 0
+    while start < len(spans):
+        stop = max(int(np.searchsorted(ends, first[start] + chunk, "right")), start + 1)
+        owner = np.repeat(np.arange(start, stop), spans[start:stop])
+        row = shift[owner] + np.arange(first[start], first[start] + owner.size)
+        lo, hi = columns(owner, row)
+        some = lo < hi
+        offset = row[some] * (nx + 1)
+        np.add.at(diff, offset + lo[some], dtype(1))
+        np.add.at(diff, offset + hi[some], dtype(-1))
+        start = stop
+    counts = diff.reshape(ny, nx + 1)
+    np.cumsum(counts, axis=1, dtype=dtype, out=counts)
+    return counts[:, :nx]
+
+
+def region_mask(model: SolarModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``region_contains`` of every node (xs[j], ys[i]) of a grid, shape (len(ys), len(xs)), without building the nodes.
+
+    ``xs`` and ``ys`` are increasing.  ``region_contains`` keeps what some
+    patch hexagon's three bands hold, so the mask is the union over the
+    patch hexagons.  A hexagon's |dy| band holds on one run of rows, and on
+    each such row its two ``slant_bands`` hold on runs of columns, since
+    fl(x - cx) is monotone in x; ``run_ends`` settles each run with those
+    same float tests on the same rounded centers, so the mask is
+    ``region_contains``' bit for bit.  ``run_counts`` adds up the (hexagon,
+    row) runs, ``REGION_CHUNK`` at a time, in one byte per node.  The work
+    is O(hexagons × rows per hexagon) plus a pass over the mask.
+    """
+    half = 0.5 * model.side
+    bound = SQRT3 * half + REGION_TOL * model.side
+    cx, cy = units_xy(center_units(model.axial), model.side).T
+
+    def band(i, hexagon):
+        dy = ys[i] - cy[hexagon]
+        return [(dy, np.abs(dy) <= bound)]
+
+    def columns(hexagon, row):
+        x0, dy = cx[hexagon], ys[row] - cy[hexagon]
+        width = (2.0 * bound - np.abs(dy)) / SQRT3
+        return run_ends(lambda j, pair: slant_bands(xs[j] - x0[pair], dy[pair], bound), xs, x0 - width, x0 + width)
+
+    rows = run_ends(band, ys, cy - bound, cy + bound)
+    # a node lies in at most three hexagons, so a byte holds its count
+    return run_counts((len(ys), len(xs)), rows, columns, REGION_CHUNK, np.int8) > 0
 
 
 def triangle_samples(

@@ -9,10 +9,12 @@ Three point families are evaluated against the sensing disks:
   (``structured_count``) are exact.
   Triangle vertices are the worst-case points under the placement strategy;
 * a square grid of pitch ``grid_step``: one lattice, its two axes and a
-  (rows, columns) mask of the nodes ``tiling.region_contains`` keeps (it
-  tests each node against the four hexagons of its axial floor block only,
-  so clipping is O(points)); the kept nodes' counts are read off that mask,
-  and a node's coordinates are built only when it is reported as failing;
+  (rows, columns) mask of the nodes in the patch.  ``tiling.region_mask``
+  clips it row by row: each patch hexagon holds one run of columns on each
+  grid row it crosses, settled with ``region_contains``' own band tests, so
+  the mask is that test's on every node, bit for bit, and no node array is
+  built or tested; the kept nodes' counts are read off that mask, and a
+  node's coordinates are built only when it is reported as failing;
 * seeded uniform samples over the patch.
 
 The report keeps each count's frequency and up to ``MAX_FAILING_POINTS``
@@ -30,9 +32,10 @@ counted on its lattice instead (``lattice_counts``): along one grid row the
 float predicate ``(x - sx)**2 + (y - sy)**2 <= eff**2`` holds on a single
 contiguous run of columns, because ``fl(x - sx)`` is monotone in x, so each
 sensor adds one column interval per grid row its disk reaches.  The two
-ends of every interval are settled with that same float predicate, so the
-counts are the predicate's bit for bit, at a cost of O(sensors × rows per
-disk) instead of O(disk hits).
+ends of every interval are estimated from the axis pitch and settled with
+that same float predicate (``tiling.run_ends``, the clip's helper too), so
+the counts are the predicate's bit for bit, at a cost of O(sensors × rows
+per disk) instead of O(disk hits).
 
 The same disk decides which sensors hold whole triangles: ``covering_pairs``
 is the package's one triangle-in-disk kernel, behind the sampling-free
@@ -64,22 +67,25 @@ from .tiling import (
     extreme_units,
     hexagon_count,
     patch_triangles,
-    region_contains,
+    region_contains,  # unused here: perfbench/spans.py wraps verifier.region_contains
+    region_mask,
     row_keys,
+    run_counts,
+    run_ends,
     triangle_samples,
     units_xy,
 )
 
 DISK_TOL = 1e-9  # relative, on squared distances
 MAX_FAILING_POINTS = 100
-# Probe budget of one verify run.  The grid stage peaks while clipping: the
-# 16-byte nodes, their 1-byte mask and the clipping kernel's per-chunk
-# temporaries, 25, 19 and 18 bytes per raw grid point.  Counting then holds
-# the mask, the 4-byte difference array and the kept nodes' counts, 14, 8
-# and 8 bytes per raw point; only failing nodes get coordinates.  Monte
-# Carlo sampling peaks at 130 bytes per sample.  So the budget caps those
-# temporaries near 0.2 and 1.3 GB (tracemalloc at l = 10, 20 and 30, r = 10,
-# step r/20).
+# Probe budget of one verify run.  The grid stage builds no nodes: clipping
+# peaks at 5, 4 and 3 bytes per raw grid point (its 1-byte difference array
+# and mask, and the run temporaries), and counting at 13, 8 and 8: the
+# mask, the 4-byte difference array, the kept nodes' 4-byte counts and one
+# block of run temporaries, which weighs most on small grids; only failing
+# nodes get coordinates.  Monte Carlo sampling peaks at 130 bytes per
+# sample.  So the budget caps those temporaries near 0.13 and 1.3 GB
+# (tracemalloc at l = 10, 20 and 30, r = 10, step r/20).
 MAX_PROBES = 10_000_000
 LATTICE_CHUNK = 1 << 14  # (sensor, row) intervals per lattice-counting pass
 # KD-tree leaf size and fewest probes per query thread of ``coverage_counts``
@@ -183,10 +189,7 @@ def grid_points(model: SolarModel, step: float) -> tuple[np.ndarray, np.ndarray,
         raise ValueError(f"grid step must be positive, got {step}")
     min_x, min_y, max_x, max_y = model.bounding_box()
     xs, ys = np.arange(min_x, max_x + step * 0.5, step), np.arange(min_y, max_y + step * 0.5, step)
-    nodes = np.empty((len(ys), len(xs), 2))
-    nodes[..., 0] = xs
-    nodes[..., 1] = ys[:, None]
-    return xs, ys, region_contains(model, nodes.reshape(-1, 2)).reshape(len(ys), len(xs))
+    return xs, ys, region_mask(model, xs, ys)
 
 
 def monte_carlo_points(model: SolarModel, count: int, seed: int) -> np.ndarray:
@@ -219,8 +222,26 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _address_space_limited() -> bool:
+    """Whether the process runs under a finite address-space limit (``RLIMIT_AS``, as ``ulimit -v`` sets)."""
+    try:
+        import resource
+    except ImportError:  # no resource limits on this platform
+        return False
+    return resource.getrlimit(resource.RLIMIT_AS)[0] != resource.RLIM_INFINITY
+
+
 def query_workers(probes: int) -> int:
-    """KD-tree query threads for ``probes`` points: one per CPU, each with at least ``MIN_PROBES_PER_WORKER``."""
+    """KD-tree query threads for ``probes`` points: one per CPU, each with at least ``MIN_PROBES_PER_WORKER``.
+
+    One thread under a finite address-space limit: near that limit glibc
+    aborts the whole process when a new thread cannot get its malloc arena
+    ("cannot allocate memory for thread-local data"), where one thread
+    raises ``MemoryError`` and verify exits 2.  The counts do not depend on
+    the thread count.
+    """
+    if _address_space_limited():
+        return 1
     return max(1, min(_cpu_count(), probes // MIN_PROBES_PER_WORKER))
 
 
@@ -324,52 +345,9 @@ def minimum_sensors_lower_bound() -> int:
     return 3
 
 
-def _runs(
-    axis: np.ndarray, center: np.ndarray, base: np.ndarray, bound: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """First and last index of the run of ``axis`` where ``(axis - center)**2 + base <= bound``.
-
-    One run per entry of ``center`` and ``base``, in float arithmetic;
-    ``lo > hi`` marks an empty run.  ``axis`` is increasing, so
-    ``fl(axis[j] - center)`` is monotone in j and the left-hand side falls
-    and then rises with j, lowest at one of the two elements around
-    ``center``: the indices that pass form one run, which holds that lowest
-    element unless it is empty.  The ends are estimated from
-    ``sqrt(bound - base)`` and then moved one index at a time until the
-    predicate itself says they are the run's outermost passing indices.
-    """
-    n = len(axis)
-
-    def inside(index, which=slice(None)):
-        d = axis[index] - center[which]
-        return d * d + base[which] <= bound
-
-    right = np.minimum(np.searchsorted(axis, center), n - 1)
-    left = np.maximum(right - 1, 0)
-    d_left, d_right = axis[left] - center, axis[right] - center
-    f_left, f_right = d_left * d_left + base, d_right * d_right + base
-    nearest = np.where(f_left <= f_right, left, right)
-    hit = np.minimum(f_left, f_right) <= bound
-    half = np.sqrt(np.maximum(bound - base, 0.0))
-    lo = np.minimum(np.searchsorted(axis, center - half, "left"), nearest)
-    hi = np.maximum(np.searchsorted(axis, center + half, "right") - 1, nearest)
-    # Each end starts on its side of ``nearest``, which passes where the run
-    # is not empty, so walking it outward while its neighbor passes, or
-    # inward while it fails, stops at the run's end.
-    for end, outward, limit in ((lo, -1, 0), (hi, 1, n - 1)):
-        passing = inside(end)
-        beyond = inside(np.clip(end + outward, 0, n - 1))
-        walk = np.flatnonzero(hit & ~(passing & ((end == limit) | ~beyond)))
-        out, back = walk[passing[walk]], walk[~passing[walk]]
-        while out.size:
-            end[out] += outward
-            out = out[end[out] != limit]
-            out = out[inside(end[out] + outward, out)]
-        while back.size:
-            end[back] -= outward
-            back = back[~inside(end[back], back)]
-    hi[~hit] = lo[~hit] - 1
-    return lo, hi
+def _disk(d, base, bound: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``run_ends``' test for the disk predicate ``d * d + base <= bound`` along an axis, d = fl(axis - center)."""
+    return [(d, d * d + base <= bound)]
 
 
 def lattice_counts(xs: np.ndarray, ys: np.ndarray, sensors: np.ndarray, radius: float) -> np.ndarray:
@@ -385,36 +363,29 @@ def lattice_counts(xs: np.ndarray, ys: np.ndarray, sensors: np.ndarray, radius: 
     ``fl(dy)**2`` and rounding keep that order.  The columns that pass are
     therefore one contiguous run, and a row can hold any only if
     ``fl(dy)**2 <= eff * eff``, which holds on one contiguous run of rows by
-    the same argument.  ``_runs`` finds each run from a square-root estimate
-    and settles both ends with the predicate itself; each (sensor, row) run
-    [lo, hi] adds +1 at ``lo`` and -1 at ``hi + 1`` of a (rows, columns + 1)
+    the same argument.  ``run_ends`` estimates each run's ends from the
+    axis pitch and the disk's half-width and settles them with the predicate
+    itself, so an uneven axis costs time, never counts; each (sensor, row)
+    run [lo, hi) adds +1 at ``lo`` and -1 at ``hi`` of a (rows, columns + 1)
     difference array whose row-wise cumulative sum is the count.
 
     The work is O(sensors × rows per disk), not O(disk hits).  The
-    (sensor, row) intervals go through in chunks of ``LATTICE_CHUNK``, so
-    the temporaries stay a few MB besides the 4-byte-per-node counts.
+    (sensor, row) runs go through ``tiling.run_counts`` in blocks of about
+    ``LATTICE_CHUNK``, so the temporaries stay a few MB besides the
+    4-byte-per-node counts.
     """
-    nx, ny = len(xs), len(ys)
-    diff = np.zeros(ny * (nx + 1), dtype=np.int32)
-    if nx and ny and len(sensors):
-        sx, sy = sensors[:, 0], sensors[:, 1]
-        bound = _effective_radius(radius) ** 2
-        row_lo, row_hi = _runs(ys, sy, np.zeros(len(sensors)), bound)
-        spans = np.maximum(row_hi - row_lo + 1, 0)
-        first = np.concatenate([[0], np.cumsum(spans)])
-        for start in range(0, int(first[-1]), LATTICE_CHUNK):
-            pair = np.arange(start, min(start + LATTICE_CHUNK, int(first[-1])))
-            sensor = np.searchsorted(first, pair, "right") - 1
-            row = row_lo[sensor] + (pair - first[sensor])
-            dy = ys[row] - sy[sensor]
-            lo, hi = _runs(xs, sx[sensor], dy * dy, bound)
-            some = lo <= hi
-            offset = row[some] * (nx + 1)
-            np.add.at(diff, offset + lo[some], np.int32(1))
-            np.add.at(diff, offset + hi[some] + 1, np.int32(-1))
-    counts = diff.reshape(ny, nx + 1)
-    np.cumsum(counts, axis=1, dtype=np.int32, out=counts)
-    return counts[:, :nx]
+    sx, sy = sensors[:, 0], sensors[:, 1]
+    bound = _effective_radius(radius) ** 2
+    reach = np.sqrt(bound)
+
+    def columns(sensor, row):
+        x0, dy = sx[sensor], ys[row] - sy[sensor]
+        base = dy * dy
+        half = np.sqrt(np.maximum(bound - base, 0.0))
+        return run_ends(lambda j, pair: _disk(xs[j] - x0[pair], base[pair], bound), xs, x0 - half, x0 + half)
+
+    rows = run_ends(lambda i, sensor: _disk(ys[i] - sy[sensor], 0.0, bound), ys, sy - reach, sy + reach)
+    return run_counts((len(ys), len(xs)), rows, columns, LATTICE_CHUNK, np.int32)
 
 
 def _counted(points: np.ndarray, sensors: np.ndarray, radius: float):

@@ -172,6 +172,35 @@ class TestOutOfMemory:
         self._assert_refused(code, capsys, report)
 
 
+class TestUnderAnAddressSpaceLimit:
+    """verify under ``ulimit -v`` exits 0 to 3 with at most one error line, never an abort in a query thread."""
+
+    CHILD = "import sys\nfrom hexcover.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+    def test_verify_finishes_or_refuses_at_every_limit(self, tmp_path):
+        import resource
+
+        sensors = tmp_path / "sensors.csv"
+        assert run(["plan", "--layers", "40", "--coverage", "3", "--radius", "10", "--output", str(sensors)]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # The l = 40 plan needs about 0.4 GB; from 330 000 to 380 000 KB a
+        # second query thread used to die in glibc ("cannot allocate memory
+        # for thread-local data") with no exit code of verify's own.
+        for kilobytes in (300_000, 330_000, 350_000, 380_000):
+            def limit(size=kilobytes * 1024):
+                resource.setrlimit(resource.RLIMIT_AS, (size, size))
+
+            child = subprocess.run(
+                [sys.executable, "-c", self.CHILD, "verify", "--input", str(sensors)],
+                capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300, preexec_fn=limit,
+            )
+            assert 0 <= child.returncode <= 3, (kilobytes, child.returncode, child.stderr[-400:])
+            assert "Traceback" not in child.stderr, kilobytes
+            if child.returncode == 2:
+                assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1, child.stderr[-400:]
+
+
 class TestVerify:
     def _plan(self, tmp_path, *, layers, coverage):
         out = tmp_path / "sensors.csv"

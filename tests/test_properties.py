@@ -132,6 +132,125 @@ def test_region_contains_equals_per_hexagon_union_at_the_rim_and_beyond_floats(l
     assert not inside[-len(specials) ** 2:][~np.isfinite(points[-len(specials) ** 2:]).any(axis=1)].any()
 
 
+@st.composite
+def run_cases(draw):
+    """An increasing axis of 1 to 40 entries, evenly or unevenly spaced, values along it, and adversarial estimates.
+
+    Values are axis entries, an ulp off them, or anywhere beyond both ends.
+    Estimates are exact, off by one or by many either way, clamped past 0
+    or n, or not finite.
+    """
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        axis = np.arange(n, dtype=float)
+    else:
+        axis = np.unique(rng.uniform(-1.0, 1.0, n) ** draw(st.sampled_from([1, 3, 7])))
+        n = len(axis)
+    count = draw(st.integers(1, 50))
+    picked = axis[rng.integers(0, n, count)]
+    values = np.select(
+        [rng.random(count) < 0.3, rng.random(count) < 0.5],
+        [picked, np.nextafter(picked, rng.choice([-np.inf, np.inf], count))],
+        rng.uniform(axis[0] - 1.0, axis[-1] + 1.0, count),
+    )
+    offsets = np.array(draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 17, -40, 1000, -1000]), min_size=count, max_size=count)))
+    special = draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -1.0, n + 1.5, 0.5]), max_size=min(3, count)))
+    return axis, values, offsets, np.array(special, dtype=float)
+
+
+def estimates_for(answers, offsets, special):
+    estimates = (answers + offsets).astype(float)
+    estimates[: len(special)] = special
+    return estimates
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=run_cases())
+def test_first_true_returns_the_brute_force_index_from_any_estimate(case):
+    axis, thresholds, offsets, special = case
+    n = len(axis)
+
+    def holds(index, which):
+        assert ((0 <= index) & (index < n)).all()
+        return axis[index] >= thresholds[which]
+
+    answers = np.array([next((j for j in range(n) if axis[j] >= t), n) for t in thresholds])
+    for start in (estimates_for(answers, offsets, special), answers, np.zeros(len(answers)), np.full(len(answers), n)):
+        assert np.array_equal(tiling.first_true(holds, start, n), answers)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=run_cases(), reach=st.sampled_from([0.0, 1e-3, 0.3, 2.0, 50.0]))
+def test_run_ends_are_the_brute_force_run_of_the_disk_test(case, reach):
+    # runs of the disk test around each value: one index, several, all, or none (base > bound)
+    axis, centers, offsets, special = case
+    n = len(axis)
+    rng = np.random.default_rng(len(axis) + len(centers))
+    base = rng.choice([0.0, 0.5 * reach * reach, 2.0 * reach * reach + 1e-9], len(centers))
+    bound = reach * reach
+
+    def tests(index, which):
+        d = axis[index] - centers[which]
+        return [(d, d * d + base[which] <= bound)]
+
+    passing = np.array([[(a - c) * (a - c) + b <= bound for a in axis] for c, b in zip(centers, base)]).reshape(-1, n)
+    lo_true = np.where(passing.any(axis=1), passing.argmax(axis=1), 0)
+    hi_true = lo_true + passing.sum(axis=1)
+    # the values where the run's ends would lie on an evenly spaced axis, off by the offsets
+    pitch = (axis[-1] - axis[0]) / max(n - 1, 1)
+    with np.errstate(invalid="ignore"):  # 0 * inf on an axis of one entry
+        low = axis[0] + pitch * estimates_for(lo_true, offsets, special)
+        high = axis[0] + pitch * (estimates_for(hi_true, -offsets, special[::-1]) - 1)
+    lo, hi = tiling.run_ends(tests, axis, low, high)
+    assert np.array_equal(hi - lo, passing.sum(axis=1))
+    for row, start, stop in zip(passing, lo, hi):
+        assert row[start:stop].all()
+    assert [a.tolist() for a in tiling.run_ends(tests, axis[:0], low, high)] == [[0] * len(centers)] * 2
+
+
+@st.composite
+def row_clip_cases(draw):
+    """A patch and a grid whose rows and columns pass within an ulp of hexagon edges and vertices.
+
+    Columns sit at multiples of side / (2 m) and rows of sqrt(3) side / (2 m)
+    from the bounding box corner, where vertices and edges lie, shifted by a
+    random fraction of the pitch and nudged by an ulp either way; or the
+    axes are unevenly spaced.
+    """
+    layers = draw(st.integers(1, 6))
+    radius = draw(st.sampled_from([1e-150, 1e-3, 2.5, 10.0, 1e100] + ([1e150] if layers == 1 else [])))
+    model = model_for(layers, radius)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def axis(low, high, unit):
+        if draw(st.integers(0, 4)) == 0:
+            return np.unique(rng.uniform(low - unit, high + unit, draw(st.integers(1, 60))))
+        pitch = unit / draw(st.sampled_from([1, 2, 3, 5, 8, 13]))
+        shift = draw(st.sampled_from([0.0, 0.5, 1 / 3, float(rng.uniform())])) * pitch
+        values = low + shift + pitch * np.arange(int((high - low) / pitch) + 2)
+        nudge = draw(st.sampled_from([None, np.inf, -np.inf]))
+        return values if nudge is None else np.nextafter(values, nudge)
+
+    min_x, min_y, max_x, max_y = model.bounding_box()
+    return model, axis(min_x, max_x, 0.5 * radius), axis(min_y, max_y, SQRT3 * 0.5 * radius)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=row_clip_cases())
+def test_region_mask_equals_region_contains_on_the_full_mesh(case):
+    model, xs, ys = case
+    mask = tiling.region_mask(model, xs, ys)
+    assert mask.shape == (len(ys), len(xs))
+    assert np.array_equal(mask.ravel(), region_contains(model, grid_nodes(xs, ys)))
+
+
+def test_region_mask_of_an_empty_axis():
+    model = model_for(2, 1.0)
+    assert tiling.region_mask(model, np.zeros(0), np.linspace(-2, 2, 5)).shape == (5, 0)
+    assert tiling.region_mask(model, np.linspace(-2, 2, 5), np.zeros(0)).shape == (0, 5)
+
+
 def tiles_at_old_band(model, offset):
     """The scheme's tiles by its former rule: all six vertices inside the patch widened by 1e-9 sides.
 
@@ -269,6 +388,18 @@ def test_lattice_counts_across_chunks(monkeypatch):
     assert counts.max() > 1
     assert np.array_equal(counts, brute_force_lattice_counts(xs, ys, sensors, 1.3))
     assert np.array_equal(counts.ravel(), coverage_counts(grid_nodes(xs, ys), sensors, 1.3))
+
+
+@pytest.mark.parametrize("power", [1, 3])
+def test_lattice_counts_on_unevenly_spaced_axes(power):
+    # the pitch estimate is off by many columns here; only the settling keeps the counts exact
+    rng = np.random.default_rng(17 + power)
+    xs = np.sort(rng.uniform(-1.0, 1.0, 90) ** power) * 4.0
+    ys = np.sort(rng.uniform(-1.0, 1.0, 70) ** power) * 3.0
+    sensors = np.concatenate([rng.uniform(-4.0, 4.0, size=(30, 2)), np.column_stack([xs[::9], ys[::7][:10]])])
+    counts = lattice_counts(xs, ys, sensors, 1.1)
+    assert counts.max() > 2
+    assert np.array_equal(counts, brute_force_lattice_counts(xs, ys, sensors, 1.1))
 
 
 @st.composite
@@ -429,6 +560,15 @@ def test_query_workers_stay_within_the_affinity_mask():
     for probes in (0, 1, verifier.MIN_PROBES_PER_WORKER - 1, verifier.MIN_PROBES_PER_WORKER, 10**7, 10**18):
         assert 1 <= verifier.query_workers(probes) <= cpus
     assert verifier.query_workers(verifier.MIN_PROBES_PER_WORKER * cpus) == cpus
+
+
+def test_one_query_thread_under_an_address_space_limit(monkeypatch):
+    resource = pytest.importorskip("resource")
+    unlimited = verifier.query_workers(10**7)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (1 << 30, resource.RLIM_INFINITY))
+    assert verifier.query_workers(10**7) == 1
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+    assert verifier.query_workers(10**7) == unlimited == affinity_cpus()
 
 
 def test_cpu_count_without_an_affinity_mask(monkeypatch):
