@@ -3,10 +3,13 @@
 The small honeycomb shares the big tiling's orientation and is anchored at the
 origin (a small hexagon centered there); an exact rational offset can shift
 it.  A small hexagon is identified by its axial coordinates (q, w) on the
-small honeycomb and is handled in floats from there on: it belongs to the
-benchmark iff all six of its vertices pass ``tiling.region_contains``, the
-rule and band that clip the verify grid, and each such hexagon receives k
-uniformly sampled sensors from its own deterministic RNG stream.
+small honeycomb and is handled in floats from there on.  Every center and
+vertex of a tile is a node of one rectangular lattice (``_tile_lattice``),
+whose two axes carry the scheme's one rounding rule.  A tile belongs to the
+benchmark iff all six of its vertex nodes are in ``tiling.region_mask`` of
+that lattice, the kernel and band that clip the verify grid, and each such
+tile receives k uniformly sampled sensors from its own deterministic RNG
+stream.
 
 The closed-form count ``benchmark_count`` reports k*(15 l^2 - 27 l + 18) for
 k >= 2 as printed in the source scheme; the geometric enumeration is exposed
@@ -25,7 +28,7 @@ from .deployment import Deployment, InvariantViolation, total_count
 # Nothing here builds a ``Hexagon``; the name stays because perfbench/spans.py
 # wraps ``benchmark.Hexagon`` and tests/test_tracing.py runs that tracer.
 from .geometry import SQRT3, Hexagon
-from .tiling import VERTEX_OFFSETS, SolarModel, hexagon_count, region_contains, triangle_samples
+from .tiling import VERTEX_OFFSETS, SolarModel, hexagon_count, region_mask, triangle_samples
 
 SMALL_SIDE = Fraction(1, 2)
 
@@ -67,31 +70,40 @@ def count_gap(layers: int, k: int) -> int:
 _SMALL_X2, _SMALL_Y2 = np.vstack([[0, 0], VERTEX_OFFSETS]).T
 
 
-def _small_hexagon_xy(
+def _tile_lattice(
     axial: np.ndarray, offset: tuple[Fraction, Fraction], scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Float centers (m, 2) and vertices (m, 6, 2), in meters, of small hexagons.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lattice through the centers and vertices of the small hexagons at ``axial`` (m, 2).
 
-    The hexagon at axial (q, w) is centered at offset*scale plus the lattice
-    point (3q/2, (q + 2w)/2).  With (x0, y0) = 2*offset and (X, Y) the
-    lattice coefficients of a point, each coordinate is rounded the way
-    ``LatticePoint.to_xy`` rounds it, the offset's y being an extra rational
-    term: x = float(x0 + X) * scale/2 and y = (float(y0) + float(Y) *
-    sqrt(3)) * scale/2.  The scheme's exports therefore match an exact
-    construction bit for bit.
+    Returns its non-decreasing axes ``xs`` and ``ys``, in meters, and the
+    (row, column) nodes of each hexagon's center and six vertices, two
+    (m, 7) arrays.  The hexagon at axial (q, w) is centered at offset*scale
+    plus the lattice point (3q/2, (q + 2w)/2).  With (x0, y0) = 2*offset and
+    (j, i) twice a point's lattice coefficients, each axis rounds the way
+    ``LatticePoint.to_xy`` does, the offset's y being an extra rational
+    term: xs[j] = float(x0 + j/2) * scale/2 and ys[i] = (float(y0) + (i *
+    0.5) * sqrt(3)) * scale/2.  The scheme's exports therefore match an
+    exact construction bit for bit.
     """
     half = 0.5 * scale
     x0, y0 = 2 * Fraction(offset[0]), 2 * Fraction(offset[1])
     q, w = axial[:, :1], axial[:, 1:]
     x2 = 3 * q + _SMALL_X2
     y2 = q + 2 * w + _SMALL_Y2
-    # x0 + x2/2 need not be a binary fraction: round each distinct value once
+    x_low, y_low = int(x2.min(initial=0)), int(y2.min(initial=0))
+    # x0 + j/2 need not be a binary fraction: round each distinct value once
     # from its exact rational.
-    low, high = int(x2.min(initial=0)), int(x2.max(initial=0))
-    x_rounded = np.array([float(x0 + Fraction(j, 2)) for j in range(low, high + 1)])
-    xs = x_rounded[x2 - low] * half
-    ys = (float(y0) + (y2 * 0.5) * SQRT3) * half
-    points = np.stack([xs, ys], axis=-1)
+    xs = np.array([float(x0 + Fraction(j, 2)) for j in range(x_low, int(x2.max(initial=0)) + 1)]) * half
+    ys = (float(y0) + (np.arange(y_low, int(y2.max(initial=0)) + 1) * 0.5) * SQRT3) * half
+    return xs, ys, y2 - y_low, x2 - x_low
+
+
+def _small_hexagon_xy(
+    axial: np.ndarray, offset: tuple[Fraction, Fraction], scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float centers (m, 2) and vertices (m, 6, 2), in meters, of small hexagons: their ``_tile_lattice`` nodes."""
+    xs, ys, rows, columns = _tile_lattice(axial, offset, scale)
+    points = np.stack([xs[columns], ys[rows]], axis=-1)
     return points[:, 0], points[:, 1:]
 
 
@@ -108,14 +120,15 @@ def small_hexagon_centers(
     multiples of the apothem and a y offset at a rational multiple of the
     side, so a margin a + b*sqrt(3) can be nonzero yet arbitrarily small; a
     vertex outside by less than the band counts as inside, as a grid point.
+    One ``region_mask`` call clips the lattice of every scanned tile.
     """
     reach = _scan_reach(model.layers)
     steps = np.arange(-reach, reach + 1)
     q, w = np.meshgrid(steps, steps, indexing="ij")
     axial = np.column_stack([q.ravel(), w.ravel()])
-    _, vertices = _small_hexagon_xy(axial, offset, model.side)
-    inside = region_contains(model, vertices.reshape(-1, 2))
-    return axial[inside.reshape(-1, 6).all(axis=1)]
+    xs, ys, rows, columns = _tile_lattice(axial, offset, model.side)
+    inside = region_mask(model, xs, ys)
+    return axial[inside[rows[:, 1:], columns[:, 1:]].all(axis=1)]
 
 
 def place_benchmark(

@@ -61,8 +61,9 @@ EXIT_INTERNAL = 3
 # 700 bytes per sensor at k = 1, where the patch outweighs the sensors, and
 # 280-360 from k = 2 (the formatted columns); a JSON plan at 700 bytes per
 # sensor or vertex at k = 1, 570-620 at k = 2 and 3 and 400-490 from k = 10;
-# the scheme at 34-375 per counted tile.  So the budget caps a plan near
-# 0.7 GB (tracemalloc, l = 1 to 200, k = 1 to 30000).
+# the scheme at 5-268 per counted tile, the most at k = 1, where its clip's
+# (tiles, 7) node indices outweigh the sensors.  So the budget caps a plan
+# near 0.7 GB (tracemalloc, l = 1 to 200, k = 1 to 30000).
 MAX_SENSORS = 1_000_000
 
 
@@ -118,9 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--parity", choices=("even", "odd"), default="even",
                       help="alternate-vertex class used first (default: even)")
     plan.add_argument("--offset-x", type=_offset, default=Fraction(0),
-                      help="benchmark tiling x offset, rational multiple of the radius (default: 0)")
+                      help="benchmark tiling x offset, rational multiple of the radius; "
+                           "write a negative one as --offset-x=-1/4 (default: 0)")
     plan.add_argument("--offset-y", type=_offset, default=Fraction(0),
-                      help="benchmark tiling y offset, rational multiple of the radius (default: 0)")
+                      help="benchmark tiling y offset, rational multiple of the radius; "
+                           "write a negative one as --offset-y=-1/3 (default: 0)")
     plan.add_argument("--output", default="sensors.csv", help="sensor file path (default: sensors.csv)")
     plan.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default: csv)")
 

@@ -5,8 +5,8 @@ the center-to-vertex segments, midpoints and centroids of those) has the form
 (x * scale/2, y * sqrt(3) * scale/2) with rational x and y.  A ``LatticePoint``
 stores the two rationals, so equal points compare equal with no epsilon and
 squared distances are the single rational x^2 + 3 y^2.  This module serves
-the packing proofs, the hexagons behind ``tiling.VERTEX_OFFSETS`` and the
-comparison scheme's tiles, and the tests' exact references; plan and verify
+the packing proofs and the tests' exact references, which pin
+``tiling.VERTEX_OFFSETS`` and the comparison scheme's tiles; plan and verify
 themselves run on integer lattice coefficients (``tiling``).
 """
 

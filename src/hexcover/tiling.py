@@ -11,19 +11,18 @@ integer array, deduplicated exactly by ``np.unique`` of their ``row_keys``.
 ``units_xy`` turns coefficients into meters with ``LatticePoint.to_xy``'s
 expression, so the floats equal the exact points' bit for bit.  The float
 kernels that sampling code shares also live here: the triangle table
-``patch_triangles``, the patch-membership tests ``region_contains`` and
-``region_mask``, the run kernels behind ``region_mask`` and verify's lattice
-counts, and the sampler ``triangle_samples``.
+``patch_triangles``, the patch-membership kernel ``region_mask``, the run
+kernels behind it and verify's lattice counts, and the sampler
+``triangle_samples``.
 
-Patch membership has one band, ``REGION_TOL``, and one float expression per
-hexagon edge (``slant_bands`` and |dy|).  ``region_contains`` tests points
-one by one against the four cells of each point's floor block in axial
-coordinates, four band tests per point whatever the patch size, and clips
-the comparison scheme's tiles.  ``region_mask`` clips the verify grid row by
-row: a hexagon's bands hold on one run of columns per grid row, whose ends
-``run_ends`` settles with the same tests, so the mask equals
-``region_contains`` on every node without building the nodes.  Both agree
-with a scan over every patch hexagon.
+Patch membership has one kernel, ``region_mask``, one band, ``REGION_TOL``,
+and one float expression per hexagon edge.  It takes the nodes of a
+lattice, given as two non-decreasing axes, so it clips both the verify grid
+and the comparison scheme's tiles, whose vertices are the nodes of one
+lattice too.  A hexagon's bands hold on one run of columns per lattice row,
+whose ends ``run_ends`` settles with the band tests themselves, so the mask
+equals a scan of every node against every patch hexagon, bit for bit,
+without building the nodes.
 """
 
 from __future__ import annotations
@@ -35,14 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ORIGIN, SQRT3, Hexagon, LatticePoint
+from .geometry import SQRT3, Hexagon, LatticePoint
 
 EVEN = "even"
 ODD = "odd"
 PARITY_NAMES = (EVEN, ODD)
 
 REGION_TOL = 1e-12  # patch-membership band, relative to the side
-REGION_CHUNK = 1 << 15  # points, or (hexagon, row) runs, per membership-kernel pass
+REGION_CHUNK = 1 << 15  # (hexagon, row) runs per membership-kernel pass
 
 # Axial neighbor steps, counterclockwise from 30 degrees.
 AXIAL_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
@@ -51,10 +50,6 @@ AXIAL_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 def axial_center(q: int, w: int) -> LatticePoint:
     """Lattice position of the hexagon center at axial coordinates (q, w)."""
     return LatticePoint(3 * q, q + 2 * w)
-
-
-def axial_distance(q: int, w: int) -> int:
-    return (abs(q) + abs(w) + abs(q + w)) // 2
 
 
 def axial_ring(radius: int) -> list[tuple[int, int]]:
@@ -72,7 +67,7 @@ def axial_ring(radius: int) -> list[tuple[int, int]]:
 
 # Lattice coefficients of the six vertices of the unit hexagon at the origin,
 # in ``Hexagon.vertices`` order (vertex i at angle 60*i degrees).
-VERTEX_OFFSETS = np.array([(int(v.x), int(v.y)) for v in Hexagon(ORIGIN).vertices()])
+VERTEX_OFFSETS = np.array([(2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)])
 
 
 def vertex_parity(vertices: np.ndarray) -> np.ndarray:
@@ -202,59 +197,6 @@ def build_solar_model(layers: int, side: float = 1.0) -> SolarModel:
     )
 
 
-def slant_bands(dx, dy, bound: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A hexagon's two slanted edge-normal band tests at offsets (dx, dy) from its center, with the values they test.
-
-    One (s, |s| * 0.5 <= bound) pair for each of s = fl(sqrt(3) dx + dy) and
-    s = fl(sqrt(3) dx - dy); the third band is |dy| <= bound.  At a fixed dy
-    each s is non-decreasing in dx and its test holds on an interval of s
-    around 0, so along a grid row each band holds on one run of columns.
-    """
-    tilt = SQRT3 * dx
-    return [(s, np.abs(s) * 0.5 <= bound) for s in (tilt + dy, tilt - dy)]
-
-
-def region_contains(model: SolarModel, points: np.ndarray) -> np.ndarray:
-    """Closed membership of each float point (meters) in the union of patch hexagons.
-
-    A point is inside when all three edge-normal bands of some patch hexagon,
-    widened by ``REGION_TOL`` times the side, hold it.  With q0 and w0 the
-    floors of the point's fractional axial coordinates, only the patch cells
-    among (q0, w0), (q0 + 1, w0), (q0, w0 + 1) and (q0 + 1, w0 + 1) are
-    tested.  That is complete: a hexagon widened by a band of t sides reaches
-    at most (2/3)(1 + 2t/sqrt(3)) axial units from its center in q and in w,
-    below 1 for any band below sqrt(3)/4 sides, so only the two integers
-    around each coordinate can hold the point; at ``REGION_TOL`` the margin
-    is a third of a unit, far above the float rounding.  Each test is the
-    same float expression (``slant_bands``) on the same rounded center as in
-    a scan over every hexagon, so the mask is bit-identical to that scan's.
-    Points go through in chunks of ``REGION_CHUNK``, so the temporaries stay
-    small.
-    """
-    half = 0.5 * model.side
-    bound = SQRT3 * half + REGION_TOL * model.side
-    reach = model.layers - 1
-    # A point in a widened patch hexagon has axial coordinates within
-    # reach + 1; clamping the rest (fmin/fmax also clamp nan and inf)
-    # keeps the floors small integers.
-    clamp = reach + 2.0
-    inside = np.zeros(len(points), dtype=bool)
-    for start in range(0, len(points), REGION_CHUNK):
-        chunk = slice(start, start + REGION_CHUNK)
-        x, y = points[chunk, 0], points[chunk, 1]
-        fq = np.fmin(np.fmax(x / (3.0 * half), -clamp), clamp)
-        fw = np.fmin(np.fmax((y / (SQRT3 * half) - fq) * 0.5, -clamp), clamp)
-        q, w = np.floor(fq).astype(np.int64), np.floor(fw).astype(np.int64)
-        hit = inside[chunk]
-        for dq, dw in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            cq, cw = q + dq, w + dw
-            dx = x - (3 * cq).astype(float) * half
-            dy = y - (cq + 2 * cw).astype(float) * SQRT3 * half
-            (_, plus), (_, minus) = slant_bands(dx, dy, bound)
-            hit |= (axial_distance(cq, cw) <= reach) & (np.abs(dy) <= bound) & plus & minus
-    return inside
-
-
 def first_true(holds, start: np.ndarray, n: int) -> np.ndarray:
     """First index in [0, n] where each of many monotone predicates holds; n where one never does.
 
@@ -282,7 +224,7 @@ def first_true(holds, start: np.ndarray, n: int) -> np.ndarray:
 
 
 def run_ends(tests, axis: np.ndarray, low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The run [lo, hi) of indices of an increasing ``axis`` where every test holds, for each of many problems.
+    """The run [lo, hi) of indices of a non-decreasing ``axis`` where every test holds, for each of many problems.
 
     ``tests(index, which)`` gives a list of (s, holds) pairs for problems
     ``which`` at ``index``: s is non-decreasing along the axis, and holds,
@@ -293,7 +235,8 @@ def run_ends(tests, axis: np.ndarray, low: np.ndarray, high: np.ndarray) -> tupl
     hold and ends where any second one does.  ``first_true`` settles each
     end with the tests themselves, from an estimate of where the run would
     span the axis values [low, high] if the axis were evenly spaced: an
-    uneven axis costs time, never the result.  An empty run is lo == hi.
+    uneven axis, even one whose values all repeat, costs time, never the
+    result.  An empty run is lo == hi.
     """
     n = len(axis)
     if n == 0:
@@ -346,17 +289,21 @@ def run_counts(shape: tuple[int, int], rows, columns, chunk: int, dtype) -> np.n
 
 
 def region_mask(model: SolarModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``region_contains`` of every node (xs[j], ys[i]) of a grid, shape (len(ys), len(xs)), without building the nodes.
+    """Closed membership of every node (xs[j], ys[i]) of a lattice in the union of patch hexagons, shape (len(ys), len(xs)).
 
-    ``xs`` and ``ys`` are increasing.  ``region_contains`` keeps what some
-    patch hexagon's three bands hold, so the mask is the union over the
-    patch hexagons.  A hexagon's |dy| band holds on one run of rows, and on
-    each such row its two ``slant_bands`` hold on runs of columns, since
-    fl(x - cx) is monotone in x; ``run_ends`` settles each run with those
-    same float tests on the same rounded centers, so the mask is
-    ``region_contains``' bit for bit.  ``run_counts`` adds up the (hexagon,
-    row) runs, ``REGION_CHUNK`` at a time, in one byte per node.  The work
-    is O(hexagons × rows per hexagon) plus a pass over the mask.
+    ``xs`` and ``ys`` are non-decreasing; values may repeat.  A node is
+    inside when all three edge-normal bands of some patch hexagon, widened
+    by ``REGION_TOL`` times the side, hold it: |dy| <= bound and
+    |s| * 0.5 <= bound for s = fl(sqrt(3) dx + dy) and s = fl(sqrt(3) dx -
+    dy), with (dx, dy) the node's float offset from the hexagon's rounded
+    center.  The |dy| band holds on one run of rows; on each such row each
+    s is non-decreasing in x, since fl(x - cx) is, so each slanted band
+    holds on one run of columns.  ``run_ends`` settles every run with those
+    same float tests, so the mask equals a scan of every node against every
+    patch hexagon bit for bit, and no node is built.  ``run_counts`` adds up
+    the (hexagon, row) runs, ``REGION_CHUNK`` at a time, in one byte per
+    node.  The work is O(hexagons × rows per hexagon) plus a pass over the
+    mask.
     """
     half = 0.5 * model.side
     bound = SQRT3 * half + REGION_TOL * model.side
@@ -369,7 +316,12 @@ def region_mask(model: SolarModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     def columns(hexagon, row):
         x0, dy = cx[hexagon], ys[row] - cy[hexagon]
         width = (2.0 * bound - np.abs(dy)) / SQRT3
-        return run_ends(lambda j, pair: slant_bands(xs[j] - x0[pair], dy[pair], bound), xs, x0 - width, x0 + width)
+
+        def slanted(j, pair):
+            tilt = SQRT3 * (xs[j] - x0[pair])
+            return [(s, np.abs(s) * 0.5 <= bound) for s in (tilt + dy[pair], tilt - dy[pair])]
+
+        return run_ends(slanted, xs, x0 - width, x0 + width)
 
     rows = run_ends(band, ys, cy - bound, cy + bound)
     # a node lies in at most three hexagons, so a byte holds its count

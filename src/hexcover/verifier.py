@@ -9,12 +9,14 @@ Three point families are evaluated against the sensing disks:
   (``structured_count``) are exact.
   Triangle vertices are the worst-case points under the placement strategy;
 * a square grid of pitch ``grid_step``: one lattice, its two axes and a
-  (rows, columns) mask of the nodes in the patch.  ``tiling.region_mask``
+  (rows, columns) mask of the nodes in the patch.  ``tiling.region_mask``,
+  the membership kernel that also clips the comparison scheme's tiles,
   clips it row by row: each patch hexagon holds one run of columns on each
-  grid row it crosses, settled with ``region_contains``' own band tests, so
-  the mask is that test's on every node, bit for bit, and no node array is
-  built or tested; the kept nodes' counts are read off that mask, and a
-  node's coordinates are built only when it is reported as failing;
+  grid row it crosses, settled with the hexagon's own band tests, so the
+  mask is a scan of every node against every hexagon, bit for bit, and no
+  node array is built or tested; the kept nodes' counts are read off that
+  mask, and a node's coordinates are built only when it is reported as
+  failing;
 * seeded uniform samples over the patch.
 
 The report keeps each count's frequency and up to ``MAX_FAILING_POINTS``
@@ -67,7 +69,6 @@ from .tiling import (
     extreme_units,
     hexagon_count,
     patch_triangles,
-    region_contains,  # unused here: perfbench/spans.py wraps verifier.region_contains
     region_mask,
     row_keys,
     run_counts,
@@ -75,6 +76,9 @@ from .tiling import (
     triangle_samples,
     units_xy,
 )
+
+# Nothing calls this name; perfbench/spans.py, its only reader, wraps it.
+region_contains = None
 
 DISK_TOL = 1e-9  # relative, on squared distances
 MAX_FAILING_POINTS = 100

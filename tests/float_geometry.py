@@ -1,13 +1,43 @@
 """Float membership tests and small constructions that only the tests use.
 
-The program tests membership with ``tiling.region_contains`` and exact
-``Hexagon.contains``; these per-shape float tests check sampled points and
-the exact tests against each other.
+The program tests patch membership with one kernel, ``tiling.region_mask``,
+on the nodes of a lattice, and exact membership with ``Hexagon.contains``.
+``brute_force_contains`` is the scattered-point oracle for the kernel: the
+same band tests, point by point and hexagon by hexagon.  The per-shape float
+tests check sampled points and the exact tests against each other.
 """
 
 from fractions import Fraction
 
+import numpy as np
+
 from hexcover.geometry import ORIGIN, SQRT3, Hexagon, LatticePoint
+from hexcover.tiling import REGION_TOL
+
+
+def brute_force_contains(model, points, tol=REGION_TOL):
+    """Union over every patch hexagon of its three edge-normal bands, widened by ``tol`` sides, at float points (n, 2).
+
+    A hexagon tests only the points whose x lies within 1.01 times its
+    widened half-width of its center: the slanted bands together bound
+    sqrt(3)|dx| by 2 * bound, so no point they hold lies farther.
+    """
+    bound = SQRT3 * 0.5 * model.side + tol * model.side
+    reach = 1.01 * 2 * bound / SQRT3
+    order = np.argsort(points[:, 0], kind="stable")
+    xs = points[order, 0]
+    inside = np.zeros(len(points), dtype=bool)
+    for hexagon in model.hexagons:
+        cx, cy = hexagon.center.to_xy(model.side)
+        near = order[np.searchsorted(xs, cx - reach):np.searchsorted(xs, cx + reach, "right")]
+        dx = points[near, 0] - cx
+        dy = points[near, 1] - cy
+        inside[near] |= (
+            (np.abs(dy) <= bound)
+            & (np.abs(SQRT3 * dx + dy) * 0.5 <= bound)
+            & (np.abs(SQRT3 * dx - dy) * 0.5 <= bound)
+        )
+    return inside
 
 
 def hexagon_area(side: float) -> float:

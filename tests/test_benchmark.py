@@ -82,17 +82,25 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("layers", [1, 2, 5])
     def test_candidate_count_is_the_scanned_square(self, layers, monkeypatch):
-        # the plan budget counts these tiles, so it must match the real scan
-        tested = []
-        contains = benchmark.region_contains
+        # the plan budget counts these tiles, so it must match the real scan,
+        # which one membership pass clips on their vertex lattice
+        scanned, clipped = [], []
+        lattice, mask = benchmark._tile_lattice, benchmark.region_mask
 
-        def counting(model, points):
-            tested.append(len(points))
-            return contains(model, points)
+        def scanning(axial, *args):
+            scanned.append(len(axial))
+            return lattice(axial, *args)
 
-        monkeypatch.setattr(benchmark, "region_contains", counting)
+        def clipping(model, xs, ys):
+            clipped.append((len(ys), len(xs)))
+            return mask(model, xs, ys)
+
+        monkeypatch.setattr(benchmark, "_tile_lattice", scanning)
+        monkeypatch.setattr(benchmark, "region_mask", clipping)
         small_hexagon_centers(build_solar_model(layers))
-        assert tested == [6 * candidate_count(layers)] == [6 * (8 * layers + 9) ** 2]
+        assert scanned == [candidate_count(layers)] == [(8 * layers + 9) ** 2]
+        # doubled lattice coefficients reach 3 (4l + 4) + 1 in y and + 2 in x
+        assert clipped == [(24 * layers + 27, 24 * layers + 29)]
 
     @pytest.mark.parametrize("layers,k,expected", [(1, 2, 8), (1, 1, 0), (3, 5, 173)])
     def test_count_gap_values(self, layers, k, expected):

@@ -6,15 +6,17 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hexcover import cli, sensor_io
+from hexcover.benchmark import place_benchmark
 from hexcover.cli import main
 from hexcover.deployment import count_by_kind, total_count
-from hexcover.sensor_io import read_sensors_csv
-from hexcover.tiling import vertex_count
+from hexcover.sensor_io import read_sensors_csv, write_sensors_csv
+from hexcover.tiling import build_solar_model, vertex_count
 
 
 def run(argv):
@@ -73,6 +75,18 @@ class TestPlan:
                     "--offset-x", "1/4", "--output", str(out)])
         assert code == 0
         assert "small_hexagons=" in capsys.readouterr().out
+
+    def test_negative_rational_offsets_in_the_equals_form(self, tmp_path):
+        out, expected = tmp_path / "bench.csv", tmp_path / "expected.csv"
+        assert run(["plan", "--strategy", "benchmark", "--layers", "3", "--coverage", "2", "--radius", "2.5",
+                    "--seed", "5", "--offset-x=-1/4", "--offset-y=-1/3", "--output", str(out)]) == 0
+        offset = (Fraction(-1, 4), Fraction(-1, 3))
+        write_sensors_csv(expected, place_benchmark(build_solar_model(3, 2.5), 2, seed=5, offset=offset))
+        assert out.read_bytes() == expected.read_bytes()
+        # written apart, argparse reads "-1/4" as an option, so the flag has no value
+        with pytest.raises(SystemExit) as info:
+            run(["plan", "--strategy", "benchmark", "--offset-x", "-1/4", "--output", str(tmp_path / "x.csv")])
+        assert info.value.code == 2
 
     @pytest.mark.parametrize("layers,k", [(1, 1), (2, 2), (3, 3), (2, 7)])
     def test_summary_breaks_the_count_down_by_kind(self, tmp_path, capsys, layers, k):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_reference import exact_placement
+from float_geometry import brute_force_contains
 from sensor_io_reference import assert_reads_like_reference, reference_csv, reference_json
 from hexcover import benchmark, sensor_io, tiling, verifier
 from hexcover.benchmark import place_benchmark, small_hexagon_centers
@@ -22,14 +23,7 @@ from hexcover.cli import main
 from hexcover.deployment import place_proposed, remove_sensors, total_count
 from hexcover.geometry import SQRT3, Hexagon, midpoint
 from hexcover.sensor_io import load_deployment, read_sensors_csv, write_sensors_csv, write_sensors_json
-from hexcover.tiling import (
-    PARITY_NAMES,
-    REGION_CHUNK,
-    REGION_TOL,
-    axial_center,
-    build_solar_model,
-    region_contains,
-)
+from hexcover.tiling import PARITY_NAMES, REGION_TOL, axial_center, build_solar_model
 from hexcover.verifier import DISK_TOL, coverage_counts, lattice_counts
 
 BOUNDED = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -40,20 +34,18 @@ RADII = (1e-150, 0.3, 1.0, 10.0, 1e150)
 model_for = functools.lru_cache(maxsize=None)(build_solar_model)
 
 
-def brute_force_contains(model, points, tol):
-    """Union over every patch hexagon of its three widened edge-normal bands."""
-    bound = SQRT3 * 0.5 * model.side + tol * model.side
-    inside = np.zeros(len(points), dtype=bool)
-    for hexagon in model.hexagons:
-        cx, cy = hexagon.center.to_xy(model.side)
-        dx = points[:, 0] - cx
-        dy = points[:, 1] - cy
-        inside |= (
-            (np.abs(dy) <= bound)
-            & (np.abs(SQRT3 * dx + dy) * 0.5 <= bound)
-            & (np.abs(SQRT3 * dx - dy) * 0.5 <= bound)
-        )
-    return inside
+def grid_nodes(xs, ys):
+    gx, gy = np.meshgrid(xs, ys)
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def assert_mask_is_the_union(model, xs, ys, tol=REGION_TOL):
+    """``region_mask`` of the lattice (xs, ys) equals the per-hexagon union at its every node; returns the mask."""
+    mask = tiling.region_mask(model, xs, ys)
+    assert mask.shape == (len(ys), len(xs))
+    with np.errstate(invalid="ignore"):  # inf - inf at infinite axis ends
+        assert np.array_equal(mask.ravel(), brute_force_contains(model, grid_nodes(xs, ys), tol))
+    return mask
 
 
 @st.composite
@@ -85,51 +77,62 @@ def membership_cases(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(case=membership_cases())
-def test_region_contains_equals_per_hexagon_union(case):
+def test_region_mask_equals_per_hexagon_union_on_axes_through_boundary_points(case):
+    # the points' sorted coordinates as the axes, repeats kept
     model, points = case
-    assert np.array_equal(region_contains(model, points), brute_force_contains(model, points, REGION_TOL))
+    assert_mask_is_the_union(model, np.sort(points[:, 0]), np.sort(points[:, 1]))
 
 
-# A hexagon widened by a band of t sides reaches (2/3)(1 + 2t/sqrt(3)) axial
-# units from its center in q and in w, so the floor block holds every cell
-# that can hold a point for any band below sqrt(3)/4 = 0.433 sides; 0.43 is
-# just under that bound.  The kernel reads the module's band on each call.
+# A few (hexagon, row) runs per pass: a block is one hexagon's rows, or a
+# few hexagons'.  The kernel reads the module's band and chunk on each call.
+@pytest.mark.parametrize("chunk", [7, 100])
 @pytest.mark.parametrize("tol", [REGION_TOL, 0.43])
-def test_region_contains_equals_per_hexagon_union_across_chunks(tol, monkeypatch):
+def test_region_mask_equals_per_hexagon_union_across_chunks(tol, chunk, monkeypatch):
     monkeypatch.setattr(tiling, "REGION_TOL", tol)
+    monkeypatch.setattr(tiling, "REGION_CHUNK", chunk)
     model = model_for(4, 2.5)
     min_x, min_y, max_x, max_y = model.bounding_box()
     rng = np.random.default_rng(11)
-    count = 2 * REGION_CHUNK + 123
-    points = np.column_stack(
-        [rng.uniform(min_x - 2.5, max_x + 2.5, count), rng.uniform(min_y - 2.5, max_y + 2.5, count)]
-    )
-    inside = region_contains(model, points)
-    assert 0 < inside.sum() < count
-    assert np.array_equal(inside, brute_force_contains(model, points, tol))
+    xs = np.sort(rng.uniform(min_x - 2.5, max_x + 2.5, 300))
+    ys = np.sort(rng.uniform(min_y - 2.5, max_y + 2.5, 200))
+    mask = assert_mask_is_the_union(model, xs, ys, tol)
+    assert 0 < mask.sum() < mask.size
 
 
 @pytest.mark.parametrize("radius", [1.0, 2.5, 1e-150, 1e150])
 @pytest.mark.parametrize("layers", [1, 2, 5])
-def test_region_contains_equals_per_hexagon_union_at_the_rim_and_beyond_floats(layers, radius):
-    # Every patch vertex, one ulp either way and scaled by 1 +- 1e-12, and
-    # every pairing of infinite, nan and finite coordinates.
+def test_region_mask_equals_per_hexagon_union_at_the_rim_and_beyond_floats(layers, radius):
+    # Axes through every patch vertex, one ulp either way and scaled by
+    # 1 +- 1e-12, between far and infinite ends.
     model = model_for(layers, radius)
     vertices = tiling.units_xy(model.vertices, radius)
-    specials = np.array([np.inf, -np.inf, np.nan, 0.0, radius])
-    points = np.concatenate([
+    rim = np.concatenate([
         vertices,
         np.nextafter(vertices, np.inf),
         np.nextafter(vertices, -np.inf),
         vertices * (1 + 1e-12),
         vertices * (1 - 1e-12),
-        np.stack(np.meshgrid(specials, specials), axis=-1).reshape(-1, 2),
     ])
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and x / r at r = 1e-150
-        inside = region_contains(model, points)
-        assert np.array_equal(inside, brute_force_contains(model, points, REGION_TOL))
-    assert inside[: len(vertices)].all()
-    assert not inside[-len(specials) ** 2:][~np.isfinite(points[-len(specials) ** 2:]).any(axis=1)].any()
+    ends = np.array([-np.inf, -1e300, 1e300, np.inf])
+    xs, ys = (np.sort(np.concatenate([np.unique(values), ends])) for values in rim.T)
+    mask = assert_mask_is_the_union(model, xs, ys)
+    assert mask[np.searchsorted(ys, vertices[:, 1]), np.searchsorted(xs, vertices[:, 0])].all()
+    assert not mask[[0, 1, -2, -1]].any() and not mask[:, [0, 1, -2, -1]].any()
+
+
+def test_region_mask_on_axes_with_repeated_values():
+    # Each value repeated 1 to 4 times, and an axis of one value: the mask
+    # repeats the rows and columns of the mask on the distinct values.
+    model = model_for(3, 2.5)
+    min_x, min_y, max_x, max_y = model.bounding_box()
+    xs, ys = np.linspace(min_x - 1, max_x + 1, 41), np.linspace(min_y - 1, max_y + 1, 37)
+    rng = np.random.default_rng(5)
+    x_repeats, y_repeats = rng.integers(1, 5, len(xs)), rng.integers(1, 5, len(ys))
+    distinct = tiling.region_mask(model, xs, ys)
+    mask = assert_mask_is_the_union(model, np.repeat(xs, x_repeats), np.repeat(ys, y_repeats))
+    assert np.array_equal(mask, np.repeat(np.repeat(distinct, y_repeats, axis=0), x_repeats, axis=1))
+    column = assert_mask_is_the_union(model, np.full(9, xs[20]), ys)
+    assert np.array_equal(column, np.repeat(distinct[:, 20:21], 9, axis=1))
 
 
 @st.composite
@@ -238,17 +241,21 @@ def row_clip_cases(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(case=row_clip_cases())
-def test_region_mask_equals_region_contains_on_the_full_mesh(case):
-    model, xs, ys = case
-    mask = tiling.region_mask(model, xs, ys)
-    assert mask.shape == (len(ys), len(xs))
-    assert np.array_equal(mask.ravel(), region_contains(model, grid_nodes(xs, ys)))
+def test_region_mask_equals_per_hexagon_union_on_the_full_mesh(case):
+    assert_mask_is_the_union(*case)
 
 
 def test_region_mask_of_an_empty_axis():
     model = model_for(2, 1.0)
     assert tiling.region_mask(model, np.zeros(0), np.linspace(-2, 2, 5)).shape == (5, 0)
     assert tiling.region_mask(model, np.linspace(-2, 2, 5), np.zeros(0)).shape == (0, 5)
+
+
+def scanned_tiles(layers):
+    """Axial coordinates of every tile ``small_hexagon_centers`` scans, in its order."""
+    reach = benchmark._scan_reach(layers)
+    steps = np.arange(-reach, reach + 1)
+    return np.stack(np.meshgrid(steps, steps, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def tiles_at_old_band(model, offset):
@@ -258,9 +265,7 @@ def tiles_at_old_band(model, offset):
     is the mean of its vertices, so a kept tile is centered in the patch's
     bounding box widened by the band.
     """
-    reach = benchmark._scan_reach(model.layers)
-    steps = np.arange(-reach, reach + 1)
-    axial = np.stack(np.meshgrid(steps, steps, indexing="ij"), axis=-1).reshape(-1, 2)
+    axial = scanned_tiles(model.layers)
     centers, _ = benchmark._small_hexagon_xy(axial, offset, model.side)
     min_x, min_y, max_x, max_y = model.bounding_box()
     margin = model.side
@@ -269,9 +274,7 @@ def tiles_at_old_band(model, offset):
         & (centers[:, 1] >= min_y - margin) & (centers[:, 1] <= max_y + margin)
     )
     _, vertices = benchmark._small_hexagon_xy(axial[near], offset, model.side)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tiling, "REGION_TOL", 1e-9)
-        inside = region_contains(model, vertices.reshape(-1, 2))
+    inside = brute_force_contains(model, vertices.reshape(-1, 2), 1e-9)
     return axial[near][inside.reshape(-1, 6).all(axis=1)]
 
 
@@ -293,6 +296,25 @@ def test_scheme_tiles_at_offsets_equal_the_old_band():
         assert np.array_equal(small_hexagon_centers(model, offset), tiles_at_old_band(model, offset)), offset
 
 
+@st.composite
+def scheme_cases(draw):
+    """A patch and a rational tiling offset: small denominators, or far beyond the patch (x axis values repeat)."""
+    model = model_for(draw(st.integers(1, 6)), draw(st.sampled_from(RADII)))
+    far = st.sampled_from([Fraction(10**150), -Fraction(10**150), Fraction(2**53) + Fraction(1, 3)])
+    coordinate = st.one_of(st.builds(Fraction, st.integers(-48, 48), st.integers(1, 24)), far)
+    return model, (draw(coordinate), draw(coordinate))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=scheme_cases())
+def test_scheme_keeps_the_candidates_whose_six_vertices_the_oracle_holds(case):
+    model, offset = case
+    axial = scanned_tiles(model.layers)
+    _, vertices = benchmark._small_hexagon_xy(axial, offset, model.side)
+    inside = brute_force_contains(model, vertices.reshape(-1, 2)).reshape(-1, 6).all(axis=1)
+    assert np.array_equal(small_hexagon_centers(model, offset), axial[inside])
+
+
 def effective_radius(radius):
     return radius * np.sqrt(1.0 + DISK_TOL)
 
@@ -305,11 +327,6 @@ def brute_force_lattice_counts(xs, ys, sensors, radius):
     for sx, sy in sensors:
         counts += (gx - sx) ** 2 + (gy - sy) ** 2 <= eff * eff
     return counts
-
-
-def grid_nodes(xs, ys):
-    gx, gy = np.meshgrid(xs, ys)
-    return np.column_stack([gx.ravel(), gy.ravel()])
 
 
 @st.composite
@@ -426,7 +443,7 @@ def test_grid_stage_is_the_clipped_meshgrid_with_its_lattice_counts(case):
     model, step, sensors, radius = case
     xs, ys, _ = verifier.grid_points(model, step)
     nodes = grid_nodes(xs, ys)
-    inside = region_contains(model, nodes)
+    inside = brute_force_contains(model, nodes)
     counts, lookup = verifier._grid_stage(model, step, sensors, radius)
     assert np.array_equal(lookup(np.arange(len(counts))).view(np.uint64), nodes[inside].view(np.uint64))
     assert np.array_equal(lookup(np.arange(len(counts))[::-3]), nodes[inside][::-3])
@@ -442,7 +459,7 @@ def brute_force_report(deployment, seed, mc_samples, fail_fast):
     model, k = deployment.model, deployment.k
     xs, ys, _ = verifier.grid_points(model, verifier.default_grid_step(deployment.r))
     nodes = grid_nodes(xs, ys)
-    stages = [verifier.structured_points(model), nodes[region_contains(model, nodes)]]
+    stages = [verifier.structured_points(model), nodes[brute_force_contains(model, nodes)]]
     if mc_samples > 0:
         stages.append(verifier.monte_carlo_points(model, mc_samples, seed))
     histogram, failing, stage_failures = Counter(), [], []

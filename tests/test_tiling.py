@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from exact_reference import exact_registry
-from hexcover.geometry import ORIGIN, LatticePoint, distance
+from hexcover.geometry import ORIGIN, Hexagon, LatticePoint, distance
 from hexcover.tiling import (
     AXIAL_DIRECTIONS,
     EVEN,
@@ -15,16 +15,21 @@ from hexcover.tiling import (
     PARITY_NAMES,
     REGION_TOL,
     SQRT3,
-    axial_distance,
+    VERTEX_OFFSETS,
     build_solar_model,
     hexagon_count,
     model_to_dict,
     patch_triangles,
-    region_contains,
+    region_mask,
     row_keys,
     units_xy,
     vertex_count,
 )
+
+
+def axial_distance(q, w):
+    """Honeycomb graph distance of the cell at axial (q, w) from the center."""
+    return (abs(q) + abs(w) + abs(q + w)) // 2
 
 
 def points(units):
@@ -225,26 +230,31 @@ class TestModelExport:
         assert classes == {"even", "odd"}
 
 
-class TestRegionContains:
+def test_vertex_offsets_are_the_exact_unit_hexagons_vertices():
+    assert VERTEX_OFFSETS.tolist() == [[int(v.x), int(v.y)] for v in Hexagon(ORIGIN).vertices()]
+
+
+class TestRegionMask:
     def test_vertices_inside_and_points_past_the_rim_outside(self):
         m = build_solar_model(3, side=2.0)
         vertices = units_xy(m.vertices, 2.0)
-        assert region_contains(m, vertices).all()
+        xs, ys = np.unique(vertices[:, 0]), np.unique(vertices[:, 1])
+        assert region_mask(m, xs, ys)[np.searchsorted(ys, vertices[:, 1]), np.searchsorted(xs, vertices[:, 0])].all()
         # just past the top edge of the patch, far beyond the tolerance band
         rim_y = vertices[:, 1].max()
-        assert not region_contains(m, np.array([[0.0, rim_y * (1 + 1e-9)]])).any()
+        assert not region_mask(m, np.array([0.0]), np.array([rim_y * (1 + 1e-9)])).any()
 
-    def test_non_finite_and_far_points_are_outside(self):
-        m = build_solar_model(2)
-        points = np.array([[np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan], [1e300, -1e300], [0.0, 0.0]])
-        assert region_contains(m, points).tolist() == [False, False, False, False, True]
+    def test_infinite_and_far_nodes_are_outside(self):
+        axis = np.array([-np.inf, -1e300, 0.0, 1e300, np.inf])
+        mask = region_mask(build_solar_model(2), axis, axis)
+        assert np.argwhere(mask).tolist() == [[2, 2]]
 
-    def test_empty_input(self):
-        assert region_contains(build_solar_model(2), np.zeros((0, 2))).shape == (0,)
+    def test_empty_axes(self):
+        assert region_mask(build_solar_model(2), np.zeros(0), np.zeros(0)).shape == (0, 0)
 
     @pytest.mark.parametrize("radius", [1.0, 1e-150, 1e150])
     def test_band_is_region_tol(self, radius):
-        # points past the top edge by half the band and by twice the band
+        # nodes past the top edge by half the band and by twice the band
         edge = SQRT3 / 2 * radius
-        points = np.array([[0.0, edge + 0.5 * REGION_TOL * radius], [0.0, edge + 2 * REGION_TOL * radius]])
-        assert region_contains(build_solar_model(1, radius), points).tolist() == [True, False]
+        ys = np.array([edge + 0.5 * REGION_TOL * radius, edge + 2 * REGION_TOL * radius])
+        assert region_mask(build_solar_model(1, radius), np.array([0.0]), ys).ravel().tolist() == [True, False]
