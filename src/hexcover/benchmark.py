@@ -2,7 +2,7 @@
 
 The small honeycomb shares the big tiling's orientation and is anchored at the
 origin (a small hexagon centered there); an exact rational offset can shift
-it.  A small hexagon is identified by its axial coordinates (q, w) on the
+it.  A small hexagon is identified by its coordinates (q, w) on the
 small honeycomb and is handled in floats from there on.  Every center and
 vertex of a tile is a node of one rectangular lattice (``_tile_lattice``),
 whose two axes carry the scheme's one rounding rule.  A tile belongs to the
@@ -46,7 +46,7 @@ def small_hexagon_formula_count(layers: int) -> int:
 
 
 def _scan_reach(layers: int) -> int:
-    """``small_hexagon_centers`` scans the axial square |q|, |w| <= 4l + 4."""
+    """``small_hexagon_centers`` scans the square |q|, |w| <= 4l + 4 of small-honeycomb coordinates."""
     return 4 * layers + 4
 
 
@@ -71,13 +71,13 @@ _SMALL_X2, _SMALL_Y2 = np.vstack([[0, 0], VERTEX_OFFSETS]).T
 
 
 def _tile_lattice(
-    axial: np.ndarray, offset: tuple[Fraction, Fraction], scale: float
+    tiles: np.ndarray, offset: tuple[Fraction, Fraction], scale: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The lattice through the centers and vertices of the small hexagons at ``axial`` (m, 2).
+    """The lattice through the centers and vertices of the small hexagons at ``tiles`` (m, 2).
 
     Returns its non-decreasing axes ``xs`` and ``ys``, in meters, and the
     (row, column) nodes of each hexagon's center and six vertices, two
-    (m, 7) arrays.  The hexagon at axial (q, w) is centered at offset*scale
+    (m, 7) arrays.  The hexagon at (q, w) is centered at offset*scale
     plus the lattice point (3q/2, (q + 2w)/2).  With (x0, y0) = 2*offset and
     (j, i) twice a point's lattice coefficients, each axis rounds the way
     ``LatticePoint.to_xy`` does, the offset's y being an extra rational
@@ -87,7 +87,7 @@ def _tile_lattice(
     """
     half = 0.5 * scale
     x0, y0 = 2 * Fraction(offset[0]), 2 * Fraction(offset[1])
-    q, w = axial[:, :1], axial[:, 1:]
+    q, w = tiles[:, :1], tiles[:, 1:]
     x2 = 3 * q + _SMALL_X2
     y2 = q + 2 * w + _SMALL_Y2
     x_low, y_low = int(x2.min(initial=0)), int(y2.min(initial=0))
@@ -99,10 +99,10 @@ def _tile_lattice(
 
 
 def _small_hexagon_xy(
-    axial: np.ndarray, offset: tuple[Fraction, Fraction], scale: float
+    tiles: np.ndarray, offset: tuple[Fraction, Fraction], scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Float centers (m, 2) and vertices (m, 6, 2), in meters, of small hexagons: their ``_tile_lattice`` nodes."""
-    xs, ys, rows, columns = _tile_lattice(axial, offset, scale)
+    xs, ys, rows, columns = _tile_lattice(tiles, offset, scale)
     points = np.stack([xs[columns], ys[rows]], axis=-1)
     return points[:, 0], points[:, 1:]
 
@@ -110,7 +110,7 @@ def _small_hexagon_xy(
 def small_hexagon_centers(
     model: SolarModel, offset: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))
 ) -> np.ndarray:
-    """Axial coordinates (q, w) of the half-side hexagons inside the patch, in scan order.
+    """Small-honeycomb coordinates (q, w) of the half-side hexagons inside the patch, in scan order.
 
     ``offset`` shifts the small tiling by rational multiples of the side
     length along x and y.  In apothems (sqrt(3)/2 sides), a vertex's exact
@@ -125,10 +125,10 @@ def small_hexagon_centers(
     reach = _scan_reach(model.layers)
     steps = np.arange(-reach, reach + 1)
     q, w = np.meshgrid(steps, steps, indexing="ij")
-    axial = np.column_stack([q.ravel(), w.ravel()])
-    xs, ys, rows, columns = _tile_lattice(axial, offset, model.side)
+    tiles = np.column_stack([q.ravel(), w.ravel()])
+    xs, ys, rows, columns = _tile_lattice(tiles, offset, model.side)
     inside = region_mask(model, xs, ys)
-    return axial[inside[rows[:, 1:], columns[:, 1:]].all(axis=1)]
+    return tiles[inside[rows[:, 1:], columns[:, 1:]].all(axis=1)]
 
 
 def place_benchmark(

@@ -47,7 +47,7 @@ from .sensor_io import (
     write_sensors_csv,
     write_sensors_json,
 )
-from .tiling import build_solar_model, vertex_count
+from .tiling import build_solar_model, hexagon_count, vertex_count
 from .verifier import FLOAT_LIMIT, MAX_PROBES, probe_estimate, verify_coverage
 
 EXIT_OK = 0
@@ -55,15 +55,19 @@ EXIT_COVERAGE_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 # Record budget of one plan run, counted before anything is built: the
-# closed-form count for the proposed strategy, k * ``candidate_count`` (the
-# (8l + 9)**2 tiles it scans) for the scheme, and for a JSON plan also the
-# patch's 6l**2 vertices, which it embeds with their incident hexagons.  A proposed CSV plan peaks at about
-# 700 bytes per sensor at k = 1, where the patch outweighs the sensors, and
+# closed-form count for the proposed strategy; for the scheme the larger of
+# ``candidate_count`` (the (8l + 9)**2 tiles it scans) and k sensors in each
+# of at most 4 tiles per patch hexagon (a tile has a quarter of a hexagon's
+# area); and for a JSON plan also the patch's 6l**2 vertices, which it embeds
+# with their incident hexagons.  A proposed CSV plan peaks at about 700
+# bytes per sensor at k = 1, where the patch outweighs the sensors, and
 # 280-360 from k = 2 (the formatted columns); a JSON plan at 700 bytes per
 # sensor or vertex at k = 1, 570-620 at k = 2 and 3 and 400-490 from k = 10;
-# the scheme at 5-268 per counted tile, the most at k = 1, where its clip's
-# (tiles, 7) node indices outweigh the sensors.  So the budget caps a plan
-# near 0.7 GB (tracemalloc, l = 1 to 200, k = 1 to 30000).
+# the scheme at 94-375 per budgeted record: about 260 at k = 1, where its
+# clip's (tiles, 7) node indices outweigh the sensors, and 330-375 from
+# k = 10 on patches whose kept tiles near the bound.  So the budget caps a
+# plan near 0.7 GB (tracemalloc, plans of 10**4 records or more: l = 1 to
+# 200, k = 1 to 30000; the scheme l = 1 to 80, k = 1 to 60000).
 MAX_SENSORS = 1_000_000
 
 
@@ -166,7 +170,7 @@ def run_plan(args: argparse.Namespace) -> int:
     if args.strategy == "proposed":
         records = total_count(args.layers, args.coverage)
     else:
-        records = args.coverage * candidate_count(args.layers)
+        records = max(candidate_count(args.layers), 4 * args.coverage * hexagon_count(args.layers))
     if args.format == "json":
         records += vertex_count(args.layers)
     if records > MAX_SENSORS:

@@ -36,7 +36,6 @@ from .tiling import (
     PARITY_NAMES,
     VERTEX_OFFSETS,
     SolarModel,
-    center_units,
     hexagon_count,
     row_keys,
     units_xy,
@@ -133,10 +132,9 @@ def place_proposed(model: SolarModel, k: int, parity: str = EVEN) -> Deployment:
     if 3 * model.layers * int(d.max(initial=1)) ** 2 >= 2**50:
         raise InvariantViolation(f"lattice coefficients at l={model.layers}, k={k} are too fine for exact float order")
 
-    centers = center_units(model.axial)
     vertices = [model.vertex_class(p) for p in vertex_parities]
-    segments = (d * centers + VERTEX_OFFSETS[segment_vertices][:, :, None, :]) / d
-    units = np.concatenate([centers, *vertices, segments.reshape(-1, 2)]).astype(float)
+    segments = (d * model.centers + VERTEX_OFFSETS[segment_vertices][:, :, None, :]) / d
+    units = np.concatenate([model.centers, *vertices, segments.reshape(-1, 2)]).astype(float)
     if len(np.unique(row_keys(units))) != len(units):
         raise InvariantViolation("duplicate sensor positions after placement")
     expected = total_count(model.layers, k)
@@ -144,7 +142,7 @@ def place_proposed(model: SolarModel, k: int, parity: str = EVEN) -> Deployment:
         raise InvariantViolation(f"placed {len(units)} sensors, closed form expects {expected}")
 
     # One block of sensors per provenance label, with its rank.
-    cells, segment_blocks = len(centers), segment_vertices.size
+    cells, segment_blocks = len(model.centers), segment_vertices.size
     labels = ["center", *(f"vertex:{p}" for p in vertex_parities)]
     labels += [f"segment:{vi + 1}:{step}" for step, row in zip(steps.tolist(), segment_vertices.tolist()) for vi in row]
     sizes = [cells, *map(len, vertices)] + [cells] * segment_blocks

@@ -4,9 +4,11 @@ Every point the planner produces (hexagon centers, shared vertices, points on
 the center-to-vertex segments, midpoints and centroids of those) has the form
 (x * scale/2, y * sqrt(3) * scale/2) with rational x and y.  A ``LatticePoint``
 stores the two rationals, so equal points compare equal with no epsilon and
-squared distances are the single rational x^2 + 3 y^2.  This module serves
-the packing proofs and the tests' exact references, which pin
-``tiling.VERTEX_OFFSETS`` and the comparison scheme's tiles; plan and verify
+squared distances are the single rational x^2 + 3 y^2.  ``VERTEX_UNITS``,
+the unit hexagon's vertex coefficients, is the one vertex table: ``Hexagon``
+builds on it and ``tiling.VERTEX_OFFSETS`` is its integer array.  The rest
+of this module serves the packing proofs and the tests' exact references,
+which pin the patch and the comparison scheme's tiles; plan and verify
 themselves run on integer lattice coefficients (``tiling``).
 """
 
@@ -81,7 +83,7 @@ def centroid(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> LatticePoint:
 
 # Vertex i sits at angle 60*i degrees from the center.  Offsets are lattice
 # coefficients (x, y) for a unit side; scaling by the side keeps them rational.
-_VERTEX_UNITS = (
+VERTEX_UNITS = (
     (2, 0),   # 0 degrees
     (1, 1),   # 60
     (-1, 1),  # 120
@@ -114,7 +116,7 @@ class Hexagon:
         s = self.side
         return tuple(
             self.center + LatticePoint(s * ux, s * uy)
-            for ux, uy in _VERTEX_UNITS
+            for ux, uy in VERTEX_UNITS
         )
 
     def triangles(self) -> tuple["EquilateralTriangle", ...]:

@@ -2,12 +2,12 @@
 
 A patch of ``layers`` rings of side-r hexagons: one central hexagon counts as
 layer 1, and layer j >= 2 holds the 6*(j-1) hexagons at honeycomb graph
-distance j-1 from the center.  Hexagon centers are indexed by axial integer
-coordinates so neighbor arithmetic stays exact.  A point (x * r/2,
-y * sqrt(3) * r/2) is stored as its lattice coefficients (x, y): the center
-of the hexagon at axial (q, w) is the integer pair (3q, q + 2w), its vertices
-add ``VERTEX_OFFSETS``, and the patch's 6 l^2 distinct vertices are one
-integer array, deduplicated exactly by ``np.unique`` of their ``row_keys``.
+distance j-1 from the center.  A point (x * r/2, y * sqrt(3) * r/2) is
+stored as its lattice coefficients (x, y), so the patch is two integer
+arrays: its hexagon centers, pairs (3q, q + 2w) for integers q and w, ring
+by ring, and its 6 l^2 distinct vertices, each a center plus one of
+``VERTEX_OFFSETS``, deduplicated exactly by ``np.unique`` of their
+``row_keys``.  Neighboring centers differ by one of ``NEIGHBOR_STEPS``.
 ``units_xy`` turns coefficients into meters with ``LatticePoint.to_xy``'s
 expression, so the floats equal the exact points' bit for bit.  The float
 kernels that sampling code shares also live here: the triangle table
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SQRT3, Hexagon, LatticePoint
+from .geometry import SQRT3, VERTEX_UNITS, Hexagon, LatticePoint
 
 EVEN = "even"
 ODD = "odd"
@@ -43,31 +43,12 @@ PARITY_NAMES = (EVEN, ODD)
 REGION_TOL = 1e-12  # patch-membership band, relative to the side
 REGION_CHUNK = 1 << 15  # (hexagon, row) runs per membership-kernel pass
 
-# Axial neighbor steps, counterclockwise from 30 degrees.
-AXIAL_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-
-
-def axial_center(q: int, w: int) -> LatticePoint:
-    """Lattice position of the hexagon center at axial coordinates (q, w)."""
-    return LatticePoint(3 * q, q + 2 * w)
-
-
-def axial_ring(radius: int) -> list[tuple[int, int]]:
-    """The 6*radius axial coordinates at graph distance ``radius`` (>= 1)."""
-    cells = []
-    q, w = radius, 0
-    walk = (2, 3, 4, 5, 0, 1)
-    for direction in walk:
-        dq, dw = AXIAL_DIRECTIONS[direction]
-        for _ in range(radius):
-            cells.append((q, w))
-            q, w = q + dq, w + dw
-    return cells
-
-
 # Lattice coefficients of the six vertices of the unit hexagon at the origin,
 # in ``Hexagon.vertices`` order (vertex i at angle 60*i degrees).
-VERTEX_OFFSETS = np.array([(2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)])
+VERTEX_OFFSETS = np.array(VERTEX_UNITS)
+# Center offsets of the six neighbors, counterclockwise from 30 degrees:
+# neighbor i shares the edge from vertex i to vertex i + 1.
+NEIGHBOR_STEPS = VERTEX_OFFSETS + np.roll(VERTEX_OFFSETS, -1, axis=0)
 
 
 def vertex_parity(vertices: np.ndarray) -> np.ndarray:
@@ -80,23 +61,25 @@ def vertex_parity(vertices: np.ndarray) -> np.ndarray:
 class SolarModel:
     """A ``layers``-ring patch of side-``side`` hexagons.
 
-    ``vertices`` holds the integer lattice coefficients (6 l^2, 2) of the
-    distinct patch vertices, in order of first occurrence when the hexagons'
-    vertices are listed hexagon by hexagon.
+    ``centers`` holds the integer lattice coefficients (H, 2) of the
+    hexagon centers, ring by ring (``build_solar_model``), and ``vertices``
+    those (6 l^2, 2) of the distinct patch vertices, in order of first
+    occurrence when the hexagons' vertices are listed hexagon by hexagon.
     """
 
     layers: int
     side: float
-    axial: tuple[tuple[int, int], ...]
+    centers: np.ndarray
     vertices: np.ndarray
 
     def __post_init__(self) -> None:
+        self.centers.setflags(write=False)
         self.vertices.setflags(write=False)
 
     @functools.cached_property
     def hexagons(self) -> tuple[Hexagon, ...]:
-        """The exact hexagon of every cell, in ``axial`` order, built on first use."""
-        return tuple(Hexagon(axial_center(q, w)) for q, w in self.axial)
+        """The exact hexagon of every cell, in ``centers`` order, built on first use."""
+        return tuple(Hexagon(LatticePoint(x, y)) for x, y in self.centers.tolist())
 
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -135,12 +118,6 @@ def vertex_count(layers: int) -> int:
     return 6 * layers * layers
 
 
-def center_units(axial: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Integer lattice coefficients (3q, q + 2w) of the hexagon centers at axial (q, w), in order."""
-    q, w = np.array(axial).T
-    return np.column_stack([3 * q, q + 2 * w])
-
-
 def units_xy(units: np.ndarray, side: float) -> np.ndarray:
     """``LatticePoint.to_xy`` of lattice coefficients (n, 2): integers below 2**53 or correctly rounded floats."""
     half = 0.5 * side
@@ -150,10 +127,10 @@ def units_xy(units: np.ndarray, side: float) -> np.ndarray:
 def patch_triangles(model: SolarModel) -> np.ndarray:
     """Float corners (6H, 3, 2), in meters, of every center-vertex-vertex triangle of the patch.
 
-    Hexagons come in ``axial`` order, their triangles and corners in
+    Hexagons come in ``centers`` order, their triangles and corners in
     ``Hexagon.triangles`` order, each corner equal to ``vertices_xy`` bit for bit.
     """
-    centers = center_units(model.axial)[:, None, :]
+    centers = model.centers[:, None, :]
     spokes = centers + VERTEX_OFFSETS
     corners = np.stack([np.broadcast_to(centers, spokes.shape), spokes, np.roll(spokes, -1, axis=1)], axis=2)
     return units_xy(corners.reshape(-1, 2), model.side).reshape(-1, 3, 2)
@@ -179,22 +156,24 @@ def _corners(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_solar_model(layers: int, side: float = 1.0) -> SolarModel:
-    """Build the patch: central hexagon plus rings, vertices deduplicated exactly."""
+    """Build the patch: central hexagon plus rings, vertices deduplicated exactly.
+
+    Ring j >= 1 starts at the center j * NEIGHBOR_STEPS[0] and runs
+    counterclockwise: its side s walks j steps of NEIGHBOR_STEPS[s + 2] from
+    the corner j * NEIGHBOR_STEPS[s].  The CSV's ``hexagon`` column indexes
+    this order.
+    """
     if layers < 1:
         raise ValueError(f"layer count must be >= 1, got {layers}")
     if not 0 < side < math.inf:
         raise ValueError(f"side length must be positive and finite, got {side}")
 
-    axial = [(0, 0)]
-    for ring in range(1, layers):
-        axial.extend(axial_ring(ring))
-
-    return SolarModel(
-        layers=layers,
-        side=side,
-        axial=tuple(axial),
-        vertices=_corners(center_units(axial))[0],
-    )
+    ring = np.arange(1, layers)
+    radius = np.repeat(ring, 6 * ring)
+    side_of, step = np.divmod(np.arange(len(radius)) - 3 * radius * (radius - 1), radius)
+    rings = radius[:, None] * NEIGHBOR_STEPS[side_of] + step[:, None] * NEIGHBOR_STEPS[(side_of + 2) % 6]
+    centers = np.concatenate([np.zeros((1, 2), dtype=rings.dtype), rings])
+    return SolarModel(layers=layers, side=side, centers=centers, vertices=_corners(centers)[0])
 
 
 def first_true(holds, start: np.ndarray, n: int) -> np.ndarray:
@@ -307,7 +286,7 @@ def region_mask(model: SolarModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     """
     half = 0.5 * model.side
     bound = SQRT3 * half + REGION_TOL * model.side
-    cx, cy = units_xy(center_units(model.axial), model.side).T
+    cx, cy = units_xy(model.centers, model.side).T
 
     def band(i, hexagon):
         dy = ys[i] - cy[hexagon]
@@ -348,15 +327,14 @@ def model_to_dict(model: SolarModel) -> dict:
 
     Each vertex lists its incident hexagons in increasing index order.
     """
-    centers = center_units(model.axial)
-    vertices, corners = _corners(centers)
+    vertices, corners = _corners(model.centers)
     by_vertex = np.argsort(corners.reshape(-1), kind="stable")
     incident = np.split(by_vertex // 6, np.cumsum(np.bincount(corners.reshape(-1)))[:-1])
     return {
         "layers": model.layers,
         "side": model.side,
-        "hexagon_count": len(model.axial),
-        "hexagon_centers": units_xy(centers, model.side).tolist(),
+        "hexagon_count": len(model.centers),
+        "hexagon_centers": units_xy(model.centers, model.side).tolist(),
         "vertices": [
             {"x": x, "y": y, "class": PARITY_NAMES[parity], "hexagons": hexagons.tolist()}
             for (x, y), parity, hexagons in zip(

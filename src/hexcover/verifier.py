@@ -65,7 +65,6 @@ from .tiling import (
     VERTEX_OFFSETS,
     SolarModel,
     build_solar_model,
-    center_units,
     extreme_units,
     hexagon_count,
     patch_triangles,
@@ -151,7 +150,7 @@ def structured_points(model: SolarModel) -> np.ndarray:
     exact (x, y) order.  X/6 and Y/6 are correctly rounded divisions, so
     each coordinate is ``LatticePoint.to_xy`` of the exact point, bit for bit.
     """
-    keys = np.unique(row_keys((6 * center_units(model.axial)[:, None, :] + _PROBE_OFFSETS6).reshape(-1, 2)))
+    keys = np.unique(row_keys((6 * model.centers[:, None, :] + _PROBE_OFFSETS6).reshape(-1, 2)))
     return units_xy(keys.view(float).reshape(-1, 2) / 6.0, model.side)
 
 
@@ -205,7 +204,7 @@ def monte_carlo_points(model: SolarModel, count: int, seed: int) -> np.ndarray:
     if count <= 0:
         return np.zeros((0, 2))
     rng = np.random.default_rng(seed)
-    hex_idx = rng.integers(0, len(model.axial), size=count)
+    hex_idx = rng.integers(0, len(model.centers), size=count)
     tri_idx = rng.integers(0, 6, size=count)
     u = rng.random(count)
     v = rng.random(count)
@@ -452,7 +451,7 @@ def verify_coverage(
         target_k=deployment.k,
         failing_points=tuple(failing),
         coverage_histogram=histogram,
-        region=f"solar-model patch: layers={model.layers}, hexagons={len(model.axial)}, side={model.side}",
+        region=f"solar-model patch: layers={model.layers}, hexagons={len(model.centers)}, side={model.side}",
     )
 
 

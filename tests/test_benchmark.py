@@ -40,14 +40,14 @@ def exact_small_hexagon(q, w):
 
 def exact_small_hexagon_centers(model):
     """Reference scan over the same candidates with exact vertex membership."""
-    cells = dict(zip(model.axial, model.hexagons))
+    cells = dict(zip(map(tuple, model.centers.tolist()), model.hexagons))
 
     def in_patch(p):
         # a containing big hexagon's center (3a, a + 2b) lies within 2 units
         # of p in x and 1 unit in y
         for a in range(math.floor((p.x - 2) / 3), math.ceil((p.x + 2) / 3) + 1):
             for b in range(math.floor((p.y - a - 1) / 2), math.ceil((p.y - a + 1) / 2) + 1):
-                big = cells.get((a, b))
+                big = cells.get((3 * a, a + 2 * b))
                 if big is not None and big.contains(p):
                     return True
         return False

@@ -124,13 +124,39 @@ class TestPlan:
         assert not out.exists()
         monkeypatch.setattr(cli, "MAX_SENSORS", total_count(2, 3))
         assert run(["plan", "--layers", "2", "--coverage", "3", "--output", str(out)]) == 0
-        monkeypatch.setattr(cli, "MAX_SENSORS", 2 * (8 * 2 + 9) ** 2 - 1)
-        assert run(["plan", "--strategy", "benchmark", "--layers", "2", "--coverage", "2", "--output", str(out)]) == 2
+        # the scheme's budget is its (8l + 9)^2 scanned tiles or k sensors in 4 tiles per patch hexagon
+        for k, budget in [(2, (8 * 2 + 9) ** 2), (100, 4 * 100 * 7)]:
+            scheme = ["plan", "--strategy", "benchmark", "--layers", "2", "--coverage", str(k), "--output", str(out)]
+            monkeypatch.setattr(cli, "MAX_SENSORS", budget - 1)
+            assert run(scheme) == 2
+            monkeypatch.setattr(cli, "MAX_SENSORS", budget)
+            assert run(scheme) == 0
         json_plan = ["plan", "--format", "json", "--layers", "2", "--coverage", "1", "--output", str(out)]
         monkeypatch.setattr(cli, "MAX_SENSORS", total_count(2, 1) + vertex_count(2) - 1)
         assert run(json_plan) == 2
         monkeypatch.setattr(cli, "MAX_SENSORS", total_count(2, 1) + vertex_count(2))
         assert run(json_plan) == 0
+
+    def test_scheme_budget_counts_kept_tiles_not_scanned_ones(self, tmp_path):
+        # the scan is 17^2 tiles, but only one is kept: 3500 sensors, far below the budget
+        out = tmp_path / "scheme.csv"
+        assert run(["plan", "--strategy", "benchmark", "--layers", "1", "--coverage", "3500", "--output", str(out)]) == 0
+        assert len(read_sensors_csv(out).rows) == 3500
+
+    def test_scheme_refusal_at_k1_is_the_scan(self, tmp_path, monkeypatch):
+        # (8l + 9)^2 scanned tiles stay within the budget up to l = 123
+        class Built(Exception):
+            pass
+
+        def build(layers, radius):
+            raise Built
+
+        monkeypatch.setattr(cli, "build_solar_model", build)
+        plan = ["plan", "--strategy", "benchmark", "--coverage", "1", "--output", str(tmp_path / "scheme.csv")]
+        with pytest.raises(Built):
+            run([*plan, "--layers", "123"])
+        assert run([*plan, "--layers", "124"]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_parity_flag_changes_vertex_class(self, tmp_path):
         even = tmp_path / "even.csv"

@@ -21,9 +21,9 @@ from hexcover import benchmark, sensor_io, tiling, verifier
 from hexcover.benchmark import place_benchmark, small_hexagon_centers
 from hexcover.cli import main
 from hexcover.deployment import place_proposed, remove_sensors, total_count
-from hexcover.geometry import SQRT3, Hexagon, midpoint
+from hexcover.geometry import SQRT3, Hexagon, LatticePoint, midpoint
 from hexcover.sensor_io import load_deployment, read_sensors_csv, write_sensors_csv, write_sensors_json
-from hexcover.tiling import PARITY_NAMES, REGION_TOL, axial_center, build_solar_model
+from hexcover.tiling import PARITY_NAMES, REGION_TOL, build_solar_model
 from hexcover.verifier import DISK_TOL, coverage_counts, lattice_counts
 
 BOUNDED = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -61,7 +61,7 @@ def membership_cases(draw):
         # a vertex or an edge midpoint of a cell in or around the patch,
         # optionally nudged by 1e-13 r along each axis
         q, w, i, kind, ex, ey = args
-        vertices = Hexagon(axial_center(q, w)).vertices()
+        vertices = Hexagon(LatticePoint(3 * q, q + 2 * w)).vertices()
         point = vertices[i] if kind == "vertex" else midpoint(vertices[i], vertices[(i + 1) % 6])
         x, y = point.to_xy(radius)
         return x + ex * radius, y + ey * radius
@@ -315,6 +315,17 @@ def test_scheme_keeps_the_candidates_whose_six_vertices_the_oracle_holds(case):
     assert np.array_equal(small_hexagon_centers(model, offset), axial[inside])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    layers=st.integers(1, 15),
+    radius=st.sampled_from(RADII),
+    offset=st.tuples(*[st.builds(Fraction, st.integers(-48, 48), st.integers(1, 24))] * 2),
+)
+def test_scheme_keeps_at_most_four_tiles_per_patch_hexagon(layers, radius, offset):
+    # a tile has a quarter of a patch hexagon's area, which the plan budget counts on
+    assert len(small_hexagon_centers(model_for(layers, radius), offset)) <= 4 * tiling.hexagon_count(layers)
+
+
 def effective_radius(radius):
     return radius * np.sqrt(1.0 + DISK_TOL)
 
@@ -478,7 +489,7 @@ def brute_force_report(deployment, seed, mc_samples, fail_fast):
         "passed": minimum >= k,
         "failing_points": failing[: verifier.MAX_FAILING_POINTS],
         "coverage_histogram": {str(c): histogram[c] for c in sorted(histogram)},
-        "region": f"solar-model patch: layers={model.layers}, hexagons={len(model.axial)}, side={model.side}",
+        "region": f"solar-model patch: layers={model.layers}, hexagons={len(model.centers)}, side={model.side}",
     }
     return report, stage_failures
 

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from exact_reference import exact_registry
-from hexcover.geometry import ORIGIN, Hexagon, LatticePoint, distance
+from hexcover.geometry import ORIGIN, Hexagon, LatticePoint, distance, hexagons_overlap
 from hexcover.tiling import (
-    AXIAL_DIRECTIONS,
     EVEN,
     ODD,
     PARITY_NAMES,
+    NEIGHBOR_STEPS,
     REGION_TOL,
     SQRT3,
-    VERTEX_OFFSETS,
     build_solar_model,
     hexagon_count,
     model_to_dict,
@@ -27,9 +26,35 @@ from hexcover.tiling import (
 )
 
 
-def axial_distance(q, w):
-    """Honeycomb graph distance of the cell at axial (q, w) from the center."""
+def graph_distance(x, y):
+    """Honeycomb graph distance from the center of the cell centered at lattice coefficients (x, y) = (3q, q + 2w)."""
+    q = x // 3
+    w = (y - q) // 2
     return (abs(q) + abs(w) + abs(q + w)) // 2
+
+
+def axial_ring_walk(layers):
+    """Hexagon centers in the order of the former axial ring walk.
+
+    Cells were axial pairs (q, w), centered at (3q, q + 2w): the center,
+    then ring j from (j, 0), j steps along each of the axial directions 2,
+    3, 4, 5, 0, 1 in turn.
+    """
+    directions = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+    cells = [(0, 0)]
+    for radius in range(1, layers):
+        q, w = radius, 0
+        for direction in (2, 3, 4, 5, 0, 1):
+            dq, dw = directions[direction]
+            for _ in range(radius):
+                cells.append((q, w))
+                q, w = q + dq, w + dw
+    return [[3 * q, q + 2 * w] for q, w in cells]
+
+
+def has_all_neighbors(cells, x, y):
+    """Whether the set of center pairs ``cells`` holds all six neighbors of the cell at (x, y)."""
+    return all((x + dx, y + dy) in cells for dx, dy in NEIGHBOR_STEPS.tolist())
 
 
 def points(units):
@@ -73,17 +98,24 @@ class TestBuildSolarModel:
 
     def test_hexagons_come_ring_by_ring(self):
         # The CSV's hexagon column indexes this order: the center, then each
-        # ring of 6j cells at axial distance j, counterclockwise from (j, 0).
+        # ring of 6j cells at graph distance j, counterclockwise from (3j, j).
         m = build_solar_model(4)
-        assert [axial_distance(q, w) for q, w in m.axial] == [0] + [1] * 6 + [2] * 12 + [3] * 18
-        assert m.axial[:7] == ((0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+        assert [graph_distance(x, y) for x, y in m.centers.tolist()] == [0] + [1] * 6 + [2] * 12 + [3] * 18
+        assert m.centers[:7].tolist() == [[0, 0], [3, 1], [0, 2], [-3, 1], [-3, -1], [0, -2], [3, -1]]
+
+    @pytest.mark.parametrize("layers", range(1, 31))
+    def test_centers_keep_the_axial_ring_walk_order(self, layers):
+        m, walk = build_solar_model(layers), axial_ring_walk(layers)
+        assert m.centers.dtype == np.int64 and not m.centers.flags.writeable
+        assert m.centers.tolist() == walk
+        assert [[h.center.x, h.center.y] for h in m.hexagons] == walk
 
     def test_neighbor_centers_at_unit_graph_distance(self):
         m = build_solar_model(3, side=2.0)
-        cells = {cell: i for i, cell in enumerate(m.axial)}
-        (q, w) = m.axial[0]
-        for dq, dw in AXIAL_DIRECTIONS:
-            neighbor = cells[(q + dq, w + dw)]
+        cells = {cell: i for i, cell in enumerate(map(tuple, m.centers.tolist()))}
+        x, y = m.centers[0].tolist()
+        for dx, dy in NEIGHBOR_STEPS.tolist():
+            neighbor = cells[(x + dx, y + dy)]
             d = distance(m.hexagons[0].center, m.hexagons[neighbor].center, scale=2.0)
             assert d == pytest.approx(2.0 * 3.0**0.5, rel=1e-12)
 
@@ -137,9 +169,9 @@ class TestRegistry:
         # vertices of hexagons that have all six neighbors present are interior
         m = build_solar_model(3)
         incident = incident_hexagons(m)
-        cells = set(m.axial)
-        for index, (q, w) in enumerate(m.axial):
-            if all((q + dq, w + dw) in cells for dq, dw in AXIAL_DIRECTIONS):
+        cells = set(map(tuple, m.centers.tolist()))
+        for index, (x, y) in enumerate(m.centers.tolist()):
+            if has_all_neighbors(cells, x, y):
                 for vertex in m.hexagons[index].vertices():
                     assert len(incident[vertex]) == 3
 
@@ -153,9 +185,9 @@ class TestRegistry:
                 edge_owners.setdefault(key, []).append(index)
         counts = [len(owners) for owners in edge_owners.values()]
         assert set(counts) <= {1, 2}
-        cells = set(m.axial)
-        for index, (q, w) in enumerate(m.axial):
-            if all((q + dq, w + dw) in cells for dq, dw in AXIAL_DIRECTIONS):
+        cells = set(map(tuple, m.centers.tolist()))
+        for index, (x, y) in enumerate(m.centers.tolist()):
+            if has_all_neighbors(cells, x, y):
                 verts = m.hexagons[index].vertices()
                 for i in range(6):
                     key = frozenset((verts[i], verts[(i + 1) % 6]))
@@ -163,10 +195,10 @@ class TestRegistry:
 
     def test_inner_layers_have_all_neighbors(self):
         m = build_solar_model(4)
-        cells = set(m.axial)
-        for q, w in m.axial:
-            if axial_distance(q, w) < m.layers - 1:
-                assert all((q + dq, w + dw) in cells for dq, dw in AXIAL_DIRECTIONS)
+        cells = set(map(tuple, m.centers.tolist()))
+        for x, y in cells:
+            if graph_distance(x, y) < m.layers - 1:
+                assert has_all_neighbors(cells, x, y)
 
     def test_incidence_totals(self):
         m = build_solar_model(5)
@@ -230,8 +262,13 @@ class TestModelExport:
         assert classes == {"even", "odd"}
 
 
-def test_vertex_offsets_are_the_exact_unit_hexagons_vertices():
-    assert VERTEX_OFFSETS.tolist() == [[int(v.x), int(v.y)] for v in Hexagon(ORIGIN).vertices()]
+def test_neighbor_steps_share_the_unit_hexagons_edges():
+    # neighbor i lies across the edge from vertex i to vertex i + 1, without overlap
+    vertices = Hexagon(ORIGIN).vertices()
+    for i, (dx, dy) in enumerate(NEIGHBOR_STEPS.tolist()):
+        neighbor = Hexagon(LatticePoint(dx, dy))
+        assert {vertices[i], vertices[(i + 1) % 6]} == set(vertices) & set(neighbor.vertices())
+        assert not hexagons_overlap(Hexagon(ORIGIN), neighbor)
 
 
 class TestRegionMask:
