@@ -1,7 +1,12 @@
 """Tests for the half-side-hexagon comparison scheme."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from hexcover.benchmark import (
 from hexcover.deployment import total_count
 from hexcover.geometry import ORIGIN, Hexagon, LatticePoint
 from hexcover.tiling import build_solar_model, hexagon_count, triangle_samples
+from stream_reference import reference_tile_draws
 
 # Geometric enumeration of fully contained half-side hexagons, origin-anchored
 # tiling.  Frozen from the enumeration itself; the printed closed form
@@ -222,6 +228,89 @@ class TestPlaceBenchmark:
         x, y = d.sensors[0]
         small = exact_small_hexagon(*small_hexagon_centers(m)[0])
         assert hexagon_contains_xy(small, x, y, scale=10.0, tol=1e-12)
+
+
+SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 3**90]
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def as_limbs(values):
+    """128-bit integers as the (2, n) uint64 (low, high) limbs the stream kernel takes."""
+    return np.array([[value & (2**64 - 1) for value in values], [value >> 64 for value in values]], dtype=np.uint64)
+
+
+def generator_at(state, inc):
+    """A ``Generator`` whose PCG64 is set to the seeded (state, inc)."""
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
+
+
+def assert_same_draws(draws, expected):
+    for got, want in zip(draws, expected, strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestTileStreams:
+    """The closed-form streams against one ``default_rng([seed, i])`` per tile, bit for bit."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seeded_states_are_the_generators(self, seed):
+        state, inc = benchmark._tile_streams(seed, 3)
+        for index in range(3):
+            expected = np.random.default_rng([seed, index]).bit_generator.state["state"]
+            assert state[:, index].tolist() == as_limbs([expected["state"]])[:, 0].tolist()
+            assert inc[:, index].tolist() == as_limbs([expected["inc"]])[:, 0].tolist()
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 1027])
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 11, 60])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_equal_the_per_tile_generators(self, seed, k, count):
+        assert_same_draws(benchmark._tile_draws(seed, count, k), reference_tile_draws(seed, count, k))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_tile_drawn_past_the_doubling_width(self, seed):
+        # 1750 + 7000 draws: two leaps of _WIDTH after the doubled block
+        assert_same_draws(benchmark._tile_draws(seed, 1, 3500), reference_tile_draws(seed, 1, 3500))
+
+    def test_negative_seeds_are_refused(self):
+        with pytest.raises(ValueError):
+            benchmark._tile_draws(-1, 1, 1)
+
+    @pytest.mark.parametrize("k", [1, 4, 11])
+    def test_a_rejecting_stream_falls_back_to_the_generator(self, k):
+        # the state one step before 0: its first output is 0, whose low half
+        # Lemire's method rejects (0 * 6 mod 2^32 < 4), so the generator draws again
+        inc = 2**127 + 2**64 + 12345
+        crafted = -inc * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+        states, incs = [3**80, crafted, 5**50], [inc, inc, 7**40 | 1]
+        tri, u, v, rejected = benchmark._stream_draws(as_limbs(states), as_limbs(incs), k)
+        assert rejected.tolist() == [False, True, False]
+        for index, (state, increment) in enumerate(zip(states, incs)):
+            generator = generator_at(state, increment)
+            expected = generator.integers(0, 6, size=k), generator.random(k), generator.random(k)
+            assert_same_draws((tri[index], u[index], v[index]), expected)
+
+    def test_importing_the_cli_builds_no_jump_table(self, tmp_path):
+        child = (
+            "import json, sys\n"
+            "import hexcover.cli\n"
+            "hexcover.cli.build_parser()\n"
+            "built = [hexcover.benchmark._jumps.cache_info().currsize]\n"
+            "hexcover.cli.main(['plan', '--strategy', 'benchmark', '--output', sys.argv[1]])\n"
+            "built.append(hexcover.benchmark._jumps.cache_info().currsize)\n"
+            "print(json.dumps(built))\n"
+        )
+        src = str(Path(benchmark.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path / "scheme.csv")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        # the first plan builds the tables, so the check can see them
+        assert json.loads(result.stdout.splitlines()[-1]) == [0, 1]
 
 
 def per_hexagon_sensors(model, k, seed, offset):

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from hexcover import cli, sensor_io
+from hexcover import benchmark, cli, sensor_io
 from hexcover.benchmark import place_benchmark
 from hexcover.cli import main
 from hexcover.deployment import count_by_kind, total_count
 from hexcover.sensor_io import read_sensors_csv, write_sensors_csv
 from hexcover.tiling import build_solar_model, vertex_count
+from stream_reference import reference_tile_draws
 
 
 def run(argv):
@@ -142,6 +143,14 @@ class TestPlan:
         out = tmp_path / "scheme.csv"
         assert run(["plan", "--strategy", "benchmark", "--layers", "1", "--coverage", "3500", "--output", str(out)]) == 0
         assert len(read_sensors_csv(out).rows) == 3500
+
+    def test_scheme_plan_equals_the_per_tile_generators_byte_for_byte(self, tmp_path, monkeypatch):
+        # a seed of three 32-bit words and an odd k, which leaves one 32-bit half unused per tile
+        plan = ["plan", "--strategy", "benchmark", "--layers", "3", "--coverage", "5", "--seed", str(2**64 + 5)]
+        assert run([*plan, "--output", str(tmp_path / "closed-form.csv")]) == 0
+        monkeypatch.setattr(benchmark, "_tile_draws", reference_tile_draws)
+        assert run([*plan, "--output", str(tmp_path / "generators.csv")]) == 0
+        assert (tmp_path / "closed-form.csv").read_bytes() == (tmp_path / "generators.csv").read_bytes()
 
     def test_scheme_refusal_at_k1_is_the_scan(self, tmp_path, monkeypatch):
         # (8l + 9)^2 scanned tiles stay within the budget up to l = 123
