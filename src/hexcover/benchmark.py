@@ -221,6 +221,7 @@ def _seed_hash(value: np.ndarray, constant: int, multiplier: int) -> tuple[np.nd
 
 
 def _seed_mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool word x with hashed word y."""
     mixed = x * _MIX_L
     mixed -= y * _MIX_R
     mixed ^= mixed >> 16
@@ -327,8 +328,8 @@ def _stream_draws(state: np.ndarray, inc: np.ndarray, k: int) -> tuple[np.ndarra
         bits = np.random.PCG64(0)
         generator = np.random.Generator(bits)
         for index in np.flatnonzero(rejected):
-            s, c = (int(limbs[1, index]) << 64 | int(limbs[0, index]) for limbs in (state, inc))
-            bits.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": c}, "has_uint32": 0, "uinteger": 0}
+            seeded = {name: int(limbs[1, index]) << 64 | int(limbs[0, index]) for name, limbs in (("state", state), ("inc", inc))}
+            bits.state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
             tri[index] = generator.integers(0, 6, size=k)
             u[index] = generator.random(k)
             v[index] = generator.random(k)

@@ -279,14 +279,17 @@ class TestTileStreams:
             benchmark._tile_draws(-1, 1, 1)
 
     @pytest.mark.parametrize("k", [1, 4, 11])
-    def test_a_rejecting_stream_falls_back_to_the_generator(self, k):
-        # the state one step before 0: its first output is 0, whose low half
-        # Lemire's method rejects (0 * 6 mod 2^32 < 4), so the generator draws again
+    def test_rejecting_streams_fall_back_to_the_generator(self, k):
+        # states one step before the state 2^32 + h, whose first output is
+        # itself (high limb 0, so no rotation), with low half h: Lemire's
+        # method rejects h * 6 mod 2^32 = 0 and 2 (below 4), and the generator
+        # draws again, but keeps 4; the high half 1 is kept either way
         inc = 2**127 + 2**64 + 12345
-        crafted = -inc * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
-        states, incs = [3**80, crafted, 5**50], [inc, inc, 7**40 | 1]
+        landings = [2**32 + h for h in (0, (2**32 + 2) // 6, (2**33 + 4) // 6)]
+        crafted = [(landing - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128 for landing in landings]
+        states, incs = [3**80, *crafted, 5**50], [inc] * 4 + [7**40 | 1]
         tri, u, v, rejected = benchmark._stream_draws(as_limbs(states), as_limbs(incs), k)
-        assert rejected.tolist() == [False, True, False]
+        assert rejected.tolist() == [False, True, True, False, False]
         for index, (state, increment) in enumerate(zip(states, incs)):
             generator = generator_at(state, increment)
             expected = generator.integers(0, 6, size=k), generator.random(k), generator.random(k)
