@@ -24,20 +24,23 @@ failing probes; its sample count, minimum and verdict are read off that histogra
 
 The disk test compares squared distances with a 1e-9 relative tolerance so
 exact boundary contacts survive the float conversion.  Structured and Monte
-Carlo probes are counted with a KD-tree (``coverage_counts``), on as many
-threads as the process may run on (its CPU affinity mask), each taking at
-least ``MIN_PROBES_PER_WORKER`` probes, so the few thousand structured probes
-stay on one thread while the Monte Carlo samples are split.  scipy's query
-threads release the GIL and count each probe on its own, so the counts do
-not depend on the thread count.  The grid is
-counted on its lattice instead (``lattice_counts``): along one grid row the
-float predicate ``(x - sx)**2 + (y - sy)**2 <= eff**2`` holds on a single
-contiguous run of columns, because ``fl(x - sx)`` is monotone in x, so each
-sensor adds one column interval per grid row its disk reaches.  The two
-ends of every interval are estimated from the axis pitch and settled with
-that same float predicate (``tiling.run_ends``, the clip's helper too), so
-the counts are the predicate's bit for bit, at a cost of O(sensors × rows
-per disk) instead of O(disk hits).
+Carlo probes are counted with a KD-tree (``coverage_counts``), in spatial
+cell order, on as many threads as the process may run on (its CPU affinity
+mask), each taking at least ``MIN_PROBES_PER_WORKER`` probes, so the few
+thousand structured probes stay on one thread while the Monte Carlo samples
+are split.  scipy's query threads release the GIL and count each probe on
+its own, so the counts depend on neither the order nor the thread count.
+The grid is counted on its lattice instead (``lattice_counts``): along one
+grid row the float predicate ``(x - sx)**2 + (y - sy)**2 <= eff**2`` holds
+on a single contiguous run of columns, because ``fl(x - sx)`` is monotone
+in x, so each sensor adds one column interval per grid row its disk
+reaches.  The two ends of every interval are estimated from the axis pitch
+and settled with that same float predicate (``tiling.run_ends``, the clip's
+helper too), so the counts are the predicate's bit for bit, at a cost of
+O(sensors × rows per disk) instead of O(disk hits).  That counting runs on
+one worker thread while this thread counts the structured and then the
+Monte Carlo probes (``_stages``), or inline under ``fail_fast`` or a finite
+address-space limit; the report is the same either way.
 
 The same disk decides which sensors hold whole triangles: ``covering_pairs``
 is the package's one triangle-in-disk kernel, behind the sampling-free
@@ -83,12 +86,14 @@ DISK_TOL = 1e-9  # relative, on squared distances
 MAX_FAILING_POINTS = 100
 # Probe budget of one verify run.  The grid stage builds no nodes: clipping
 # peaks at 5, 4 and 3 bytes per raw grid point (its 1-byte difference array
-# and mask, and the run temporaries), and counting at 13, 8 and 8: the
+# and mask, and the run temporaries), and counting at 14, 9 and 9: the
 # mask, the 4-byte difference array, the kept nodes' 4-byte counts and one
 # block of run temporaries, which weighs most on small grids; only failing
 # nodes get coordinates.  Monte Carlo sampling peaks at 130 bytes per
-# sample.  So the budget caps those temporaries near 0.13 and 1.3 GB
-# (tracemalloc at l = 10, 20 and 30, r = 10, step r/20).
+# sample.  The grid is counted while the Monte Carlo stage is built, so the
+# two working sets add up (at l = 30 with 10**6 samples the run peaks at
+# 147 MB, against 129 MB when the grid is counted first), and the budget
+# caps them near 1.3 GB (tracemalloc at l = 10, 20 and 30, r = 10, step r/20).
 MAX_PROBES = 10_000_000
 LATTICE_CHUNK = 1 << 14  # (sensor, row) intervals per lattice-counting pass
 # KD-tree leaf size and fewest probes per query thread of ``coverage_counts``
@@ -258,26 +263,36 @@ def _kdtree(sensors: np.ndarray):
 def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> np.ndarray:
     """Number of sensors whose closed disk of ``radius`` holds each point.
 
-    The query runs on ``query_workers(len(points))`` of scipy's threads, which
-    release the GIL; each probe is counted by one thread alone, so the counts
-    are the same for any thread count.  Splitting pays from about 2 k probes
-    per thread on a 2-vCPU Xeon, so ``MIN_PROBES_PER_WORKER`` = 2**12 keeps
-    the structured probes (1-5 k on the benchmark workloads) on one thread,
-    clear of the break-even point, and splits the Monte Carlo samples.  The
-    tree's leaf size, ``KDTREE_LEAFSIZE`` = 64, was the fastest of 16, 32, 64
-    and 128 on the structured and Monte Carlo probes of both benchmark
-    workloads (l = 5, k = 60 and the comparison scheme at l = 10, k = 10):
-    0.84 and 0.95 of leaf size 16's time on one thread, 0.47 and 0.55 on two.
+    The points are queried in cell order: lexsorted by their ``floor(point /
+    radius)`` cells, row by row, with the counts scattered back to input
+    order, so consecutive queries walk the same tree nodes instead of
+    jumping about as the Monte Carlo samples do.  The query runs on
+    ``query_workers(len(points))`` of scipy's threads, which release the
+    GIL; each probe is counted by one thread alone, so the counts are the
+    same for any order and thread count.
+
+    The constants were measured on cell-ordered probes on a 2-vCPU Xeon, on
+    both benchmark workloads (l = 5, k = 60 and the comparison scheme at
+    l = 10, k = 10), by median ``verify_coverage`` time over interleaved
+    rounds.  Leaf size 64 was the fastest of 16, 32, 64 and 128: the others
+    took 1.17, 1.06 and 1.05 of its time on the first workload and 1.12,
+    1.04 and 1.01 on the second.  A lone query on two threads pays from
+    about 1-2 k probes, but the structured probes (1-5 k on the benchmark
+    workloads) are counted beside the grid's worker thread, so splitting
+    them at 2**11 took 1.03 of the time at ``MIN_PROBES_PER_WORKER`` = 2**12,
+    which keeps them on one thread and splits the Monte Carlo samples.
     """
     if len(points) == 0:
         return np.zeros(0, dtype=int)
     if len(sensors) == 0:
         return np.zeros(len(points), dtype=int)
-    return np.asarray(
-        _kdtree(sensors).query_ball_point(
-            points, _effective_radius(radius), return_length=True, workers=query_workers(len(points))
-        )
+    cells = np.floor(points / radius)
+    order = np.lexsort((cells[:, 0], cells[:, 1]))
+    counts = np.empty(len(points), dtype=np.intp)
+    counts[order] = _kdtree(sensors).query_ball_point(
+        points[order], _effective_radius(radius), return_length=True, workers=query_workers(len(points))
     )
+    return counts
 
 
 def covering_pairs(triangles: np.ndarray, sensors: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -395,26 +410,91 @@ def _counted(points: np.ndarray, sensors: np.ndarray, radius: float):
     return coverage_counts(points, sensors, radius), points.__getitem__
 
 
-def _grid_stage(model: SolarModel, step: float, sensors: np.ndarray, radius: float):
-    """Counts of the grid nodes in the patch, in row-major order, and a lookup of those nodes by index."""
-    xs, ys, kept = grid_points(model, step)
+class _GridStage:
+    """The grid nodes in the patch, clipped here and counted by ``lattice_counts``.
 
-    def nodes(index: np.ndarray) -> np.ndarray:
-        row, column = np.divmod(np.flatnonzero(kept)[index], len(xs))
-        return np.column_stack([xs[column], ys[row]])
+    With ``background`` the counting runs on one worker thread, started
+    here, while the caller goes on; it runs inline, in ``result``, without
+    ``background`` or when ``Thread.start`` raises ``RuntimeError``.  The
+    worker calls ``lattice_counts`` alone, which perfbench does not wrap
+    (its span stack is not thread-safe).  ``result`` gives the counts of the
+    kept nodes in row-major order and a lookup of those nodes by index; it
+    joins the worker and raises the worker's exception, ``MemoryError``
+    included, on the calling thread.  ``join`` only waits for the worker.
+    """
 
-    return lattice_counts(xs, ys, sensors, radius)[kept], nodes
+    def __init__(self, model: SolarModel, step: float, sensors: np.ndarray, radius: float, background: bool):
+        self.xs, self.ys, self.kept = grid_points(model, step)
+        self._sensors, self._radius = sensors, radius
+        self._outcome = None
+        self._worker = None
+        if background:
+            import threading  # loaded already by the time any verify runs
+
+            worker = threading.Thread(target=self._count, name="lattice_counts", daemon=True)
+            try:
+                worker.start()
+            except RuntimeError:  # no thread can be started: count inline
+                return
+            self._worker = worker
+
+    def _count(self):
+        try:
+            self._outcome = lattice_counts(self.xs, self.ys, self._sensors, self._radius), None
+        except BaseException as exc:  # raised again on the calling thread, by result
+            self._outcome = None, exc
+
+    def join(self) -> None:
+        if self._worker is not None:
+            self._worker.join()
+
+    def result(self):
+        if self._worker is None:
+            self._count()
+        self.join()
+        (counts, error), self._outcome = self._outcome, None
+        if error is not None:
+            raise error
+        return counts[self.kept], self.nodes
+
+    def nodes(self, index: np.ndarray) -> np.ndarray:
+        row, column = np.divmod(np.flatnonzero(self.kept)[index], len(self.xs))
+        return np.column_stack([self.xs[column], self.ys[row]])
 
 
-def _stages(deployment: Deployment, step: float, seed: int, mc_samples: int):
-    """(counts, probe lookup by index) of each stage in turn; a stage is built only when the caller asks for it."""
-    # Each stage is built inside a call, so no local here keeps a finished
-    # stage alive while the next one is built.
+def _stages(deployment: Deployment, step: float, seed: int, mc_samples: int, fail_fast: bool):
+    """(counts, probe lookup by index) of the structured, grid and Monte Carlo stages, in that order.
+
+    The grid is clipped first and counted on a worker thread while this
+    thread counts the structured and then the Monte Carlo probes; the worker
+    is joined before the grid stage is yielded.  Under ``fail_fast``, where
+    no stage may be built before the previous one's verdict, and under a
+    finite address-space limit (see ``query_workers``) the grid is counted
+    inline instead and each stage is built only when the caller asks for it.
+    Closing the generator joins the worker.
+    """
     model, sensors, radius = deployment.model, deployment.sensors, deployment.r
-    yield _counted(structured_points(model), sensors, radius)
-    yield _grid_stage(model, step, sensors, radius)
-    if mc_samples > 0:
-        yield _counted(monte_carlo_points(model, mc_samples, seed), sensors, radius)
+
+    def monte_carlo():
+        return _counted(monte_carlo_points(model, mc_samples, seed), sensors, radius)
+
+    overlap = not fail_fast and not _address_space_limited()
+    grid = _GridStage(model, step, sensors, radius, background=True) if overlap else None
+    try:
+        # Each stage is built inside a call, so no local here keeps a
+        # finished stage alive while the next one is built, except the Monte
+        # Carlo stage that is built while the grid is counted.
+        yield _counted(structured_points(model), sensors, radius)
+        if grid is None:
+            grid = _GridStage(model, step, sensors, radius, background=False)
+        later = monte_carlo() if overlap and mc_samples > 0 else None
+        yield grid.result()
+        grid = None
+        if mc_samples > 0:
+            yield later or monte_carlo()
+    finally:
+        if grid is not None:
+            grid.join()
 
 
 def verify_coverage(
@@ -435,17 +515,21 @@ def verify_coverage(
 
     histogram: dict[int, int] = {}
     failing: list[tuple[float, float]] = []
-    for counts, probes in _stages(deployment, step, seed, mc_samples):
-        values, freqs = np.unique(counts, return_counts=True)
-        for value, freq in zip(values.tolist(), freqs.tolist()):
-            histogram[value] = histogram.get(value, 0) + freq
-        failed = len(values) > 0 and values[0] < deployment.k
-        if failed and len(failing) < MAX_FAILING_POINTS:
-            bad = np.flatnonzero(counts < deployment.k)[: MAX_FAILING_POINTS - len(failing)]
-            failing.extend(map(tuple, probes(bad).tolist()))
-        del counts, probes  # free this stage's probes before the next one is built
-        if fail_fast and failed:
-            break
+    stages = _stages(deployment, step, seed, mc_samples, fail_fast)
+    try:
+        for counts, probes in stages:
+            values, freqs = np.unique(counts, return_counts=True)
+            for value, freq in zip(values.tolist(), freqs.tolist()):
+                histogram[value] = histogram.get(value, 0) + freq
+            failed = len(values) > 0 and values[0] < deployment.k
+            if failed and len(failing) < MAX_FAILING_POINTS:
+                bad = np.flatnonzero(counts < deployment.k)[: MAX_FAILING_POINTS - len(failing)]
+                failing.extend(map(tuple, probes(bad).tolist()))
+            del counts, probes  # free this stage's probes before the next one is built
+            if fail_fast and failed:
+                break
+    finally:
+        stages.close()  # no worker thread outlives this call
 
     return CoverageReport(
         target_k=deployment.k,

@@ -448,14 +448,15 @@ def grid_stage_cases(draw):
     return model, step, sensors, radius
 
 
+@pytest.mark.parametrize("background", [False, True])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=grid_stage_cases())
-def test_grid_stage_is_the_clipped_meshgrid_with_its_lattice_counts(case):
+def test_grid_stage_is_the_clipped_meshgrid_with_its_lattice_counts(background, case):
     model, step, sensors, radius = case
     xs, ys, _ = verifier.grid_points(model, step)
     nodes = grid_nodes(xs, ys)
     inside = brute_force_contains(model, nodes)
-    counts, lookup = verifier._grid_stage(model, step, sensors, radius)
+    counts, lookup = verifier._GridStage(model, step, sensors, radius, background).result()
     assert np.array_equal(lookup(np.arange(len(counts))).view(np.uint64), nodes[inside].view(np.uint64))
     assert np.array_equal(lookup(np.arange(len(counts))[::-3]), nodes[inside][::-3])
     assert np.array_equal(counts, brute_force_lattice_counts(xs, ys, sensors, radius).ravel()[inside])
