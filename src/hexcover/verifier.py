@@ -86,16 +86,21 @@ DISK_TOL = 1e-9  # relative, on squared distances
 MAX_FAILING_POINTS = 100
 # Probe budget of one verify run.  The grid stage builds no nodes: clipping
 # peaks at 5, 4 and 3 bytes per raw grid point (its 1-byte difference array
-# and mask, and the run temporaries), and counting at 14, 9 and 9: the
+# and mask, and the run temporaries), and counting at 9, 8 and 8: the
 # mask, the 4-byte difference array, the kept nodes' 4-byte counts and one
 # block of run temporaries, which weighs most on small grids; only failing
-# nodes get coordinates.  Monte Carlo sampling peaks at 130 bytes per
-# sample.  The grid is counted while the Monte Carlo stage is built, so the
-# two working sets add up (at l = 30 with 10**6 samples the run peaks at
-# 147 MB, against 129 MB when the grid is counted first), and the budget
-# caps them near 1.3 GB (tracemalloc at l = 10, 20 and 30, r = 10, step r/20).
+# nodes get coordinates.  Monte Carlo sampling peaks at 113 bytes per
+# sample.  The grid is counted while the Monte Carlo stage is built, so
+# their working sets add up: G raw grid points and M samples peak below
+# 9 G + 113 M bytes (at l = 30 with 10**6 samples, 136 MB against 113 MB
+# with the grid counted inline), which the budget caps near 1.1 GB
+# (tracemalloc at l = 10, 20 and 30, r = 10, step r/20).
 MAX_PROBES = 10_000_000
-LATTICE_CHUNK = 1 << 14  # (sensor, row) intervals per lattice-counting pass
+# (sensor, row) intervals per lattice-counting pass.  Each pass's
+# temporaries coexist with the Monte Carlo stage: at 2**13 they take 2.2 MB
+# on the l = 5, k = 60 benchmark workload, against 3.5 MB at 2**14, for the
+# same verify time on both benchmark workloads.
+LATTICE_CHUNK = 1 << 13
 # KD-tree leaf size and fewest probes per query thread of ``coverage_counts``
 # (measured; see its docstring).
 KDTREE_LEAFSIZE = 64
@@ -209,11 +214,15 @@ def monte_carlo_points(model: SolarModel, count: int, seed: int) -> np.ndarray:
     if count <= 0:
         return np.zeros((0, 2))
     rng = np.random.default_rng(seed)
-    hex_idx = rng.integers(0, len(model.centers), size=count)
-    tri_idx = rng.integers(0, 6, size=count)
+    # The hexagon draw becomes the triangle index in place and is freed
+    # before sampling: the grid is counted beside this stage (see MAX_PROBES).
+    triangle = rng.integers(0, len(model.centers), size=count)
+    triangle *= 6
+    triangle += rng.integers(0, 6, size=count)
     u = rng.random(count)
     v = rng.random(count)
-    center, a, b = patch_triangles(model)[6 * hex_idx + tri_idx].transpose(1, 0, 2)
+    center, a, b = patch_triangles(model)[triangle].transpose(1, 0, 2)
+    del triangle
     return triangle_samples(center, a, b, u, v)
 
 
@@ -275,8 +284,8 @@ def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> n
     both benchmark workloads (l = 5, k = 60 and the comparison scheme at
     l = 10, k = 10), by median ``verify_coverage`` time over interleaved
     rounds.  Leaf size 64 was the fastest of 16, 32, 64 and 128: the others
-    took 1.17, 1.06 and 1.05 of its time on the first workload and 1.12,
-    1.04 and 1.01 on the second.  A lone query on two threads pays from
+    took 1.16, 1.04 and 1.03 of its time on the first workload and 1.11,
+    1.04 and 1.03 on the second.  A lone query on two threads pays from
     about 1-2 k probes, but the structured probes (1-5 k on the benchmark
     workloads) are counted beside the grid's worker thread, so splitting
     them at 2**11 took 1.03 of the time at ``MIN_PROBES_PER_WORKER`` = 2**12,
@@ -429,7 +438,7 @@ class _GridStage:
         self._outcome = None
         self._worker = None
         if background:
-            import threading  # loaded already by the time any verify runs
+            import threading  # numpy has imported it already, so this is a lookup
 
             worker = threading.Thread(target=self._count, name="lattice_counts", daemon=True)
             try:
@@ -491,7 +500,7 @@ def _stages(deployment: Deployment, step: float, seed: int, mc_samples: int, fai
         yield grid.result()
         grid = None
         if mc_samples > 0:
-            yield later or monte_carlo()
+            yield monte_carlo() if later is None else later
     finally:
         if grid is not None:
             grid.join()

@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hexcover import benchmark, cli, sensor_io
+from hexcover import benchmark, cli, sensor_io, verifier
 from hexcover.benchmark import place_benchmark
 from hexcover.cli import main
 from hexcover.deployment import count_by_kind, total_count
@@ -218,6 +219,45 @@ class TestOutOfMemory:
         capsys.readouterr()
         monkeypatch.setattr(cli, "verify_coverage", self._out_of_memory)
         code = run(["verify", "--input", str(sensors), "--output", str(report)])
+        self._assert_refused(code, capsys, report)
+
+    def _verify_threads(self, tmp_path, capsys):
+        """Exit code of verify on a fresh plan, checking that it leaves as many threads as it found."""
+        sensors, report = tmp_path / "sensors.csv", tmp_path / "report.json"
+        assert run(["plan", "--layers", "2", "--coverage", "3", "--output", str(sensors)]) == 0
+        capsys.readouterr()
+        threads = threading.active_count()
+        code = run(["verify", "--input", str(sensors), "--output", str(report)])
+        assert threading.active_count() == threads
+        return code, report
+
+    @pytest.mark.parametrize("limited", [False, True])
+    def test_verify_grid_counting(self, tmp_path, monkeypatch, capsys, limited):
+        # on the worker thread, or inline under an address-space limit
+        monkeypatch.setattr(verifier, "_address_space_limited", lambda: limited)
+        monkeypatch.setattr(verifier, "lattice_counts", self._out_of_memory)
+        code, report = self._verify_threads(tmp_path, capsys)
+        self._assert_refused(code, capsys, report)
+
+    def test_verify_query_while_the_grid_is_counted(self, tmp_path, monkeypatch, capsys):
+        # the worker still counts when the query fails; verify waits for it before it returns
+        monkeypatch.setattr(verifier, "_address_space_limited", lambda: False)
+        failed, finished, counts = threading.Event(), [], verifier.lattice_counts
+
+        def slow_counts(*args):
+            failed.wait(timeout=10)
+            time.sleep(0.2)  # still counting when the query's error reaches verify
+            finished.append(True)
+            return counts(*args)
+
+        def failing_query(*args):
+            failed.set()
+            self._out_of_memory()
+
+        monkeypatch.setattr(verifier, "lattice_counts", slow_counts)
+        monkeypatch.setattr(verifier, "coverage_counts", failing_query)
+        code, report = self._verify_threads(tmp_path, capsys)
+        assert finished == [True]
         self._assert_refused(code, capsys, report)
 
 

@@ -586,6 +586,37 @@ def test_coverage_counts_are_exact_on_any_thread_count(case):
         assert np.array_equal(coverage_counts(probes, sensors, radius), counts)
 
 
+@st.composite
+def cell_order_cases(draw):
+    """Probes and sensors for ``coverage_counts``: random, duplicated, single, empty, or near ``FLOAT_LIMIT``."""
+    radius = draw(st.sampled_from(RADII))
+    kind = draw(st.sampled_from(["random", "duplicated", "single", "no probes", "no sensors", "near the limit"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = {"single": 1, "no probes": 0}.get(kind, draw(st.integers(2, 3 * verifier.MIN_PROBES_PER_WORKER)))
+    center = np.zeros(2)
+    if kind == "near the limit":
+        center = verifier.FLOAT_LIMIT * rng.uniform(0.5, 1.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+    sensors = center + radius * rng.uniform(-3, 3, size=(0 if kind == "no sensors" else draw(st.integers(1, 40)), 2))
+    probes = center + radius * rng.uniform(-4, 4, size=(count, 2))
+    if kind == "duplicated":
+        probes = probes[rng.integers(0, max(1, count // 8), size=count)]
+        sensors = sensors[rng.integers(0, len(sensors), size=2 * len(sensors))]
+    return probes, sensors, radius
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=cell_order_cases())
+def test_cell_ordered_counts_equal_the_unsorted_query(case):
+    probes, sensors, radius = case
+    counts = coverage_counts(probes, sensors, radius)
+    expected = np.zeros(len(probes), dtype=int)
+    if len(probes) and len(sensors):
+        tree = verifier._kdtree(sensors)
+        expected = tree.query_ball_point(probes, effective_radius(radius), return_length=True)
+    assert np.array_equal(counts, expected)
+
+
 def test_query_workers_stay_within_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(verifier, "_address_space_limited", lambda: False)
     cpus = affinity_cpus()

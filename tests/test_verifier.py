@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -248,6 +250,94 @@ class TestVerifyCoverage:
         assert payload["passed"] is True
         assert payload["target_k"] == 1
         assert isinstance(payload["coverage_histogram"], dict)
+
+
+class TestStageSchedule:
+    """The grid counted on a worker thread beside the KD-tree queries reports what the inline schedule reports."""
+
+    @staticmethod
+    def _deployment(name):
+        model = build_solar_model(3, 10.0)
+        if name == "scheme":
+            return place_benchmark(model, 4, seed=7)
+        proposed = place_proposed(model, 4)
+        if name == "thinned":
+            return remove_sensors(proposed, [proposed.provenance.tolist().index("vertex:even")])
+        return proposed
+
+    @staticmethod
+    def _record_threads(monkeypatch):
+        """Whether each ``lattice_counts`` call ran on the main thread, in call order."""
+        on_main, original = [], verifier.lattice_counts
+
+        def recorded(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return original(*args)
+
+        monkeypatch.setattr(verifier, "lattice_counts", recorded)
+        return on_main
+
+    @pytest.mark.parametrize("name", ["proposed", "thinned", "scheme"])
+    def test_worker_and_inline_schedules_give_equal_reports(self, name, monkeypatch):
+        deployment = self._deployment(name)
+        on_main = self._record_threads(monkeypatch)
+        monkeypatch.setattr(verifier, "_address_space_limited", lambda: False)
+        overlapped = verify_coverage(deployment, seed=3, mc_samples=MC)
+        monkeypatch.setattr(verifier, "_address_space_limited", lambda: True)
+        inline = verify_coverage(deployment, seed=3, mc_samples=MC)
+        assert on_main == [False, True]
+        # dataclass equality compares the failing points in order
+        assert overlapped == inline
+        assert overlapped.passed == (name == "proposed") == (not overlapped.failing_points)
+
+    def test_a_thread_that_cannot_start_counts_inline(self, monkeypatch):
+        deployment = self._deployment("scheme")
+        monkeypatch.setattr(verifier, "_address_space_limited", lambda: False)
+        expected = verify_coverage(deployment, seed=3, mc_samples=MC)
+        on_main = self._record_threads(monkeypatch)
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert verify_coverage(deployment, seed=3, mc_samples=MC) == expected
+        assert on_main == [True]
+
+    def test_no_worker_outlives_an_error_in_the_report(self, monkeypatch):
+        # the structured stage's failing points cannot be read while the grid is still counted
+        monkeypatch.setattr(verifier, "_address_space_limited", lambda: False)
+        read, finished = threading.Event(), []
+        counts, counted = verifier.lattice_counts, verifier._counted
+
+        def slow_counts(*args):
+            read.wait(timeout=10)
+            time.sleep(0.2)
+            finished.append(True)
+            return counts(*args)
+
+        def unreadable(*args):
+            stage_counts, _ = counted(*args)
+
+            def lookup(index):
+                read.set()
+                raise MemoryError
+
+            return stage_counts, lookup
+
+        monkeypatch.setattr(verifier, "lattice_counts", slow_counts)
+        monkeypatch.setattr(verifier, "_counted", unreadable)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError) as raised:
+            verify_coverage(self._deployment("scheme"), seed=3, mc_samples=MC)
+        # the traceback keeps verify's frame, and with it the stage generator, alive
+        assert raised.traceback and finished == [True]
+        assert threading.active_count() == threads
+
+    def test_fail_fast_counts_the_grid_inline(self, monkeypatch):
+        on_main = self._record_threads(monkeypatch)
+        monkeypatch.setattr(verifier, "_address_space_limited", lambda: False)
+        report = verify_coverage(self._deployment("proposed"), seed=3, mc_samples=MC, fail_fast=True)
+        assert report.passed and on_main == [True]
 
 
 class TestResidualCoverage:
