@@ -13,13 +13,15 @@ stream.
 
 Tile i's stream is ``numpy.random.default_rng([seed, i])``: its k triangle
 indices are ``integers(0, 6, k)``, then its barycentrics ``random(k)`` twice.
-No generator is built per tile; ``_tile_streams`` and ``_stream_draws``
-compute every tile's draws at once, bit for bit, in uint64 arrays: numpy's
-``SeedSequence`` hash (O'Neill's seed_seq_fe), PCG64 (a 128-bit LCG with
-XSL-RR output; M. E. O'Neill, "PCG", 2014) jumped ahead in closed form, and
-Lemire's bounded integers (D. Lemire, ACM TOMACS 2019).  A tile whose
-bounded draw would be rejected, about one in 2^30 / k, is drawn again through
-``Generator`` from its seeded state.
+No ``SeedSequence`` is built per tile: ``_tile_streams`` hashes every tile's
+seed at once, bit for bit, in uint32/uint64 arrays (numpy's ``SeedSequence``
+hash, O'Neill's seed_seq_fe, and PCG64's seeding).  For k <= 1638,
+``_stream_draws`` then computes every tile's draws at once in uint64 arrays:
+PCG64 (a 128-bit LCG with XSL-RR output; M. E. O'Neill, "PCG", 2014) jumped
+ahead in closed form, and Lemire's bounded integers (D. Lemire, ACM TOMACS
+2019).  A tile whose bounded draw would be rejected, about one in 2^30 / k,
+and every tile of a larger k, is drawn through one ``Generator`` set to its
+seeded state.
 
 The closed-form count ``benchmark_count`` reports k*(15 l^2 - 27 l + 18) for
 k >= 2 as printed in the source scheme; the geometric enumeration is exposed
@@ -150,8 +152,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 # PCG64's 128-bit LCG multiplier, as (low, high) 64-bit limbs.
 _PCG_MULT = (0x4385DF649FCCF645, 0x2360ED051FC65DA4)
-# Draws computed side by side per stream, a power of two, and the (streams x
-# draws) states stepped at once: a few MB of uint64 temporaries.
+# The longest stream computed in closed form, in draws (k <= 1638), and the
+# (streams x draws) states stepped at once: a few MB of uint64 temporaries.
 _WIDTH = 1 << 12
 _CHUNK = 1 << 16
 
@@ -160,7 +162,7 @@ _Limbs = tuple  # (low, high) 64-bit limbs of 128-bit integers: uint64 arrays or
 
 @cache
 def _jumps() -> tuple[list[_Limbs], _Limbs]:
-    """PCG64's n-step jumps for n = 1, 2, 4, ..., ``_WIDTH``: s -> M^n s + (1 + M + ... + M^(n-1)) inc.
+    """PCG64's n-step jumps for n = 1, 2, 4, ..., ``_WIDTH`` / 2: s -> M^n s + (1 + M + ... + M^(n-1)) inc.
 
     Returns the multipliers M^n, as Python-int limbs, and the increments'
     factors, as two uint64 arrays, so that one product scales every tile's inc.
@@ -168,7 +170,7 @@ def _jumps() -> tuple[list[_Limbs], _Limbs]:
     modulus = 1 << 128
     power, total = _PCG_MULT[1] << 64 | _PCG_MULT[0], 1
     powers, totals = [], []
-    for _ in range(_WIDTH.bit_length()):
+    for _ in range(_WIDTH.bit_length() - 1):
         powers.append((power & _MASK64, power >> 64))
         totals.append((total & _MASK64, total >> 64))
         power, total = power * power % modulus, total * (power + 1) % modulus
@@ -275,55 +277,48 @@ def _stream_draws(state: np.ndarray, inc: np.ndarray, k: int) -> tuple[np.ndarra
 
     ``state`` and ``inc`` are (2, n) (low, high) limbs, as ``_tile_streams``
     gives them.  Draw j (from 1) outputs the state M^j s + (M^(j-1) + ... +
-    1) inc: the first ``_WIDTH`` draws double from draw 1, and later blocks
-    leap ``_WIDTH`` steps.  ``integers`` takes Lemire's bounded value
-    (h * 6) >> 32 from the low, then the high, 32-bit half h of the first
-    ceil(k/2) draws; ``random`` takes (x >> 11) 2^-53 of the next 2k, so an
-    odd k leaves one half unused.  A stream rejects when some (h * 6) mod 2^32
-    < 4, about once in 2^30 / k streams; only those are drawn again, through
-    ``Generator``.  Returns tri, u and v, each (n, k), and the rejected mask.
+    1) inc.  A stream of at most ``_WIDTH`` draws (k <= 1638) is computed in
+    closed form: its draws double from draw 1, ``_CHUNK // draws`` streams per
+    pass.  ``integers`` takes Lemire's bounded value (h * 6) >> 32 from the
+    low, then the high, 32-bit half h of the first ceil(k/2) draws; ``random``
+    takes (x >> 11) 2^-53 of the next 2k, so an odd k leaves one half unused.
+    A stream rejects when some (h * 6) mod 2^32 < 4, about once in 2^30 / k
+    streams.  The rejected streams, or every stream when they are longer than
+    ``_WIDTH``, are drawn through ``Generator`` from their seeded states.
+    Returns tri, u and v, each (n, k), and the mask of generator-drawn streams.
     """
     count = state.shape[1]
     half = -(-k // 2)
     draws = half + 2 * k
-    width = min(draws, _WIDTH)
-    rows = max(1, _CHUNK // width)
     tri = np.empty((count, k), dtype=np.int64)
     u, v = np.empty((count, k)), np.empty((count, k))
-    rejected = np.zeros(count, dtype=bool)
-    powers, totals = _jumps()
-    # the doublings up to width, then the leap by _WIDTH if one is needed
-    levels = (width - 1).bit_length() + (draws > width)
-    totals = (totals[0][:levels], totals[1][:levels])
-    for start in range(0, count, rows):
-        chunk = slice(start, start + rows)
-        s, c = (state[0, chunk, None], state[1, chunk, None]), (inc[0, chunk, None], inc[1, chunk, None])
-        # the increment each jump adds to each stream's state
-        offsets = _times(c, totals)
-        low, high = (np.empty((len(s[0]), width), dtype=np.uint64) for _ in range(2))
-        low[:, :1], high[:, :1] = _add(_times(s, _PCG_MULT), c)
-        filled = 1
-        for i, power in enumerate(powers):
-            if filled == width:
-                break
-            grown = min(filled, width - filled)
-            offset = (offsets[0][:, i:i + 1], offsets[1][:, i:i + 1])
-            step = _add(_times((low[:, :grown], high[:, :grown]), power), offset)
-            low[:, filled:filled + grown], high[:, filled:filled + grown] = step
-            filled += grown
-        out = np.empty((len(s[0]), draws), dtype=np.uint64)
-        out[:, :width] = _xsl_rr((low, high))
-        block, leap = (low, high), (offsets[0][:, -1:], offsets[1][:, -1:])
-        for first in range(width, draws, width):
-            stop = min(first + width, draws)
-            block = _add(_times((block[0][:, :stop - first], block[1][:, :stop - first]), powers[-1]), leap)
-            out[:, first:stop] = _xsl_rr(block)
-        halves = np.stack([out[:, :half] & _MASK32, out[:, :half] >> 32], axis=-1).reshape(len(out), 2 * half)
-        scaled = halves[:, :k] * 6
-        tri[chunk] = scaled >> 32
-        rejected[chunk] = ((scaled & _MASK32) < 4).any(axis=1)
-        u[chunk] = (out[:, half:half + k] >> 11) * 2.0**-53
-        v[chunk] = (out[:, half + k:] >> 11) * 2.0**-53
+    rejected = np.full(count, draws > _WIDTH)
+    if draws <= _WIDTH:
+        rows = _CHUNK // draws
+        powers, totals = _jumps()
+        levels = (draws - 1).bit_length()
+        totals = (totals[0][:levels], totals[1][:levels])
+        for start in range(0, count, rows):
+            chunk = slice(start, start + rows)
+            s, c = (state[0, chunk, None], state[1, chunk, None]), (inc[0, chunk, None], inc[1, chunk, None])
+            # the increment each jump adds to each stream's state
+            offsets = _times(c, totals)
+            low, high = (np.empty((len(s[0]), draws), dtype=np.uint64) for _ in range(2))
+            low[:, :1], high[:, :1] = _add(_times(s, _PCG_MULT), c)
+            filled = 1
+            for i, power in enumerate(powers[:levels]):
+                grown = min(filled, draws - filled)
+                offset = (offsets[0][:, i:i + 1], offsets[1][:, i:i + 1])
+                step = _add(_times((low[:, :grown], high[:, :grown]), power), offset)
+                low[:, filled:filled + grown], high[:, filled:filled + grown] = step
+                filled += grown
+            out = _xsl_rr((low, high))
+            halves = np.stack([out[:, :half] & _MASK32, out[:, :half] >> 32], axis=-1).reshape(len(out), 2 * half)
+            scaled = halves[:, :k] * 6
+            tri[chunk] = scaled >> 32
+            rejected[chunk] = ((scaled & _MASK32) < 4).any(axis=1)
+            u[chunk] = (out[:, half:half + k] >> 11) * 2.0**-53
+            v[chunk] = (out[:, half + k:] >> 11) * 2.0**-53
     if rejected.any():
         bits = np.random.PCG64(0)
         generator = np.random.Generator(bits)
@@ -352,9 +347,10 @@ def place_benchmark(
     Sampling decomposes each hexagon into its six triangles and draws folded
     barycentric coordinates, so it is uniform over the hexagon with no
     rejection loop.  Each small hexagon's draws are those of
-    ``default_rng([seed, index])``, computed in closed form for all hexagons
-    at once; only a hexagon whose bounded integer draw rejects is redrawn
-    through a ``Generator`` set to its seeded state.  Its index in
+    ``default_rng([seed, index])``: up to k = 1638 they are computed in
+    closed form for all hexagons at once, and only a hexagon whose bounded
+    integer draw rejects is redrawn through a ``Generator`` set to its seeded
+    state; beyond, every hexagon is drawn that way.  Its index in
     ``small_hexagon_centers`` order is the sensors' ``hexagon``.
     """
     if k < 1:

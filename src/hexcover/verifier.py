@@ -85,8 +85,8 @@ region_contains = None
 DISK_TOL = 1e-9  # relative, on squared distances
 MAX_FAILING_POINTS = 100
 # Probe budget of one verify run.  The grid stage builds no nodes: clipping
-# peaks at 5, 4 and 3 bytes per raw grid point (its 1-byte difference array
-# and mask, and the run temporaries), and counting at 9, 8 and 8: the
+# peaks at 4.2, 2.0 and 2.0 bytes per raw grid point (its 1-byte difference
+# array and mask, and the run temporaries), and counting at 9, 8 and 8: the
 # mask, the 4-byte difference array, the kept nodes' 4-byte counts and one
 # block of run temporaries, which weighs most on small grids; only failing
 # nodes get coordinates.  Monte Carlo sampling peaks at 113 bytes per
@@ -96,11 +96,6 @@ MAX_FAILING_POINTS = 100
 # with the grid counted inline), which the budget caps near 1.1 GB
 # (tracemalloc at l = 10, 20 and 30, r = 10, step r/20).
 MAX_PROBES = 10_000_000
-# (sensor, row) intervals per lattice-counting pass.  Each pass's
-# temporaries coexist with the Monte Carlo stage: at 2**13 they take 2.2 MB
-# on the l = 5, k = 60 benchmark workload, against 3.5 MB at 2**14, for the
-# same verify time on both benchmark workloads.
-LATTICE_CHUNK = 1 << 13
 # KD-tree leaf size and fewest probes per query thread of ``coverage_counts``
 # (measured; see its docstring).
 KDTREE_LEAFSIZE = 64
@@ -398,7 +393,7 @@ def lattice_counts(xs: np.ndarray, ys: np.ndarray, sensors: np.ndarray, radius: 
 
     The work is O(sensors × rows per disk), not O(disk hits).  The
     (sensor, row) runs go through ``tiling.run_counts`` in blocks of about
-    ``LATTICE_CHUNK``, so the temporaries stay a few MB besides the
+    ``tiling.RUN_CHUNK``, so the temporaries stay a few MB besides the
     4-byte-per-node counts.
     """
     sx, sy = sensors[:, 0], sensors[:, 1]
@@ -412,7 +407,7 @@ def lattice_counts(xs: np.ndarray, ys: np.ndarray, sensors: np.ndarray, radius: 
         return run_ends(lambda j, pair: _disk(xs[j] - x0[pair], base[pair], bound), xs, x0 - half, x0 + half)
 
     rows = run_ends(lambda i, sensor: _disk(ys[i] - sy[sensor], 0.0, bound), ys, sy - reach, sy + reach)
-    return run_counts((len(ys), len(xs)), rows, columns, LATTICE_CHUNK, np.int32)
+    return run_counts((len(ys), len(xs)), rows, columns, np.int32)
 
 
 def _counted(points: np.ndarray, sensors: np.ndarray, radius: float):

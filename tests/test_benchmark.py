@@ -269,10 +269,31 @@ class TestTileStreams:
     def test_draws_equal_the_per_tile_generators(self, seed, k, count):
         assert_same_draws(benchmark._tile_draws(seed, count, k), reference_tile_draws(seed, count, k))
 
+    @pytest.mark.parametrize("k", [1638, 1639, 3500])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_one_tile_drawn_past_the_doubling_width(self, seed):
-        # 1750 + 7000 draws: two leaps of _WIDTH after the doubled block
-        assert_same_draws(benchmark._tile_draws(seed, 1, 3500), reference_tile_draws(seed, 1, 3500))
+    def test_streams_on_both_sides_of_the_closed_form_width(self, seed, k):
+        # k = 1638 draws 819 + 3276 = 4095 values, the longest stream drawn in
+        # closed form: its last doubling fills 2047 of 2048 columns.  k = 1639
+        # (4098 draws) and k = 3500 (8750) are past _WIDTH, so every tile is
+        # drawn through Generator from its seeded state.
+        draws = benchmark._stream_draws(*benchmark._tile_streams(seed, 2), k)
+        assert_same_draws(draws[:3], reference_tile_draws(seed, 2, k))
+        assert draws[3].tolist() == [k > 1638] * 2
+
+    @pytest.mark.parametrize("count", [1, 2, 1027])
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 11, 12, 13])
+    @pytest.mark.parametrize("width", [2**3, 2**5])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_both_routes_at_a_narrow_width(self, seed, width, k, count, monkeypatch):
+        # At 2**3, k = 3 draws exactly _WIDTH and k >= 10 takes the generator
+        # route; at 2**5 the routes part between k = 12 (30 draws) and 13 (33).
+        # The jump table is cached at the real width first; the narrow width
+        # uses its first levels.
+        benchmark._jumps()
+        monkeypatch.setattr(benchmark, "_WIDTH", width)
+        draws = benchmark._stream_draws(*benchmark._tile_streams(seed, count), k)
+        assert_same_draws(draws[:3], reference_tile_draws(seed, count, k))
+        assert draws[3].all() == (-(-k // 2) + 2 * k > width)
 
     def test_negative_seeds_are_refused(self):
         with pytest.raises(ValueError):

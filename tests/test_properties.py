@@ -89,7 +89,7 @@ def test_region_mask_equals_per_hexagon_union_on_axes_through_boundary_points(ca
 @pytest.mark.parametrize("tol", [REGION_TOL, 0.43])
 def test_region_mask_equals_per_hexagon_union_across_chunks(tol, chunk, monkeypatch):
     monkeypatch.setattr(tiling, "REGION_TOL", tol)
-    monkeypatch.setattr(tiling, "REGION_CHUNK", chunk)
+    monkeypatch.setattr(tiling, "RUN_CHUNK", chunk)
     model = model_for(4, 2.5)
     min_x, min_y, max_x, max_y = model.bounding_box()
     rng = np.random.default_rng(11)
@@ -408,7 +408,7 @@ def test_lattice_counts_equal_kd_tree_away_from_disk_boundaries(case):
 
 
 def test_lattice_counts_across_chunks(monkeypatch):
-    monkeypatch.setattr(verifier, "LATTICE_CHUNK", 7)
+    monkeypatch.setattr(tiling, "RUN_CHUNK", 7)
     rng = np.random.default_rng(5)
     xs, ys = np.arange(-3.0, 3.0, 0.15), np.arange(-2.0, 2.5, 0.15)
     sensors = rng.uniform(-4.0, 4.0, size=(40, 2))
