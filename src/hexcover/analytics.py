@@ -1,10 +1,17 @@
-"""Density formulas, asymptotic ratios, and the figure-table sweeps.
+"""The paper's closed forms: counts, densities, asymptotic ratios and the figure-table sweeps.
 
-All series here come from the closed forms; nothing is sampled.  A sweep is
-set by the three ranges ``hexcover sweep`` exposes: radii, k and l.
-``SERIES`` holds what each of fig4-fig7 keeps fixed and which pair of closed
-forms it draws; fig8 is the k x l grid.  The default ranges are tool defaults
-(the source material fixes none), so the CSV meta line marks them as such.
+All series here come from the closed forms; nothing is sampled.  The module
+runs on the standard library alone, so ``compare``, ``sweep`` and the CLI's
+argument checks load no numpy: the hexagon and sensor counts, the comparison
+scheme's counts, ``InvariantViolation`` and ``FLOAT_LIMIT`` live here, and
+``tiling``, ``deployment``, ``benchmark`` and ``verifier`` import them back
+under their old names.
+
+A sweep is set by the three ranges ``hexcover sweep`` exposes: radii, k and
+l.  ``SERIES`` holds what each of fig4-fig7 keeps fixed and which pair of
+closed forms it draws; fig8 is the k x l grid.  The default ranges are tool
+defaults (the source material fixes none), so the CSV meta line marks them
+as such.
 """
 
 from __future__ import annotations
@@ -12,8 +19,61 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .benchmark import benchmark_count
-from .deployment import total_count
+
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed (not a user error)."""
+
+
+# Largest magnitude of a sensor coordinate, a radius or a reciprocal radius
+# that verify accepts: squared distances then stay finite normal floats,
+# which the disk test and the KD-tree compare.
+FLOAT_LIMIT = 1e150
+
+
+def hexagon_count(layers: int) -> int:
+    """Closed-form hexagon count of a ``layers``-ring patch: 1 + 3l(l-1)."""
+    return 1 + 3 * layers * (layers - 1)
+
+
+def per_hexagon_count(k: int) -> int:
+    """Sensors needed for k-coverage of one hexagon on its own: 3k - 2."""
+    return 3 * k - 2
+
+
+def total_count(layers: int, k: int) -> int:
+    """Closed-form sensor count for the whole patch."""
+    if k == 1:
+        return hexagon_count(layers)
+    if k == 2:
+        return 6 * layers * layers - 3 * layers + 1
+    return (
+        9 * (k - 2) * layers * layers
+        - 3 * (3 * k - 8) * layers
+        + (3 * k - 8)
+    )
+
+
+def small_hexagon_formula_count(layers: int) -> int:
+    """The printed tile count for the comparison scheme: 15 l^2 - 27 l + 18."""
+    return 15 * layers * layers - 27 * layers + 18
+
+
+def benchmark_count(layers: int, k: int) -> int:
+    """Closed-form sensor count of the comparison scheme."""
+    if k == 1:
+        return hexagon_count(layers)
+    return k * small_hexagon_formula_count(layers)
+
+
+def count_gap(layers: int, k: int) -> int:
+    """benchmark_count minus the proposed strategy's total_count (never negative)."""
+    gap = benchmark_count(layers, k) - total_count(layers, k)
+    if gap < 0:
+        raise InvariantViolation(
+            f"benchmark count fell below the proposed count at l={layers}, k={k}"
+        )
+    return gap
+
 
 _DENOM = 3.0 * math.sqrt(3.0)
 

@@ -38,25 +38,15 @@ from functools import cache
 
 import numpy as np
 
-from .deployment import Deployment, InvariantViolation, total_count
+# The scheme's closed forms live in ``analytics``; they keep their old paths here.
+from .analytics import benchmark_count, count_gap, small_hexagon_formula_count
+from .deployment import Deployment
 # Nothing here builds a ``Hexagon``; the name stays because perfbench/spans.py
 # wraps ``benchmark.Hexagon`` and tests/test_tracing.py runs that tracer.
 from .geometry import SQRT3, Hexagon
-from .tiling import VERTEX_OFFSETS, SolarModel, hexagon_count, region_mask, triangle_samples
+from .tiling import VERTEX_OFFSETS, SolarModel, region_mask, triangle_samples
 
 SMALL_SIDE = Fraction(1, 2)
-
-
-def benchmark_count(layers: int, k: int) -> int:
-    """Closed-form sensor count of the comparison scheme."""
-    if k == 1:
-        return hexagon_count(layers)
-    return k * small_hexagon_formula_count(layers)
-
-
-def small_hexagon_formula_count(layers: int) -> int:
-    """The printed tile count for the comparison scheme: 15 l^2 - 27 l + 18."""
-    return 15 * layers * layers - 27 * layers + 18
 
 
 def _scan_reach(layers: int) -> int:
@@ -67,16 +57,6 @@ def _scan_reach(layers: int) -> int:
 def candidate_count(layers: int) -> int:
     """Small hexagons ``small_hexagon_centers`` tests for containment: (8l + 9)^2."""
     return (2 * _scan_reach(layers) + 1) ** 2
-
-
-def count_gap(layers: int, k: int) -> int:
-    """benchmark_count minus the proposed strategy's total_count (never negative)."""
-    gap = benchmark_count(layers, k) - total_count(layers, k)
-    if gap < 0:
-        raise InvariantViolation(
-            f"benchmark count fell below the proposed count at l={layers}, k={k}"
-        )
-    return gap
 
 
 # Twice the lattice coefficients (x, y) of the center and the six vertices of

@@ -1,13 +1,21 @@
 """Command-line front end: plan, verify, compare, sweep.
 
 Exit codes: 0 success / coverage pass, 1 coverage fail, 2 usage, input or
-memory error (or, for verify, a scipy that fails to import), 3 internal
-invariant violation.  All randomness flows from --seed.
+memory error (or a numpy that fails to import for plan and verify, or a
+scipy for verify), 3 internal invariant violation.  All randomness flows
+from --seed.
+
+Importing this module, building its parser, ``--help``, ``--version``, every
+usage error, ``compare`` and ``sweep`` run on the standard library and
+``analytics`` alone.  The first ``plan`` or ``verify`` binds the
+numpy-backed callees into this module's globals (``_bind_callees``), and
+verify's first KD-tree build imports scipy.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -15,40 +23,39 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analytics import (
     DEFAULT_KS,
     DEFAULT_LS,
     DEFAULT_RADII,
     FIGURE_IDS,
+    FLOAT_LIMIT,
+    InvariantViolation,
     SweepSpec,
+    benchmark_count,
+    count_gap,
     count_ratio,
     density_benchmark,
     density_proposed,
     emit_figure_table,
     finite,
+    hexagon_count,
+    small_hexagon_formula_count,
+    total_count,
     write_figure_csv,
 )
-from .benchmark import (
-    benchmark_count,
-    candidate_count,
-    count_gap,
-    place_benchmark,
-    small_hexagon_formula_count,
-)
-from .deployment import InvariantViolation, count_by_kind, place_proposed, total_count
-from .sensor_io import (
-    SensorFileError,
-    deployment_parameters,
-    load_deployment,
-    read_sensors_csv,
-    write_sensors_csv,
-    write_sensors_json,
-)
-from .tiling import build_solar_model, hexagon_count, vertex_count
-from .verifier import FLOAT_LIMIT, MAX_PROBES, probe_estimate, verify_coverage
+
+# The numpy-backed names plan and verify call, by the module that defines
+# them.  ``_bind_callees`` binds them into this module's globals, where
+# ``run_plan`` and ``run_verify`` look them up.
+_CALLEES = {
+    ".benchmark": ("candidate_count", "place_benchmark"),
+    ".deployment": ("count_by_kind", "place_proposed"),
+    ".sensor_io": ("SensorFileError", "deployment_parameters", "load_deployment",
+                   "read_sensors_csv", "write_sensors_csv", "write_sensors_json"),
+    ".tiling": ("build_solar_model", "vertex_count"),
+    ".verifier": ("MAX_PROBES", "probe_estimate", "verify_coverage"),
+}
 
 EXIT_OK = 0
 EXIT_COVERAGE_FAIL = 1
@@ -105,6 +112,28 @@ def _add_patch_args(parser: argparse.ArgumentParser, radius_type) -> None:
     parser.add_argument("--layers", type=_positive_int, default=1, help="hexagon rings in the patch (default: 1)")
     parser.add_argument("--coverage", type=_positive_int, default=1, help="coverage target k (default: 1)")
     parser.add_argument("--radius", type=radius_type, default=1.0, help="sensing radius / hexagon side in meters (default: 1)")
+
+
+def _bind_callees() -> None:
+    """Import numpy and the ``_CALLEES`` into this module's globals; an ImportError if numpy fails.
+
+    A name already bound is kept: perfbench/spans.py and the tests swap
+    some of them for wrappers, which must see every call.
+    """
+    namespace = globals()
+    namespace.setdefault("np", importlib.import_module("numpy"))
+    for module, names in _CALLEES.items():
+        source = importlib.import_module(module, __package__)
+        for name in names:
+            namespace.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    """A callee named before the first plan or verify, as in ``from hexcover.cli import load_deployment``."""
+    if any(name in names for names in _CALLEES.values()):
+        _bind_callees()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,7 +289,7 @@ def run_verify(args: argparse.Namespace) -> int:
             mc_samples=args.mc_samples,
             fail_fast=args.fail_fast,
         )
-    except ImportError as exc:  # scipy is imported on the first KD-tree build
+    except ImportError as exc:  # scipy, imported on the first KD-tree build; main has imported numpy
         print(f"error: verify counts disks with scipy, which failed to import: {exc}", file=sys.stderr)
         return EXIT_USAGE
     payload = report.to_dict()
@@ -326,6 +355,12 @@ def run_sweep(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.subcommand in ("plan", "verify"):
+        try:
+            _bind_callees()
+        except ImportError as exc:  # numpy, the first module _bind_callees imports
+            print(f"error: {args.subcommand} needs numpy, which failed to import: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         if args.subcommand == "plan":
             return run_plan(args)

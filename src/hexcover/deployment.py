@@ -1,4 +1,4 @@
-"""Sensor placement on a solar-model patch, with closed-form count formulas.
+"""Sensor placement on a solar-model patch, checked against the closed-form counts in ``analytics``.
 
 The strategy is cumulative in the coverage target k:
 
@@ -30,20 +30,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# The closed forms live in ``analytics``; they keep their old paths here.
+from .analytics import InvariantViolation, hexagon_count, per_hexagon_count, total_count
 from .tiling import (
     EVEN,
     ODD,
     PARITY_NAMES,
     VERTEX_OFFSETS,
     SolarModel,
-    hexagon_count,
     row_keys,
     units_xy,
 )
-
-
-class InvariantViolation(RuntimeError):
-    """An internal consistency check failed (not a user error)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,24 +73,6 @@ class Deployment:
 
     def sensor_count(self) -> int:
         return len(self.sensors)
-
-
-def per_hexagon_count(k: int) -> int:
-    """Sensors needed for k-coverage of one hexagon on its own: 3k - 2."""
-    return 3 * k - 2
-
-
-def total_count(layers: int, k: int) -> int:
-    """Closed-form sensor count for the whole patch."""
-    if k == 1:
-        return hexagon_count(layers)
-    if k == 2:
-        return 6 * layers * layers - 3 * layers + 1
-    return (
-        9 * (k - 2) * layers * layers
-        - 3 * (3 * k - 8) * layers
-        + (3 * k - 8)
-    )
 
 
 def count_by_kind(layers: int, k: int) -> dict[str, int]:

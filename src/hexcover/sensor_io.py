@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .deployment import Deployment, InvariantViolation
+from .analytics import FLOAT_LIMIT, InvariantViolation
+from .deployment import Deployment
 from .tiling import build_solar_model, model_to_dict
-from .verifier import FLOAT_LIMIT
 
 CSV_HEADER = "x,y,provenance,hexagon,strategy"
 SHARED = "shared"  # hexagon field of a shared vertex sensor (hexagon -1)

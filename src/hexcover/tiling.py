@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# hexagon_count lives in ``analytics`` and keeps its old path here.
+from .analytics import hexagon_count
 from .geometry import SQRT3, VERTEX_UNITS, Hexagon, LatticePoint
 
 EVEN = "even"
@@ -111,11 +113,6 @@ class SolarModel:
 def extreme_units(layers: int) -> tuple[int, int]:
     """Largest |x| and |y| lattice coefficients of a patch vertex (see ``bounding_box``)."""
     return 3 * layers - 1, 2 * layers - 1
-
-
-def hexagon_count(layers: int) -> int:
-    """Closed-form hexagon count of a ``layers``-ring patch: 1 + 3l(l-1)."""
-    return 1 + 3 * layers * (layers - 1)
 
 
 def vertex_count(layers: int) -> int:

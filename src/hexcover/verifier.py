@@ -49,7 +49,10 @@ is the package's one triangle-in-disk kernel, behind the sampling-free
 Both KD-tree users build their tree with ``_kdtree``, the package's one
 tree constructor and its only import of scipy.  scipy is imported there, on
 the first tree build, so importing the package and running plan, compare or
-sweep never loads it.
+sweep never loads it.  This module itself imports numpy; the CLI imports
+it on the first plan or verify (``cli._bind_callees``), and its argument
+checks read ``FLOAT_LIMIT`` from ``analytics``, so compare and sweep load
+neither.
 """
 
 from __future__ import annotations
@@ -62,14 +65,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .deployment import Deployment, InvariantViolation, remove_sensors
+# FLOAT_LIMIT lives in ``analytics`` and keeps its old path here.
+from .analytics import FLOAT_LIMIT, InvariantViolation, hexagon_count
+from .deployment import Deployment, remove_sensors
 from .tiling import (
     SQRT3,
     VERTEX_OFFSETS,
     SolarModel,
     build_solar_model,
     extreme_units,
-    hexagon_count,
     patch_triangles,
     region_mask,
     row_keys,
@@ -100,10 +104,6 @@ MAX_PROBES = 10_000_000
 # (measured; see its docstring).
 KDTREE_LEAFSIZE = 64
 MIN_PROBES_PER_WORKER = 1 << 12
-# Largest magnitude of a sensor coordinate, a radius or a reciprocal radius
-# that verify accepts: squared distances then stay finite normal floats,
-# which the disk test and the KD-tree compare.
-FLOAT_LIMIT = 1e150
 # Relative widening of ``covering_pairs``' squared candidate reach.
 COVER_SLACK = 1e-9
 

@@ -1,6 +1,11 @@
 """Tests for densities, ratios, and the figure tables."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from hexcover.analytics import (
     emit_figure_table,
     figure_csv_lines,
 )
+import hexcover
 from hexcover.benchmark import benchmark_count
 from hexcover.deployment import total_count
 
@@ -251,3 +257,45 @@ class TestCsvEmission:
         lines = figure_csv_lines(emit_figure_table("fig4"), "0.1.0")
         first_density = lines[2].split(",")[1]
         assert first_density == format(density_proposed(2, 1.0), ".6g")
+
+
+class TestExports:
+    """The closed forms live in ``analytics`` and stay reachable, as the same objects, under their old paths."""
+
+    OLD_PATHS = {
+        "hexagon_count": "tiling",
+        "per_hexagon_count": "deployment",
+        "total_count": "deployment",
+        "InvariantViolation": "deployment",
+        "small_hexagon_formula_count": "benchmark",
+        "benchmark_count": "benchmark",
+        "count_gap": "benchmark",
+        "FLOAT_LIMIT": "verifier",
+    }
+
+    CHILD = (
+        "import importlib, json, sys\n"
+        "from hexcover import *\n"
+        "import hexcover, hexcover.analytics as analytics\n"
+        "unbound = [name for name in hexcover.__all__ if name not in globals()]\n"
+        "moved = {name: [getattr(importlib.import_module(f'hexcover.{module}'), name) is getattr(analytics, name),\n"
+        "                name not in hexcover.__all__ or getattr(hexcover, name) is getattr(analytics, name)]\n"
+        "         for name, module in json.loads(sys.argv[1]).items()}\n"
+        "print(json.dumps([unbound, moved]))\n"
+    )
+
+    def test_star_import_binds_all_and_moved_names_keep_their_identity(self):
+        src = str(Path(hexcover.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", self.CHILD, json.dumps(self.OLD_PATHS)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        unbound, moved = json.loads(child.stdout.splitlines()[-1])
+        assert unbound == []
+        assert moved == {name: [True, True] for name in self.OLD_PATHS}
+
+    def test_unknown_package_attribute_is_an_attribute_error(self):
+        assert not hasattr(hexcover, "no_such_name")
+        assert {"cli", "verifier", *hexcover.__all__} <= set(dir(hexcover))

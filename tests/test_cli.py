@@ -622,47 +622,72 @@ class TestPlanVerifyPipeline:
 
 
 class TestScipyIsLoadedByVerifyOnly:
-    """scipy is imported on verify's first KD-tree build; nothing else loads it or needs it."""
+    """numpy is loaded by the first plan or verify and scipy by verify's first KD-tree build; nothing else needs them."""
 
     CHILD = (
-        "import json, sys\n"
-        "if sys.argv[1] == 'without-scipy':\n"
-        "    sys.modules['scipy'] = None\n"
+        "import contextlib, io, json, sys\n"
+        "if sys.argv[1] != 'with-both':\n"
+        "    sys.modules[sys.argv[1].removeprefix('without-')] = None\n"
+        "def loaded():\n"
+        "    return [sys.modules.get(name) is not None for name in ('numpy', 'scipy')]\n"
         "import hexcover, hexcover.cli\n"
         "hexcover.cli.build_parser()\n"
-        "steps = [['import', 0, 'scipy' in sys.modules]]\n"
-        "for argv in json.loads(sys.argv[2]):\n"
-        "    steps.append([argv[0], hexcover.cli.main(argv), 'scipy' in sys.modules])\n"
+        "steps = [['import', 0, *loaded(), '']]\n"
+        "for name, argv in json.loads(sys.argv[2]):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = hexcover.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    steps.append([name, code, *loaded(), err.getvalue()])\n"
         "print(json.dumps(steps))\n"
     )
 
-    def _child(self, scipy: str, tmp_path):
-        """(subcommand, exit code, scipy in sys.modules) after each step of a fresh interpreter, and its stderr."""
+    def _child(self, mode: str, tmp_path):
+        """[step, exit code, numpy loaded, scipy loaded, stderr] after each step of a fresh interpreter."""
         sensors = str(tmp_path / "sensors.csv")
         runs = [
-            ["compare", "--layers", "3", "--coverage", "5", "--radius", "10"],
-            ["sweep", "--output", str(tmp_path / "figures"), "--l-max", "3", "--k-max", "3", "--r-stop", "3"],
-            ["plan", "--layers", "2", "--coverage", "3", "--output", sensors],
-            ["verify", "--input", sensors, "--mc-samples", "100"],
+            ["compare", ["compare", "--layers", "3", "--coverage", "5", "--radius", "10"]],
+            ["sweep", ["sweep", "--output", str(tmp_path / "figures"), "--l-max", "3", "--k-max", "3", "--r-stop", "3"]],
+            ["version", ["--version"]],
+            ["usage", ["plan", "--layers", "0"]],
+            ["plan", ["plan", "--layers", "2", "--coverage", "3", "--output", sensors]],
+            ["verify", ["verify", "--input", sensors, "--mc-samples", "100"]],
         ]
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         child = subprocess.run(
-            [sys.executable, "-c", self.CHILD, scipy, json.dumps(runs)],
+            [sys.executable, "-c", self.CHILD, mode, json.dumps(runs)],
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
         )
         assert child.returncode == 0, child.stderr
-        return json.loads(child.stdout.splitlines()[-1]), child.stderr
+        return json.loads(child.stdout.splitlines()[-1])
+
+    @staticmethod
+    def _one_error_line(stderr: str, named: str) -> bool:
+        return stderr.startswith("error: ") and stderr.count("\n") == 1 and named in stderr
 
     def test_only_verify_imports_scipy(self, tmp_path):
-        steps, _ = self._child("with-scipy", tmp_path)
-        assert steps == [
-            ["import", 0, False], ["compare", 0, False], ["sweep", 0, False], ["plan", 0, False], ["verify", 0, True],
+        steps = self._child("with-both", tmp_path)
+        assert [step[:4] for step in steps] == [
+            ["import", 0, False, False], ["compare", 0, False, False], ["sweep", 0, False, False],
+            ["version", 0, False, False], ["usage", 2, False, False],
+            ["plan", 0, True, False], ["verify", 0, True, True],
         ]
 
     def test_verify_without_scipy_is_a_usage_error(self, tmp_path):
-        steps, err = self._child("without-scipy", tmp_path)
-        assert [(name, code) for name, code, _ in steps] == [
-            ("import", 0), ("compare", 0), ("sweep", 0), ("plan", 0), ("verify", 2),
+        steps = self._child("without-scipy", tmp_path)
+        assert [step[:2] for step in steps] == [
+            ["import", 0], ["compare", 0], ["sweep", 0], ["version", 0], ["usage", 2], ["plan", 0], ["verify", 2],
         ]
-        assert err.startswith("error: ") and err.count("\n") == 1 and "scipy" in err
+        assert self._one_error_line(steps[-1][4], "scipy")
+
+    def test_plan_and_verify_without_numpy_are_usage_errors(self, tmp_path):
+        steps = self._child("without-numpy", tmp_path)
+        assert [step[:2] for step in steps] == [
+            ["import", 0], ["compare", 0], ["sweep", 0], ["version", 0], ["usage", 2], ["plan", 2], ["verify", 2],
+        ]
+        for _, _, _, _, stderr in steps[-2:]:
+            assert self._one_error_line(stderr, "numpy") and "scipy" not in stderr
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["figures"]
