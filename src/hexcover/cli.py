@@ -50,7 +50,7 @@ from .analytics import (
 # ``run_plan`` and ``run_verify`` look them up.
 _CALLEES = {
     ".benchmark": ("candidate_count", "place_benchmark"),
-    ".deployment": ("count_by_kind", "place_proposed"),
+    ".deployment": ("count_by_kind", "place_proposed", "placed_by_kind"),
     ".sensor_io": ("SensorFileError", "deployment_parameters", "load_deployment",
                    "read_sensors_csv", "write_sensors_csv", "write_sensors_json"),
     ".tiling": ("build_solar_model", "vertex_count"),
@@ -115,13 +115,12 @@ def _add_patch_args(parser: argparse.ArgumentParser, radius_type) -> None:
 
 
 def _bind_callees() -> None:
-    """Import numpy and the ``_CALLEES`` into this module's globals; an ImportError if numpy fails.
+    """Import the ``_CALLEES`` into this module's globals; an ImportError if numpy fails.
 
     A name already bound is kept: perfbench/spans.py and the tests swap
     some of them for wrappers, which must see every call.
     """
     namespace = globals()
-    namespace.setdefault("np", importlib.import_module("numpy"))
     for module, names in _CALLEES.items():
         source = importlib.import_module(module, __package__)
         for name in names:
@@ -218,9 +217,9 @@ def run_plan(args: argparse.Namespace) -> int:
         # place_proposed raises InvariantViolation unless placed == formula.
         deployment = place_proposed(model, args.coverage, parity=args.parity)
         deployment = replace(deployment, meta={**deployment.meta, "seed": args.seed})
+        kinds = placed_by_kind(deployment)
         by_kind = " ".join(
-            f"{kind}={np.char.startswith(deployment.provenance, kind).sum()}/{formula}"
-            for kind, formula in count_by_kind(args.layers, args.coverage).items()
+            f"{kind}={kinds[kind]}/{formula}" for kind, formula in count_by_kind(args.layers, args.coverage).items()
         )
         details = (
             f"formula={total_count(args.layers, args.coverage)} {by_kind} "
@@ -358,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.subcommand in ("plan", "verify"):
         try:
             _bind_callees()
-        except ImportError as exc:  # numpy, the first module _bind_callees imports
+        except ImportError as exc:  # numpy, which every module in _CALLEES imports
             print(f"error: {args.subcommand} needs numpy, which failed to import: {exc}", file=sys.stderr)
             return EXIT_USAGE
     try:

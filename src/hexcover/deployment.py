@@ -85,6 +85,11 @@ def count_by_kind(layers: int, k: int) -> dict[str, int]:
     }
 
 
+def placed_by_kind(deployment: Deployment) -> dict[str, int]:
+    """Placed sensors by provenance kind, keyed as ``count_by_kind``."""
+    return {kind: int(np.char.startswith(deployment.provenance, kind).sum()) for kind in ("center", "vertex", "segment")}
+
+
 def place_proposed(model: SolarModel, k: int, parity: str = EVEN) -> Deployment:
     """Place sensors for k-coverage of the patch; deterministic and exact.
 

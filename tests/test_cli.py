@@ -645,7 +645,11 @@ class TestScipyIsLoadedByVerifyOnly:
     )
 
     def _child(self, mode: str, tmp_path):
-        """[step, exit code, numpy loaded, scipy loaded, stderr] after each step of a fresh interpreter."""
+        """[step, exit code, numpy loaded, scipy loaded, stderr] after each step of a fresh interpreter.
+
+        Each step's stderr is captured on its own; whatever the child writes
+        outside the steps (at import, say) must be nothing.
+        """
         sensors = str(tmp_path / "sensors.csv")
         runs = [
             ["compare", ["compare", "--layers", "3", "--coverage", "5", "--radius", "10"]],
@@ -662,11 +666,23 @@ class TestScipyIsLoadedByVerifyOnly:
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
         )
         assert child.returncode == 0, child.stderr
+        assert child.stderr == ""
         return json.loads(child.stdout.splitlines()[-1])
 
     @staticmethod
-    def _one_error_line(stderr: str, named: str) -> bool:
-        return stderr.startswith("error: ") and stderr.count("\n") == 1 and named in stderr
+    def _assert_stderr(steps, errors: dict[str, str]) -> None:
+        """Only the usage step and the steps in ``errors`` write to stderr.
+
+        The usage step writes argparse's usage and error lines; a step in
+        ``errors`` writes one ``error:`` line naming the module it maps to.
+        """
+        for name, _, _, _, stderr in steps:
+            if name == "usage":
+                assert stderr.startswith("usage: hexcover plan ") and "error: argument --layers" in stderr
+            elif name in errors:
+                assert stderr.startswith("error: ") and stderr.count("\n") == 1 and errors[name] in stderr
+            else:
+                assert stderr == "", name
 
     def test_only_verify_imports_scipy(self, tmp_path):
         steps = self._child("with-both", tmp_path)
@@ -675,19 +691,20 @@ class TestScipyIsLoadedByVerifyOnly:
             ["version", 0, False, False], ["usage", 2, False, False],
             ["plan", 0, True, False], ["verify", 0, True, True],
         ]
+        self._assert_stderr(steps, {})
 
     def test_verify_without_scipy_is_a_usage_error(self, tmp_path):
         steps = self._child("without-scipy", tmp_path)
         assert [step[:2] for step in steps] == [
             ["import", 0], ["compare", 0], ["sweep", 0], ["version", 0], ["usage", 2], ["plan", 0], ["verify", 2],
         ]
-        assert self._one_error_line(steps[-1][4], "scipy")
+        self._assert_stderr(steps, {"verify": "scipy"})
 
     def test_plan_and_verify_without_numpy_are_usage_errors(self, tmp_path):
         steps = self._child("without-numpy", tmp_path)
         assert [step[:2] for step in steps] == [
             ["import", 0], ["compare", 0], ["sweep", 0], ["version", 0], ["usage", 2], ["plan", 2], ["verify", 2],
         ]
-        for _, _, _, _, stderr in steps[-2:]:
-            assert self._one_error_line(stderr, "numpy") and "scipy" not in stderr
+        self._assert_stderr(steps, {"plan": "numpy", "verify": "numpy"})
+        assert not any("scipy" in stderr for *_, stderr in steps)
         assert sorted(path.name for path in tmp_path.iterdir()) == ["figures"]

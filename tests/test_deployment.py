@@ -13,6 +13,7 @@ from hexcover.deployment import (
     count_by_kind,
     per_hexagon_count,
     place_proposed,
+    placed_by_kind,
     remove_sensors,
     total_count,
 )
@@ -168,8 +169,10 @@ class TestCountFormulas:
     def test_counts_by_kind_match_provenance(self, layers):
         m = build_solar_model(layers)
         for k in range(1, 8):
-            placed = kinds(place_proposed(m, k))
+            deployment = place_proposed(m, k)
+            placed = kinds(deployment)
             assert {kind: placed.count(kind) for kind in ("center", "vertex", "segment")} == count_by_kind(layers, k)
+            assert placed_by_kind(deployment) == count_by_kind(layers, k)
 
     @pytest.mark.parametrize("layers", range(1, 7))
     def test_enumeration_matches_closed_form(self, layers):
