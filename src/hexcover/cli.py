@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / coverage pass, 1 coverage fail, 2 usage, input or
 memory error (or a numpy that fails to import for plan and verify, or a
-scipy for verify), 3 internal invariant violation.  All randomness flows
-from --seed.
+scipy for verify), 3 internal invariant violation.  A closed stdout changes
+no exit code: every file is written before the summary lines, which then go
+nowhere (``_say``).  All randomness flows from --seed.
 
 Importing this module, building its parser, ``--help``, ``--version``, every
 usage error, ``compare`` and ``sweep`` run on the standard library and
@@ -18,6 +19,7 @@ import argparse
 import importlib
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -112,6 +114,17 @@ def _add_patch_args(parser: argparse.ArgumentParser, radius_type) -> None:
     parser.add_argument("--layers", type=_positive_int, default=1, help="hexagon rings in the patch (default: 1)")
     parser.add_argument("--coverage", type=_positive_int, default=1, help="coverage target k (default: 1)")
     parser.add_argument("--radius", type=radius_type, default=1.0, help="sensing radius / hexagon side in meters (default: 1)")
+
+
+def _say(*lines: str) -> None:
+    """Print ``lines`` to stdout; a reader that has gone (a closed pipe) changes neither the run nor its exit code."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        # the rest of stdout, and its flush at exit, go to the null device instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _bind_callees() -> None:
@@ -243,8 +256,7 @@ def run_plan(args: argparse.Namespace) -> int:
     )
 
     (write_sensors_csv if args.format == "csv" else write_sensors_json)(args.output, deployment)
-    print(summary)
-    print(f"wrote {placed} sensors to {args.output}")
+    _say(summary, f"wrote {placed} sensors to {args.output}")
     return EXIT_OK
 
 
@@ -296,7 +308,7 @@ def run_verify(args: argparse.Namespace) -> int:
         with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-    print(
+    _say(
         f"verify: target_k={report.target_k} samples={report.samples} "
         f"min_coverage={report.min_coverage} result={'pass' if report.passed else 'fail'}"
     )
@@ -324,12 +336,14 @@ def run_compare(args: argparse.Namespace) -> int:
         "benchmark_density": densities[1],
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        _say(json.dumps(payload, indent=2))
     else:
-        print(f"compare: l={l} k={k} r={r:g}")
-        print(f"  proposed   n={n:<12} density={payload['proposed_density']:.6g}")
-        print(f"  benchmark  n={n_ex:<12} density={payload['benchmark_density']:.6g}")
-        print(f"  gap={payload['gap']}  ratio={payload['count_ratio']:.6g}")
+        _say(
+            f"compare: l={l} k={k} r={r:g}",
+            f"  proposed   n={n:<12} density={payload['proposed_density']:.6g}",
+            f"  benchmark  n={n_ex:<12} density={payload['benchmark_density']:.6g}",
+            f"  gap={payload['gap']}  ratio={payload['count_ratio']:.6g}",
+        )
     return EXIT_OK
 
 
@@ -347,7 +361,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for table in tables:
         write_figure_csv(table, out_dir / f"{table.figure_id}.csv", __version__)
-    print(f"sweep: wrote {len(tables)} figure files to {out_dir}")
+    _say(f"sweep: wrote {len(tables)} figure files to {out_dir}")
     return EXIT_OK
 
 

@@ -28,8 +28,8 @@ Carlo probes are counted with a KD-tree (``coverage_counts``), in spatial
 cell order, on as many threads as the process may run on (its CPU affinity
 mask), each taking at least ``MIN_PROBES_PER_WORKER`` probes, so the few
 thousand structured probes stay on one thread while the Monte Carlo samples
-are split.  scipy's query threads release the GIL and count each probe on
-its own, so the counts depend on neither the order nor the thread count.
+are split.  scipy's query threads count each probe on its own, so the
+counts depend on neither the order nor the thread count.
 The grid is counted on its lattice instead (``lattice_counts``): along one
 grid row the float predicate ``(x - sx)**2 + (y - sy)**2 <= eff**2`` holds
 on a single contiguous run of columns, because ``fl(x - sx)`` is monotone
@@ -37,10 +37,13 @@ in x, so each sensor adds one column interval per grid row its disk
 reaches.  The two ends of every interval are estimated from the axis pitch
 and settled with that same float predicate (``tiling.run_ends``, the clip's
 helper too), so the counts are the predicate's bit for bit, at a cost of
-O(sensors × rows per disk) instead of O(disk hits).  That counting runs on
-one worker thread while this thread counts the structured and then the
-Monte Carlo probes (``_stages``), or inline under ``fail_fast`` or a finite
-address-space limit; the report is the same either way.
+O(sensors × rows per disk) instead of O(disk hits).  ``_stages`` submits
+that counting to a one-thread ``concurrent.futures.ThreadPoolExecutor``
+right after the grid is clipped, counts the structured and then the Monte
+Carlo probes on this thread meanwhile, and yields the grid stage from the
+future's result, so the worker's exception is raised here.  The grid is
+counted inline under ``fail_fast``, under a finite address-space limit and
+when no thread can be started; the report is the same either way.
 
 The same disk decides which sensors hold whole triangles: ``covering_pairs``
 is the package's one triangle-in-disk kernel, behind the sampling-free
@@ -272,8 +275,9 @@ def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> n
     order, so consecutive queries walk the same tree nodes instead of
     jumping about as the Monte Carlo samples do.  The query runs on
     ``query_workers(len(points))`` of scipy's threads, which release the
-    GIL; each probe is counted by one thread alone, so the counts are the
-    same for any order and thread count.
+    GIL only inside each probe's tree walk and take it back once per probe;
+    each probe is counted by one thread alone, so the counts are the same
+    for any order and thread count.
 
     The constants were measured on cell-ordered probes on a 2-vCPU Xeon, on
     both benchmark workloads (l = 5, k = 60 and the comparison scheme at
@@ -285,6 +289,10 @@ def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> n
     workloads) are counted beside the grid's worker thread, so splitting
     them at 2**11 took 1.03 of the time at ``MIN_PROBES_PER_WORKER`` = 2**12,
     which keeps them on one thread and splits the Monte Carlo samples.
+    Although each probe takes the GIL, the second query thread still pays:
+    with ``query_workers`` forced to 1, ``verify_s`` rose 29-48% in 3
+    alternating 20 s perfbench pairs per workload (``dense-k60-l5`` 0.168-0.171
+    -> 0.226-0.249 s, ``scheme-l10`` 0.146-0.164 -> 0.211-0.214 s).
     """
     if len(points) == 0:
         return np.zeros(0, dtype=int)
@@ -414,91 +422,61 @@ def _counted(points: np.ndarray, sensors: np.ndarray, radius: float):
     return coverage_counts(points, sensors, radius), points.__getitem__
 
 
-class _GridStage:
-    """The grid nodes in the patch, clipped here and counted by ``lattice_counts``.
+def _grid_nodes(xs: np.ndarray, ys: np.ndarray, kept: np.ndarray):
+    """Lookup of the grid's kept nodes by index, in row-major order: their (x, y) coordinates."""
 
-    With ``background`` the counting runs on one worker thread, started
-    here, while the caller goes on; it runs inline, in ``result``, without
-    ``background`` or when ``Thread.start`` raises ``RuntimeError``.  The
-    worker calls ``lattice_counts`` alone, which perfbench does not wrap
-    (its span stack is not thread-safe).  ``result`` gives the counts of the
-    kept nodes in row-major order and a lookup of those nodes by index; it
-    joins the worker and raises the worker's exception, ``MemoryError``
-    included, on the calling thread.  ``join`` only waits for the worker.
-    """
+    def nodes(index: np.ndarray) -> np.ndarray:
+        row, column = np.divmod(np.flatnonzero(kept)[index], len(xs))
+        return np.column_stack([xs[column], ys[row]])
 
-    def __init__(self, model: SolarModel, step: float, sensors: np.ndarray, radius: float, background: bool):
-        self.xs, self.ys, self.kept = grid_points(model, step)
-        self._sensors, self._radius = sensors, radius
-        self._outcome = None
-        self._worker = None
-        if background:
-            import threading  # numpy has imported it already, so this is a lookup
-
-            worker = threading.Thread(target=self._count, name="lattice_counts", daemon=True)
-            try:
-                worker.start()
-            except RuntimeError:  # no thread can be started: count inline
-                return
-            self._worker = worker
-
-    def _count(self):
-        try:
-            self._outcome = lattice_counts(self.xs, self.ys, self._sensors, self._radius), None
-        except BaseException as exc:  # raised again on the calling thread, by result
-            self._outcome = None, exc
-
-    def join(self) -> None:
-        if self._worker is not None:
-            self._worker.join()
-
-    def result(self):
-        if self._worker is None:
-            self._count()
-        self.join()
-        (counts, error), self._outcome = self._outcome, None
-        if error is not None:
-            raise error
-        return counts[self.kept], self.nodes
-
-    def nodes(self, index: np.ndarray) -> np.ndarray:
-        row, column = np.divmod(np.flatnonzero(self.kept)[index], len(self.xs))
-        return np.column_stack([self.xs[column], self.ys[row]])
+    return nodes
 
 
 def _stages(deployment: Deployment, step: float, seed: int, mc_samples: int, fail_fast: bool):
     """(counts, probe lookup by index) of the structured, grid and Monte Carlo stages, in that order.
 
-    The grid is clipped first and counted on a worker thread while this
-    thread counts the structured and then the Monte Carlo probes; the worker
-    is joined before the grid stage is yielded.  Under ``fail_fast``, where
-    no stage may be built before the previous one's verdict, and under a
-    finite address-space limit (see ``query_workers``) the grid is counted
-    inline instead and each stage is built only when the caller asks for it.
-    Closing the generator joins the worker.
+    The grid is clipped first, and ``lattice_counts`` is submitted to a
+    one-thread executor while this thread counts the structured and then
+    the Monte Carlo probes; the grid stage is yielded from the future's
+    result, which raises the worker's exception, ``MemoryError`` included,
+    here.  Under ``fail_fast``, where no stage may be built before the
+    previous one's verdict, under a finite address-space limit (see
+    ``query_workers``) and when no thread can be started the grid is
+    counted inline instead, and each stage is built only when the caller
+    asks for it.  Closing the generator shuts the executor down, which
+    waits for the worker.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, so that plan, which imports this module, never loads it
+
     model, sensors, radius = deployment.model, deployment.sensors, deployment.r
 
     def monte_carlo():
         return _counted(monte_carlo_points(model, mc_samples, seed), sensors, radius)
 
-    overlap = not fail_fast and not _address_space_limited()
-    grid = _GridStage(model, step, sensors, radius, background=True) if overlap else None
-    try:
-        # Each stage is built inside a call, so no local here keeps a
-        # finished stage alive while the next one is built, except the Monte
-        # Carlo stage that is built while the grid is counted.
+    with ThreadPoolExecutor(1, thread_name_prefix="lattice_counts") as pool:
+        grid = counting = None
+        if not fail_fast and not _address_space_limited():
+            grid = grid_points(model, step)
+            try:
+                counting = pool.submit(lattice_counts, grid[0], grid[1], sensors, radius)
+            except RuntimeError:  # no thread can be started: count inline
+                pass
+            # Nothing more is submitted, so the worker exits once it has
+            # counted: left idle, it kept its malloc arena from scipy's query
+            # threads, 1.3-1.4 MB more peak RSS on both benchmark workloads.
+            pool.shutdown(wait=False)
+        # No local here keeps a finished stage alive while the next one is
+        # built, except the Monte Carlo stage that is built while the grid is
+        # counted: each stage is built inside a call, and the grid's are deleted.
         yield _counted(structured_points(model), sensors, radius)
-        if grid is None:
-            grid = _GridStage(model, step, sensors, radius, background=False)
-        later = monte_carlo() if overlap and mc_samples > 0 else None
-        yield grid.result()
-        grid = None
+        xs, ys, kept = grid or grid_points(model, step)
+        later = monte_carlo() if counting is not None and mc_samples > 0 else None
+        counts = (lattice_counts(xs, ys, sensors, radius) if counting is None else counting.result())[kept]
+        del grid, counting  # the future holds the whole grid's counts
+        yield counts, _grid_nodes(xs, ys, kept)
+        del xs, ys, kept, counts
         if mc_samples > 0:
             yield monte_carlo() if later is None else later
-    finally:
-        if grid is not None:
-            grid.join()
 
 
 def verify_coverage(

@@ -621,6 +621,46 @@ class TestPlanVerifyPipeline:
         assert code in (0, 1)
 
 
+class TestClosedStdout:
+    """A reader that closes stdout before the summary line changes neither the files written nor the exit code."""
+
+    CHILD = "import sys\nfrom hexcover.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+    def _closed_stdout(self, argv, buffered, tmp_path):
+        """Exit code and stderr of a fresh interpreter running ``main(argv)`` into a pipe with no reader."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:  # each print writes at once, so print itself meets the closed pipe
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = subprocess.run([sys.executable, "-c", self.CHILD, *argv], stdout=write, stderr=subprocess.PIPE,
+                                   text=True, env=env, cwd=tmp_path, timeout=300)
+        finally:
+            os.close(write)
+        return child.returncode, child.stderr
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_plan_and_verify_keep_their_exit_codes(self, tmp_path, capsys, buffered):
+        plans = {"proposed": ["--layers", "2", "--coverage", "3"],
+                 "scheme": ["--strategy", "benchmark", "--layers", "2", "--coverage", "3", "--seed", "7"]}
+        for name, flags in plans.items():
+            expected, written = tmp_path / f"{name}-expected.csv", tmp_path / f"{name}.csv"
+            assert run(["plan", *flags, "--output", str(expected)]) == 0
+            assert self._closed_stdout(["plan", *flags, "--output", str(written)], buffered, tmp_path) == (0, "")
+            assert written.read_bytes() == expected.read_bytes()
+        for name, verdict in (("proposed", 0), ("scheme", 1)):
+            sensors = str(tmp_path / f"{name}.csv")
+            expected, written = tmp_path / f"{name}-expected.json", tmp_path / f"{name}.json"
+            assert run(["verify", "--input", sensors, "--mc-samples", "1000", "--output", str(expected)]) == verdict
+            argv = ["verify", "--input", sensors, "--mc-samples", "1000", "--output", str(written)]
+            assert self._closed_stdout(argv, buffered, tmp_path) == (verdict, "")
+            assert written.read_bytes() == expected.read_bytes()
+        capsys.readouterr()
+
+
 class TestScipyIsLoadedByVerifyOnly:
     """numpy is loaded by the first plan or verify and scipy by verify's first KD-tree build; nothing else needs them."""
 

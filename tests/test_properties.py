@@ -6,6 +6,7 @@ Examples are derandomized and bounded so the suite stays fast and repeatable.
 
 import functools
 import os
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from sensor_io_reference import assert_reads_like_reference, reference_csv, refe
 from hexcover import benchmark, sensor_io, tiling, verifier
 from hexcover.benchmark import place_benchmark, small_hexagon_centers
 from hexcover.cli import main
-from hexcover.deployment import place_proposed, remove_sensors, total_count
+from hexcover.deployment import Deployment, place_proposed, remove_sensors, total_count
 from hexcover.geometry import SQRT3, Hexagon, LatticePoint, midpoint
 from hexcover.sensor_io import load_deployment, read_sensors_csv, write_sensors_csv, write_sensors_json
 from hexcover.tiling import PARITY_NAMES, REGION_TOL, build_solar_model
@@ -448,6 +449,30 @@ def grid_stage_cases(draw):
     return model, step, sensors, radius
 
 
+def yielded_grid_stage(model, step, sensors, radius, background):
+    """The grid stage ``verifier._stages`` yields, counted on its worker or, under ``fail_fast``, inline."""
+    n = len(sensors)
+    deployment = Deployment(model, 1, "benchmark", sensors, np.full(n, "random"), np.full(n, -1), {})
+    on_main, counts = [], verifier.lattice_counts
+
+    def recorded(*args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return counts(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        # the worker's schedule whatever address-space limit the tests run under
+        patch.setattr(verifier, "_address_space_limited", lambda: False)
+        patch.setattr(verifier, "lattice_counts", recorded)
+        stages = verifier._stages(deployment, step, seed=0, mc_samples=0, fail_fast=not background)
+        try:
+            next(stages)  # the structured stage
+            stage = next(stages)
+        finally:
+            stages.close()
+    assert on_main == [not background]
+    return stage
+
+
 @pytest.mark.parametrize("background", [False, True])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=grid_stage_cases())
@@ -456,7 +481,7 @@ def test_grid_stage_is_the_clipped_meshgrid_with_its_lattice_counts(background, 
     xs, ys, _ = verifier.grid_points(model, step)
     nodes = grid_nodes(xs, ys)
     inside = brute_force_contains(model, nodes)
-    counts, lookup = verifier._GridStage(model, step, sensors, radius, background).result()
+    counts, lookup = yielded_grid_stage(model, step, sensors, radius, background)
     assert np.array_equal(lookup(np.arange(len(counts))).view(np.uint64), nodes[inside].view(np.uint64))
     assert np.array_equal(lookup(np.arange(len(counts))[::-3]), nodes[inside][::-3])
     assert np.array_equal(counts, brute_force_lattice_counts(xs, ys, sensors, radius).ravel()[inside])

@@ -333,6 +333,21 @@ class TestStageSchedule:
         assert raised.traceback and finished == [True]
         assert threading.active_count() == threads
 
+    def test_an_interrupt_on_the_worker_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_address_space_limited", lambda: False)
+        on_main = []
+
+        def interrupted(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verifier, "lattice_counts", interrupted)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            verify_coverage(self._deployment("scheme"), seed=3, mc_samples=MC)
+        assert on_main == [False]
+        assert threading.active_count() == threads
+
     def test_fail_fast_counts_the_grid_inline(self, monkeypatch):
         on_main = self._record_threads(monkeypatch)
         monkeypatch.setattr(verifier, "_address_space_limited", lambda: False)
