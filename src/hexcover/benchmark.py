@@ -86,8 +86,10 @@ def _tile_lattice(
     y2 = q + 2 * w + _SMALL_Y2
     x_low, y_low = int(x2.min(initial=0)), int(y2.min(initial=0))
     # x0 + j/2 need not be a binary fraction: round each distinct value once
-    # from its exact rational.
-    xs = np.array([float(x0 + Fraction(j, 2)) for j in range(x_low, int(x2.max(initial=0)) + 1)]) * half
+    # from its exact rational, (2a + jb)/(2b) for x0 = a/b, by Python's
+    # correctly rounded integer division.
+    a, b = x0.numerator, x0.denominator
+    xs = np.array([(2 * a + j * b) / (2 * b) for j in range(x_low, int(x2.max(initial=0)) + 1)]) * half
     ys = (float(y0) + (np.arange(y_low, int(y2.max(initial=0)) + 1) * 0.5) * SQRT3) * half
     return xs, ys, y2 - y_low, x2 - x_low
 

@@ -17,11 +17,11 @@ Placement works on lattice coefficients: centers and vertices are integer
 pairs, and the segment sensors of one round are integer numerators over one
 small denominator.  Their correctly rounded quotients are fine enough that
 float order and float equality are the exact ones (checked at run time), so
-the duplicate check and the export order are exact.  The result is a
-``Deployment``, the one sensor-layout type that the comparison scheme and
-sensor-file loading also return.  It is a struct of arrays: meter
-coordinates, a provenance string and an owning hexagon (-1 for a shared
-vertex) per sensor.
+the duplicate check and the export order, both read off one stable (x, y)
+sort (``tiling.row_runs``), are exact.  The result is a ``Deployment``, the
+one sensor-layout type that the comparison scheme and sensor-file loading
+also return.  It is a struct of arrays: meter coordinates, a provenance
+string and an owning hexagon (-1 for a shared vertex) per sensor.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .tiling import (
     PARITY_NAMES,
     VERTEX_OFFSETS,
     SolarModel,
-    row_keys,
+    row_runs,
     units_xy,
 )
 
@@ -119,7 +119,8 @@ def place_proposed(model: SolarModel, k: int, parity: str = EVEN) -> Deployment:
     vertices = [model.vertex_class(p) for p in vertex_parities]
     segments = (d * model.centers + VERTEX_OFFSETS[segment_vertices][:, :, None, :]) / d
     units = np.concatenate([model.centers, *vertices, segments.reshape(-1, 2)]).astype(float)
-    if len(np.unique(row_keys(units))) != len(units):
+    by_xy, starts = row_runs(units)
+    if not starts.all():
         raise InvariantViolation("duplicate sensor positions after placement")
     expected = total_count(model.layers, k)
     if len(units) != expected:
@@ -133,7 +134,9 @@ def place_proposed(model: SolarModel, k: int, parity: str = EVEN) -> Deployment:
     ranks = [0, *(PARITY_NAMES.index(p) + 1 for p in vertex_parities)] + [3] * segment_blocks
     owners = np.arange(cells)
     hexagon = np.concatenate([owners, np.full(sum(map(len, vertices)), -1), np.tile(owners, segment_blocks)])
-    order = np.lexsort((units[:, 1], units[:, 0], np.repeat(ranks, sizes)))
+    rank = np.repeat(np.array(ranks, dtype=np.uint8), sizes)
+    # rank first, then (x, y): a stable sort by rank keeps the (x, y) order within each rank
+    order = by_xy[np.argsort(rank[by_xy], kind="stable")]
     return Deployment(
         model=model,
         k=k,

@@ -6,8 +6,8 @@ distance j-1 from the center.  A point (x * r/2, y * sqrt(3) * r/2) is
 stored as its lattice coefficients (x, y), so the patch is two integer
 arrays: its hexagon centers, pairs (3q, q + 2w) for integers q and w, ring
 by ring, and its 6 l^2 distinct vertices, each a center plus one of
-``VERTEX_OFFSETS``, deduplicated exactly by ``np.unique`` of their
-``row_keys``.  Neighboring centers differ by one of ``NEIGHBOR_STEPS``.
+``VERTEX_OFFSETS``, deduplicated exactly by one stable sort of the integer
+pairs (``row_runs``).  Neighboring centers differ by one of ``NEIGHBOR_STEPS``.
 ``units_xy`` turns coefficients into meters with ``LatticePoint.to_xy``'s
 expression, so the floats equal the exact points' bit for bit.  The float
 kernels that sampling code shares also live here: the triangle table
@@ -138,23 +138,31 @@ def patch_triangles(model: SolarModel) -> np.ndarray:
     return units_xy(corners.reshape(-1, 2), model.side).reshape(-1, 3, 2)
 
 
-def row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each (x, y) row of ``rows`` (n, 2) as one complex key x + iy, equal iff both coordinates are.
+def row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable (x, y) order of ``rows`` (n, 2), and where each run of equal rows starts in it.
 
-    ``np.unique`` sorts the keys in (x, y) order.  Exact for floats and for
-    integers below 2**53, which convert to floats exactly.
+    ``order`` is ``np.lexsort`` by x, then y, and ``starts[i]`` says whether
+    ``rows[order[i]]`` differs from ``rows[order[i - 1]]`` (always at i = 0).
+    Rows compare exactly, as numbers: -0.0 equals 0.0.  The sort is stable,
+    so each run starts at its row's first occurrence.
     """
-    return np.ascontiguousarray(rows, dtype=float).view(complex)[:, 0]
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    x, y = rows[order].T
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    return order, starts
 
 
 def _corners(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct corners (m, 2) of the hexagons at ``centers``, first occurrence first, and their (h, 6) indices."""
     listed = (centers[:, None, :] + VERTEX_OFFSETS).reshape(-1, 2)
-    _, first, inverse = np.unique(row_keys(listed), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    return listed[first[order]], position[inverse.reshape(-1)].reshape(-1, 6)
+    order, starts = row_runs(listed)
+    heads = order[starts]  # each distinct corner's first occurrence, in (x, y) order
+    first = np.zeros(len(listed), dtype=bool)
+    first[heads] = True
+    corner = np.empty(len(listed), dtype=np.intp)
+    corner[order] = (np.cumsum(first) - 1)[heads][np.cumsum(starts) - 1]
+    return listed[first], corner.reshape(-1, 6)
 
 
 def build_solar_model(layers: int, side: float = 1.0) -> SolarModel:

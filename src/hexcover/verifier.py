@@ -5,7 +5,7 @@ Three point families are evaluated against the sensing disks:
 * structured points: the vertices, edge midpoints and centroid of every
   center-vertex-vertex triangle of every patch hexagon, keyed by integer
   multiples of 1/6 lattice unit built from ``tiling.VERTEX_OFFSETS``, so
-  deduplication by ``tiling.row_keys``, ordering and their count
+  deduplication by ``tiling.row_runs``, ordering and their count
   (``structured_count``) are exact.
   Triangle vertices are the worst-case points under the placement strategy;
 * a square grid of pitch ``grid_step``: one lattice, its two axes and a
@@ -79,7 +79,7 @@ from .tiling import (
     extreme_units,
     patch_triangles,
     region_mask,
-    row_keys,
+    row_runs,
     run_counts,
     run_ends,
     triangle_samples,
@@ -154,12 +154,13 @@ def structured_points(model: SolarModel) -> np.ndarray:
     """Per-triangle probe points (vertices, edge midpoints, centroids), deduplicated.
 
     Probes are keyed by six times their lattice coefficients, which are
-    integers, so ``np.unique`` of their ``row_keys`` dedupes them exactly in
+    integers, so one stable sort of them (``row_runs``) dedupes them exactly in
     exact (x, y) order.  X/6 and Y/6 are correctly rounded divisions, so
     each coordinate is ``LatticePoint.to_xy`` of the exact point, bit for bit.
     """
-    keys = np.unique(row_keys((6 * model.centers[:, None, :] + _PROBE_OFFSETS6).reshape(-1, 2)))
-    return units_xy(keys.view(float).reshape(-1, 2) / 6.0, model.side)
+    keys = (6 * model.centers[:, None, :] + _PROBE_OFFSETS6).reshape(-1, 2)
+    order, starts = row_runs(keys)
+    return units_xy(keys[order[starts]] / 6.0, model.side)
 
 
 def structured_count(layers: int) -> int:

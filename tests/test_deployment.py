@@ -128,6 +128,34 @@ class TestPlaceProposed:
         with pytest.raises(InvariantViolation, match="exact float order"):
             place_proposed(dataclasses.replace(model_l1, layers=2**48), 4)
 
+    @pytest.mark.parametrize(
+        "centers, vertices",
+        [
+            ([[0, 0]], [[2, 0], [-1, 1], [-1, -1], [2, 0]]),  # one even vertex listed twice
+            ([[0, 0], [2, 0]], None),  # a center on the central hexagon's vertex 0
+        ],
+        ids=["repeated-vertex", "center-on-vertex"],
+    )
+    def test_duplicate_positions_are_refused(self, model_l1, centers, vertices):
+        model = dataclasses.replace(
+            model_l1,
+            centers=np.array(centers),
+            vertices=model_l1.vertices if vertices is None else np.array(vertices),
+        )
+        with pytest.raises(InvariantViolation, match="duplicate sensor positions after placement"):
+            place_proposed(model, 3)
+
+    @pytest.mark.parametrize("layers", range(1, 6))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 60])
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    def test_export_order_is_rank_then_x_then_y(self, layers, k, parity):
+        # at side 2 a sensor's x in meters is its lattice x, and y its lattice y times sqrt(3)
+        d = place_proposed(build_solar_model(layers, side=2.0), k, parity)
+        rank = {"center": 0, f"vertex:{EVEN}": 1, f"vertex:{ODD}": 2}
+        ranks = [rank.get(p, 3) for p in d.provenance.tolist()]
+        x, y = d.sensors.T
+        assert np.array_equal(np.lexsort((y, x, ranks)), np.arange(d.sensor_count()))
+
     def test_sorted_output_is_stable(self, model_l2):
         a = place_proposed(model_l2, 4)
         b = place_proposed(model_l2, 4)

@@ -5,6 +5,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exact_reference import exact_registry
 from hexcover.geometry import ORIGIN, Hexagon, LatticePoint, distance, hexagons_overlap
@@ -20,7 +22,7 @@ from hexcover.tiling import (
     model_to_dict,
     patch_triangles,
     region_mask,
-    row_keys,
+    row_runs,
     units_xy,
     vertex_count,
 )
@@ -206,11 +208,35 @@ class TestRegistry:
         assert total == 6 * len(m.hexagons)
 
 
-@pytest.mark.parametrize("scale", [1, 2**50, 0.1])
-def test_row_keys_dedupe_and_sort_like_rows(scale):
-    rows = np.random.default_rng(5).integers(-3, 4, size=(500, 2)) * scale
-    keys = np.unique(row_keys(rows))
-    assert np.array_equal(keys.view(float).reshape(-1, 2), np.unique(rows, axis=0))
+INTEGERS = st.integers(-3, 3) | st.sampled_from([-(2**62), 2**62])
+FLOATS = st.sampled_from([-0.0, 0.0, 0.1, -0.1, 2.0**50, -(2.0**-1074)]) | st.floats(-4, 4, allow_nan=False)
+
+
+@st.composite
+def coordinate_rows(draw):
+    """(n, 2) int64 or float rows, n from 0, drawn from few values so rows repeat; floats mix -0.0 and 0.0."""
+    values, dtype = draw(st.sampled_from([(INTEGERS, np.int64), (FLOATS, float)]))
+    return np.array(draw(st.lists(st.tuples(values, values), max_size=40)), dtype=dtype).reshape(-1, 2)
+
+
+@given(rows=coordinate_rows())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_row_runs_dedupe_and_sort_like_unique(rows):
+    order, starts = row_runs(rows)
+    assert sorted(order.tolist()) == list(range(len(rows))) and starts.shape == order.shape
+    heads = order[starts]
+    # one row per distinct value, in (x, y) order; -0.0 and 0.0 are one value
+    assert np.array_equal(rows[heads], np.unique(rows, axis=0))
+    # every row of a run equals its head, and the stable sort makes the head its first occurrence
+    assert np.array_equal(rows[order], rows[heads][np.cumsum(starts) - 1])
+    if len(rows):
+        assert np.array_equal(heads, np.minimum.reduceat(order, np.flatnonzero(starts)))
+
+
+def test_row_runs_take_signed_zeros_as_one_value():
+    order, starts = row_runs(np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 0.0], [0.0, -0.0]]))
+    assert order.tolist() == [2, 3, 0, 1]
+    assert starts.tolist() == [True, False, True, False]
 
 
 @pytest.mark.parametrize("layers", range(1, 11))
