@@ -15,13 +15,13 @@ Tile i's stream is ``numpy.random.default_rng([seed, i])``: its k triangle
 indices are ``integers(0, 6, k)``, then its barycentrics ``random(k)`` twice.
 No ``SeedSequence`` is built per tile: ``_tile_streams`` hashes every tile's
 seed at once, bit for bit, in uint32/uint64 arrays (numpy's ``SeedSequence``
-hash, O'Neill's seed_seq_fe, and PCG64's seeding).  For k <= 1638,
-``_stream_draws`` then computes every tile's draws at once in uint64 arrays:
-PCG64 (a 128-bit LCG with XSL-RR output; M. E. O'Neill, "PCG", 2014) jumped
-ahead in closed form, and Lemire's bounded integers (D. Lemire, ACM TOMACS
-2019).  A tile whose bounded draw would be rejected, about one in 2^30 / k,
-and every tile of a larger k, is drawn through one ``Generator`` set to its
-seeded state.
+hash, O'Neill's seed_seq_fe, and PCG64's seeding).  ``_stream_draws`` then
+steps every tile's PCG64 (a 128-bit LCG with XSL-RR output; M. E. O'Neill,
+"PCG", 2014) at once in uint64 arrays, one draw at a time, and bounds its
+triangle indices by Lemire's method (D. Lemire, ACM TOMACS 2019).  A tile
+whose bounded draw would be rejected, about one in 2^30 / k, and every tile
+of a call with fewer than ``_FEW`` tiles per draw, is drawn through one
+``Generator`` set to its seeded state.
 
 The closed-form count ``benchmark_count`` reports k*(15 l^2 - 27 l + 18) for
 k >= 2 as printed in the source scheme; the geometric enumeration is exposed
@@ -33,8 +33,9 @@ packing can exceed 3).
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from fractions import Fraction
-from functools import cache
+from itertools import islice
 
 import numpy as np
 
@@ -127,36 +128,19 @@ def small_hexagon_centers(
     return tiles[inside[rows[:, 1:], columns[:, 1:]].all(axis=1)]
 
 
-_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 # SeedSequence's hash constants: the pool is hashed with (A) and drawn with (B).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 # PCG64's 128-bit LCG multiplier, as (low, high) 64-bit limbs.
 _PCG_MULT = (0x4385DF649FCCF645, 0x2360ED051FC65DA4)
-# The longest stream computed in closed form, in draws (k <= 1638), and the
-# (streams x draws) states stepped at once: a few MB of uint64 temporaries.
-_WIDTH = 1 << 12
-_CHUNK = 1 << 16
+# ``_stream_draws`` steps every stream at once when there are at least _FEW
+# per draw, and otherwise seeds one ``Generator`` per stream: the two cost the
+# same at 2 to 3 streams per draw for k <= 60, and at 3 to 8 for k = 250.
+_FEW = 4
 
 _Limbs = tuple  # (low, high) 64-bit limbs of 128-bit integers: uint64 arrays or Python ints
-
-
-@cache
-def _jumps() -> tuple[list[_Limbs], _Limbs]:
-    """PCG64's n-step jumps for n = 1, 2, 4, ..., ``_WIDTH`` / 2: s -> M^n s + (1 + M + ... + M^(n-1)) inc.
-
-    Returns the multipliers M^n, as Python-int limbs, and the increments'
-    factors, as two uint64 arrays, so that one product scales every tile's inc.
-    """
-    modulus = 1 << 128
-    power, total = _PCG_MULT[1] << 64 | _PCG_MULT[0], 1
-    powers, totals = [], []
-    for _ in range(_WIDTH.bit_length() - 1):
-        powers.append((power & _MASK64, power >> 64))
-        totals.append((total & _MASK64, total >> 64))
-        power, total = power * power % modulus, total * (power + 1) % modulus
-    return powers, tuple(np.array(limb, dtype=np.uint64) for limb in zip(*totals))
 
 
 def _times(x: _Limbs, y: _Limbs) -> _Limbs:
@@ -193,6 +177,13 @@ def _xsl_rr(x: _Limbs) -> np.ndarray:
     """PCG64's 64-bit output at the states x: high ^ low, rotated right by the state's top 6 bits."""
     folded, rotation = x[0] ^ x[1], x[1] >> 58
     return folded >> rotation | folded << ((64 - rotation) & 63)
+
+
+def _outputs(state: _Limbs, inc: _Limbs) -> Iterator[np.ndarray]:
+    """PCG64's successive 64-bit outputs on every stream at once: each steps s -> M s + inc, then outputs s."""
+    while True:
+        state = _add(_times(state, _PCG_MULT), inc)
+        yield _xsl_rr(state)
 
 
 def _seed_hash(value: np.ndarray, constant: int, multiplier: int) -> tuple[np.ndarray, int]:
@@ -258,49 +249,31 @@ def _stream_draws(state: np.ndarray, inc: np.ndarray, k: int) -> tuple[np.ndarra
     """``integers(0, 6, k)``, ``random(k)`` and ``random(k)`` of ``Generator(PCG64)`` on each seeded stream.
 
     ``state`` and ``inc`` are (2, n) (low, high) limbs, as ``_tile_streams``
-    gives them.  Draw j (from 1) outputs the state M^j s + (M^(j-1) + ... +
-    1) inc.  A stream of at most ``_WIDTH`` draws (k <= 1638) is computed in
-    closed form: its draws double from draw 1, ``_CHUNK // draws`` streams per
-    pass.  ``integers`` takes Lemire's bounded value (h * 6) >> 32 from the
-    low, then the high, 32-bit half h of the first ceil(k/2) draws; ``random``
-    takes (x >> 11) 2^-53 of the next 2k, so an odd k leaves one half unused.
-    A stream rejects when some (h * 6) mod 2^32 < 4, about once in 2^30 / k
-    streams.  The rejected streams, or every stream when they are longer than
-    ``_WIDTH``, are drawn through ``Generator`` from their seeded states.
-    Returns tri, u and v, each (n, k), and the mask of generator-drawn streams.
+    gives them.  Every stream steps at once, s -> M s + inc, and each draw
+    outputs its new state.  ``integers`` takes Lemire's bounded value
+    (h * 6) >> 32 from the low, then the high, 32-bit half h of the first
+    ceil(k/2) draws; ``random`` takes (x >> 11) 2^-53 of the next 2k, so an
+    odd k leaves one half unused.  A stream rejects when some (h * 6) mod
+    2^32 < 4, about once in 2^30 / k streams.  The rejected streams, or every
+    stream when there are fewer than ``_FEW`` per draw, are drawn through
+    ``Generator`` from their seeded states.  Returns tri, u and v, each
+    (n, k), and the mask of generator-drawn streams.
     """
     count = state.shape[1]
-    half = -(-k // 2)
-    draws = half + 2 * k
+    draws = -(-k // 2) + 2 * k
     tri = np.empty((count, k), dtype=np.int64)
     u, v = np.empty((count, k)), np.empty((count, k))
-    rejected = np.full(count, draws > _WIDTH)
-    if draws <= _WIDTH:
-        rows = _CHUNK // draws
-        powers, totals = _jumps()
-        levels = (draws - 1).bit_length()
-        totals = (totals[0][:levels], totals[1][:levels])
-        for start in range(0, count, rows):
-            chunk = slice(start, start + rows)
-            s, c = (state[0, chunk, None], state[1, chunk, None]), (inc[0, chunk, None], inc[1, chunk, None])
-            # the increment each jump adds to each stream's state
-            offsets = _times(c, totals)
-            low, high = (np.empty((len(s[0]), draws), dtype=np.uint64) for _ in range(2))
-            low[:, :1], high[:, :1] = _add(_times(s, _PCG_MULT), c)
-            filled = 1
-            for i, power in enumerate(powers[:levels]):
-                grown = min(filled, draws - filled)
-                offset = (offsets[0][:, i:i + 1], offsets[1][:, i:i + 1])
-                step = _add(_times((low[:, :grown], high[:, :grown]), power), offset)
-                low[:, filled:filled + grown], high[:, filled:filled + grown] = step
-                filled += grown
-            out = _xsl_rr((low, high))
-            halves = np.stack([out[:, :half] & _MASK32, out[:, :half] >> 32], axis=-1).reshape(len(out), 2 * half)
-            scaled = halves[:, :k] * 6
-            tri[chunk] = scaled >> 32
-            rejected[chunk] = ((scaled & _MASK32) < 4).any(axis=1)
-            u[chunk] = (out[:, half:half + k] >> 11) * 2.0**-53
-            v[chunk] = (out[:, half + k:] >> 11) * 2.0**-53
+    rejected = np.full(count, count < _FEW * draws)
+    if count >= _FEW * draws:
+        outputs = _outputs((state[0], state[1]), (inc[0], inc[1]))
+        halves = (half for out in outputs for half in (out & _MASK32, out >> 32))
+        for column, half in enumerate(islice(halves, k)):
+            scaled = half * 6
+            tri[:, column] = scaled >> 32
+            rejected |= (scaled & _MASK32) < 4
+        for draw in (u, v):
+            for column in range(k):
+                draw[:, column] = (next(outputs) >> 11) * 2.0**-53
     if rejected.any():
         bits = np.random.PCG64(0)
         generator = np.random.Generator(bits)
@@ -314,7 +287,7 @@ def _stream_draws(state: np.ndarray, inc: np.ndarray, k: int) -> tuple[np.ndarra
 
 
 def _tile_draws(seed: int, count: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tile i's triangle indices and barycentric draws: ``default_rng([seed, i])``'s three draws, in closed form."""
+    """Tile i's triangle indices and barycentric draws: ``default_rng([seed, i])``'s three draws."""
     return _stream_draws(*_tile_streams(seed, count), k)[:3]
 
 
@@ -329,11 +302,11 @@ def place_benchmark(
     Sampling decomposes each hexagon into its six triangles and draws folded
     barycentric coordinates, so it is uniform over the hexagon with no
     rejection loop.  Each small hexagon's draws are those of
-    ``default_rng([seed, index])``: up to k = 1638 they are computed in
-    closed form for all hexagons at once, and only a hexagon whose bounded
-    integer draw rejects is redrawn through a ``Generator`` set to its seeded
-    state; beyond, every hexagon is drawn that way.  Its index in
-    ``small_hexagon_centers`` order is the sensors' ``hexagon``.
+    ``default_rng([seed, index])``: every hexagon's PCG64 state steps at
+    once, and only a hexagon whose bounded integer draw rejects is redrawn
+    through a ``Generator`` set to its seeded state; with fewer than
+    ``_FEW`` hexagons per draw, every hexagon is drawn that way.  Its index
+    in ``small_hexagon_centers`` order is the sensors' ``hexagon``.
     """
     if k < 1:
         raise ValueError(f"coverage target must be >= 1, got {k}")

@@ -1,9 +1,9 @@
 """The comparison scheme's per-tile random streams, drawn one generator per tile.
 
-This is the loop ``benchmark.place_benchmark`` ran before its streams were
-computed in closed form: tile i builds ``default_rng([seed, i])`` and draws
-its k triangle indices, then k u and k v.  Tests compare the closed form
-with it bit for bit.
+This is the loop ``benchmark.place_benchmark`` ran before it stepped every
+tile's stream at once: tile i builds ``default_rng([seed, i])`` and draws its
+k triangle indices, then k u and k v.  Tests compare the stepped streams with
+it bit for bit.
 """
 
 import numpy as np

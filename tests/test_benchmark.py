@@ -1,12 +1,7 @@
 """Tests for the half-side-hexagon comparison scheme."""
 
-import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,7 +248,7 @@ def assert_same_draws(draws, expected):
 
 
 class TestTileStreams:
-    """The closed-form streams against one ``default_rng([seed, i])`` per tile, bit for bit."""
+    """The stepped streams against one ``default_rng([seed, i])`` per tile, bit for bit."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seeded_states_are_the_generators(self, seed):
@@ -269,31 +264,25 @@ class TestTileStreams:
     def test_draws_equal_the_per_tile_generators(self, seed, k, count):
         assert_same_draws(benchmark._tile_draws(seed, count, k), reference_tile_draws(seed, count, k))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 11, 60, 250])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_both_routes_around_the_stream_count(self, seed, k):
+        # With fewer than _FEW streams per draw every stream is drawn through
+        # Generator from its seeded state; from _FEW per draw they all step
+        # at once, and none of these seeds' streams rejects.
+        draws = -(-k // 2) + 2 * k
+        for count in (benchmark._FEW * draws - 1, benchmark._FEW * draws):
+            tri, u, v, routed = benchmark._stream_draws(*benchmark._tile_streams(seed, count), k)
+            assert_same_draws((tri, u, v), reference_tile_draws(seed, count, k))
+            assert routed.tolist() == [count < benchmark._FEW * draws] * count
+
     @pytest.mark.parametrize("k", [1638, 1639, 3500])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_streams_on_both_sides_of_the_closed_form_width(self, seed, k):
-        # k = 1638 draws 819 + 3276 = 4095 values, the longest stream drawn in
-        # closed form: its last doubling fills 2047 of 2048 columns.  k = 1639
-        # (4098 draws) and k = 3500 (8750) are past _WIDTH, so every tile is
-        # drawn through Generator from its seeded state.
+    def test_long_streams_of_few_tiles(self, seed, k):
+        # two streams of 4095, 4098 and 8750 draws take the Generator route
         draws = benchmark._stream_draws(*benchmark._tile_streams(seed, 2), k)
         assert_same_draws(draws[:3], reference_tile_draws(seed, 2, k))
-        assert draws[3].tolist() == [k > 1638] * 2
-
-    @pytest.mark.parametrize("count", [1, 2, 1027])
-    @pytest.mark.parametrize("k", [1, 2, 3, 10, 11, 12, 13])
-    @pytest.mark.parametrize("width", [2**3, 2**5])
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_both_routes_at_a_narrow_width(self, seed, width, k, count, monkeypatch):
-        # At 2**3, k = 3 draws exactly _WIDTH and k >= 10 takes the generator
-        # route; at 2**5 the routes part between k = 12 (30 draws) and 13 (33).
-        # The jump table is cached at the real width first; the narrow width
-        # uses its first levels.
-        benchmark._jumps()
-        monkeypatch.setattr(benchmark, "_WIDTH", width)
-        draws = benchmark._stream_draws(*benchmark._tile_streams(seed, count), k)
-        assert_same_draws(draws[:3], reference_tile_draws(seed, count, k))
-        assert draws[3].all() == (-(-k // 2) + 2 * k > width)
+        assert draws[3].tolist() == [True] * 2
 
     def test_negative_seeds_are_refused(self):
         with pytest.raises(ValueError):
@@ -304,37 +293,19 @@ class TestTileStreams:
         # states one step before the state 2^32 + h, whose first output is
         # itself (high limb 0, so no rotation), with low half h: Lemire's
         # method rejects h * 6 mod 2^32 = 0 and 2 (below 4), and the generator
-        # draws again, but keeps 4; the high half 1 is kept either way
+        # draws again, but keeps 4; the high half 1 is kept either way.  The
+        # five streams repeat until there are enough to step them all at once.
         inc = 2**127 + 2**64 + 12345
         landings = [2**32 + h for h in (0, (2**32 + 2) // 6, (2**33 + 4) // 6)]
         crafted = [(landing - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128 for landing in landings]
-        states, incs = [3**80, *crafted, 5**50], [inc] * 4 + [7**40 | 1]
+        repeats = -(-benchmark._FEW * (-(-k // 2) + 2 * k) // 5)
+        states, incs = [3**80, *crafted, 5**50] * repeats, ([inc] * 4 + [7**40 | 1]) * repeats
         tri, u, v, rejected = benchmark._stream_draws(as_limbs(states), as_limbs(incs), k)
-        assert rejected.tolist() == [False, True, True, False, False]
+        assert rejected.tolist() == [False, True, True, False, False] * repeats
         for index, (state, increment) in enumerate(zip(states, incs)):
             generator = generator_at(state, increment)
             expected = generator.integers(0, 6, size=k), generator.random(k), generator.random(k)
             assert_same_draws((tri[index], u[index], v[index]), expected)
-
-    def test_importing_the_cli_builds_no_jump_table(self, tmp_path):
-        child = (
-            "import json, sys\n"
-            "import hexcover.cli\n"
-            "hexcover.cli.build_parser()\n"
-            "built = [hexcover.benchmark._jumps.cache_info().currsize]\n"
-            "hexcover.cli.main(['plan', '--strategy', 'benchmark', '--output', sys.argv[1]])\n"
-            "built.append(hexcover.benchmark._jumps.cache_info().currsize)\n"
-            "print(json.dumps(built))\n"
-        )
-        src = str(Path(benchmark.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-c", child, str(tmp_path / "scheme.csv")],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert result.returncode == 0, result.stderr
-        # the first plan builds the tables, so the check can see them
-        assert json.loads(result.stdout.splitlines()[-1]) == [0, 1]
 
 
 def per_hexagon_sensors(model, k, seed, offset):

@@ -148,10 +148,10 @@ class TestPlan:
     def test_scheme_plan_equals_the_per_tile_generators_byte_for_byte(self, tmp_path, monkeypatch):
         # a seed of three 32-bit words and an odd k, which leaves one 32-bit half unused per tile
         plan = ["plan", "--strategy", "benchmark", "--layers", "3", "--coverage", "5", "--seed", str(2**64 + 5)]
-        assert run([*plan, "--output", str(tmp_path / "closed-form.csv")]) == 0
+        assert run([*plan, "--output", str(tmp_path / "stepped.csv")]) == 0
         monkeypatch.setattr(benchmark, "_tile_draws", reference_tile_draws)
         assert run([*plan, "--output", str(tmp_path / "generators.csv")]) == 0
-        assert (tmp_path / "closed-form.csv").read_bytes() == (tmp_path / "generators.csv").read_bytes()
+        assert (tmp_path / "stepped.csv").read_bytes() == (tmp_path / "generators.csv").read_bytes()
 
     def test_scheme_refusal_at_k1_is_the_scan(self, tmp_path, monkeypatch):
         # (8l + 9)^2 scanned tiles stay within the budget up to l = 123
