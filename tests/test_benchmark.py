@@ -276,6 +276,18 @@ class TestTileStreams:
             assert_same_draws((tri, u, v), reference_tile_draws(seed, count, k))
             assert routed.tolist() == [count < benchmark._FEW * draws] * count
 
+    @pytest.mark.parametrize("count", [1, 2, 1027])
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 11, 12, 13])
+    @pytest.mark.parametrize("few,stepped", [(0, True), (2**40, False)], ids=["stepped", "generator"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_either_route_at_any_stream_count(self, seed, few, stepped, k, count, monkeypatch):
+        # _FEW = 0 steps every call at once, even a single stream; 2^40 sends
+        # every call through Generator.  Both draw the same bits.
+        monkeypatch.setattr(benchmark, "_FEW", few)
+        tri, u, v, routed = benchmark._stream_draws(*benchmark._tile_streams(seed, count), k)
+        assert_same_draws((tri, u, v), reference_tile_draws(seed, count, k))
+        assert routed.tolist() == [not stepped] * count
+
     @pytest.mark.parametrize("k", [1638, 1639, 3500])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_long_streams_of_few_tiles(self, seed, k):
