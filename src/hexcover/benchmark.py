@@ -2,14 +2,18 @@
 
 The small honeycomb shares the big tiling's orientation and is anchored at the
 origin (a small hexagon centered there); an exact rational offset can shift
-it.  A small hexagon is identified by its coordinates (q, w) on the
-small honeycomb and is handled in floats from there on.  Every center and
-vertex of a tile is a node of one rectangular lattice (``_tile_lattice``),
-whose two axes carry the scheme's one rounding rule.  A tile belongs to the
-benchmark iff all six of its vertex nodes are in ``tiling.region_mask`` of
-that lattice, the kernel and band that clip the verify grid, and each such
-tile receives k uniformly sampled sensors from its own deterministic RNG
-stream.
+it.  A small hexagon is identified by its coordinates (q, w) on the small
+honeycomb, counted from the offset with its x reduced modulo the tiling's
+x-period 3/2 (``_tile_frame``), and is handled in floats from there on.  A y
+offset stays below ``OFFSET_Y_BOUND`` sides, where the tile rows' floats
+still resolve the patch band.  Every center and vertex of a tile is a node of
+one rectangular lattice (``_tile_lattice``), whose two axes carry the
+scheme's one rounding rule.  ``small_hexagon_centers`` tests the tiles
+centered near the patch's bounding box, a window that the patch and the
+offset fix.  A tile belongs to the benchmark iff all six of its vertex nodes
+are in ``tiling.region_mask`` of that lattice, the kernel and band that clip
+the verify grid, and each such tile receives k uniformly sampled sensors
+from its own deterministic RNG stream.
 
 Tile i's stream is ``numpy.random.default_rng([seed, i])``: its k triangle
 indices are ``integers(0, 6, k)``, then its barycentrics ``random(k)`` twice.
@@ -32,6 +36,7 @@ packing can exceed 3).
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Iterator
 from fractions import Fraction
@@ -45,19 +50,13 @@ from .deployment import Deployment
 # Nothing here builds a ``Hexagon``; the name stays because perfbench/spans.py
 # wraps ``benchmark.Hexagon`` and tests/test_tracing.py runs that tracer.
 from .geometry import SQRT3, Hexagon
-from .tiling import VERTEX_OFFSETS, SolarModel, region_mask, triangle_samples
+from .tiling import REGION_TOL, VERTEX_OFFSETS, SolarModel, extreme_units, region_mask, triangle_samples
 
 SMALL_SIDE = Fraction(1, 2)
-
-
-def _scan_reach(layers: int) -> int:
-    """``small_hexagon_centers`` scans the square |q|, |w| <= 4l + 4 of small-honeycomb coordinates."""
-    return 4 * layers + 4
-
-
-def candidate_count(layers: int) -> int:
-    """Small hexagons ``small_hexagon_centers`` tests for containment: (8l + 9)^2."""
-    return (2 * _scan_reach(layers) + 1) ** 2
+# A y offset, in sides, stays below the magnitude from which the float
+# spacing at twice it, the tile rows' y0 in half sides, exceeds REGION_TOL:
+# 2**12 at REGION_TOL = 1e-12.
+OFFSET_Y_BOUND = 2.0 ** (52 + math.floor(math.log2(REGION_TOL)))
 
 
 # Twice the lattice coefficients (x, y) of the center and the six vertices of
@@ -95,11 +94,30 @@ def _tile_lattice(
     return xs, ys, y2 - y_low, x2 - x_low
 
 
+def _tile_frame(offset: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """``offset`` with x reduced exactly modulo the small tiling's x-period 3/2: the origin of the (q, w) labels.
+
+    Moving the origin by 3/2 along x relabels tile (q, w) as (q - 2, w + 1)
+    and keeps every node's exact coordinate, so the same tiles get the same
+    floats.  A ValueError for a y offset of ``OFFSET_Y_BOUND`` sides or more in
+    magnitude.
+    """
+    y = Fraction(offset[1])
+    if abs(y) >= OFFSET_Y_BOUND:
+        raise ValueError(f"the y offset must be below {OFFSET_Y_BOUND:g} sides in magnitude, where the tile "
+                         f"rows' float spacing stays within the patch band of {REGION_TOL:g} sides")
+    return Fraction(offset[0]) % Fraction(3, 2), y
+
+
 def _small_hexagon_xy(
     tiles: np.ndarray, offset: tuple[Fraction, Fraction], scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Float centers (m, 2) and vertices (m, 6, 2), in meters, of small hexagons: their ``_tile_lattice`` nodes."""
-    xs, ys, rows, columns = _tile_lattice(tiles, offset, scale)
+    """Float centers (m, 2) and vertices (m, 6, 2), in meters, of small hexagons: their ``_tile_lattice`` nodes.
+
+    ``tiles`` are labels from the origin ``_tile_frame(offset)``, as
+    ``small_hexagon_centers`` returns them.
+    """
+    xs, ys, rows, columns = _tile_lattice(tiles, _tile_frame(offset), scale)
     points = np.stack([xs[columns], ys[rows]], axis=-1)
     return points[:, 0], points[:, 1:]
 
@@ -107,22 +125,34 @@ def _small_hexagon_xy(
 def small_hexagon_centers(
     model: SolarModel, offset: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))
 ) -> np.ndarray:
-    """Small-honeycomb coordinates (q, w) of the half-side hexagons inside the patch, in scan order.
+    """Small-honeycomb coordinates (q, w) of the half-side hexagons inside the patch, in (q, w) order.
 
     ``offset`` shifts the small tiling by rational multiples of the side
-    length along x and y.  In apothems (sqrt(3)/2 sides), a vertex's exact
-    margin to a patch edge is a multiple of 1/4 at zero offset and of 1/(4d)
-    for an x offset of denominator d: zero (boundary contact, inside) or far
-    wider than ``REGION_TOL`` and the float rounding.  Patch edges sit at
-    multiples of the apothem and a y offset at a rational multiple of the
-    side, so a margin a + b*sqrt(3) can be nonzero yet arbitrarily small; a
-    vertex outside by less than the band counts as inside, as a grid point.
-    One ``region_mask`` call clips the lattice of every scanned tile.
+    length along x and y; the labels count from ``_tile_frame(offset)``, and
+    a y offset of ``OFFSET_Y_BOUND`` sides or more is a ValueError.  In
+    apothems (sqrt(3)/2 sides), a vertex's exact margin to a patch edge is a
+    multiple of 1/4 at zero offset and of 1/(4d) for an x offset of
+    denominator d: zero (boundary contact, inside) or far wider than
+    ``REGION_TOL`` and the float rounding.  Patch edges sit at multiples of
+    the apothem and a y offset at a rational multiple of the side, so a
+    margin a + b*sqrt(3) can be nonzero yet arbitrarily small; a vertex
+    outside by less than the band counts as inside, as a grid point.
+
+    Tile (q, w) is centered at (x + 3q/4, y + (q + 2w) sqrt(3)/4) sides, and
+    a kept tile's center lies in the patch box |x| <= x_units/2, |y| <=
+    y_units sqrt(3)/2 (``extreme_units``), by half a side along x and
+    sqrt(3)/4 sides along y less the band.  So the window takes q between the
+    box's exact bounds, and for each q the 2 y_units + 3 values of w from
+    q + 2w = 2 y_units + 2 below the rounded row through the box's center:
+    at least a row beyond the box on either side.  One ``region_mask`` call
+    clips the window's lattice.
     """
-    reach = _scan_reach(model.layers)
-    steps = np.arange(-reach, reach + 1)
-    q, w = np.meshgrid(steps, steps, indexing="ij")
-    tiles = np.column_stack([q.ravel(), w.ravel()])
+    x, y = offset = _tile_frame(offset)
+    x_units, y_units = extreme_units(model.layers)
+    q = np.arange(-((Fraction(x_units, 2) + x) * 4 // 3), (Fraction(x_units, 2) - x) * 4 // 3 + 1)
+    low = round(-4 * float(y) / SQRT3) - 2 * y_units - 2
+    w = np.arange(2 * y_units + 3) - (q[:, None] - low) // 2
+    tiles = np.column_stack([np.repeat(q, w.shape[1]), w.ravel()])
     xs, ys, rows, columns = _tile_lattice(tiles, offset, model.side)
     inside = region_mask(model, xs, ys)
     return tiles[inside[rows[:, 1:], columns[:, 1:]].all(axis=1)]

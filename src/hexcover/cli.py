@@ -51,7 +51,7 @@ from .analytics import (
 # them.  ``_bind_callees`` binds them into this module's globals, where
 # ``run_plan`` and ``run_verify`` look them up.
 _CALLEES = {
-    ".benchmark": ("candidate_count", "place_benchmark"),
+    ".benchmark": ("OFFSET_Y_BOUND", "place_benchmark"),
     ".deployment": ("count_by_kind", "place_proposed", "placed_by_kind"),
     ".sensor_io": ("SensorFileError", "deployment_parameters", "load_deployment",
                    "read_sensors_csv", "write_sensors_csv", "write_sensors_json"),
@@ -64,19 +64,19 @@ EXIT_COVERAGE_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 # Record budget of one plan run, counted before anything is built: the
-# closed-form count for the proposed strategy; for the scheme the larger of
-# ``candidate_count`` (the (8l + 9)**2 tiles it scans) and k sensors in each
-# of at most 4 tiles per patch hexagon (a tile has a quarter of a hexagon's
-# area); and for a JSON plan also the patch's 6l**2 vertices, which it embeds
-# with their incident hexagons.  A proposed CSV plan peaks at about 700
-# bytes per sensor at k = 1, where the patch outweighs the sensors, and
+# closed-form count for the proposed strategy; for the scheme k sensors in
+# each of at most 4 tiles per patch hexagon (a tile has a quarter of a
+# hexagon's area); and for a JSON plan also the patch's 6l**2 vertices, which
+# it embeds with their incident hexagons.  A proposed CSV plan peaks at about
+# 700 bytes per sensor at k = 1, where the patch outweighs the sensors, and
 # 280-360 from k = 2 (the formatted columns); a JSON plan at 700 bytes per
 # sensor or vertex at k = 1, 570-620 at k = 2 and 3 and 400-490 from k = 10;
-# the scheme at 94-375 per budgeted record: about 260 at k = 1, where its
-# clip's (tiles, 7) node indices outweigh the sensors, and 330-375 from
-# k = 10 on patches whose kept tiles near the bound.  So the budget caps a
-# plan near 0.7 GB (tracemalloc, plans of 10**4 records or more: l = 1 to
-# 200, k = 1 to 30000; the scheme l = 1 to 80, k = 1 to 60000).
+# the scheme at 95-443 per budgeted record: 443 at k = 1 (l = 289, 0.44 GB),
+# where its clip's (tiles, 7) node indices outweigh the sensors, 410 at k = 2
+# (l = 204) and 370-380 from k = 10 on patches whose kept tiles near the
+# bound.  So the budget caps a plan near 0.7 GB (tracemalloc, plans of 10**4
+# records or more: l = 1 to 200, k = 1 to 30000; the scheme l = 1 to 289,
+# k = 1 to 250000).
 MAX_SENSORS = 1_000_000
 
 
@@ -211,7 +211,7 @@ def run_plan(args: argparse.Namespace) -> int:
     if args.strategy == "proposed":
         records = total_count(args.layers, args.coverage)
     else:
-        records = max(candidate_count(args.layers), 4 * args.coverage * hexagon_count(args.layers))
+        records = 4 * args.coverage * hexagon_count(args.layers)
     if args.format == "json":
         records += vertex_count(args.layers)
     if records > MAX_SENSORS:
@@ -220,6 +220,10 @@ def run_plan(args: argparse.Namespace) -> int:
             f"above the limit of {MAX_SENSORS}; use fewer --layers or a lower --coverage",
             file=sys.stderr,
         )
+        return EXIT_USAGE
+    if args.strategy == "benchmark" and abs(args.offset_y) >= OFFSET_Y_BOUND:
+        print(f"error: --offset-y {float(args.offset_y):g} is not below {OFFSET_Y_BOUND:g} in magnitude, past which "
+              "the small tiling's rows are spaced wider than the patch band", file=sys.stderr)
         return EXIT_USAGE
     model = build_solar_model(args.layers, args.radius)
     if max(map(abs, model.bounding_box())) > FLOAT_LIMIT:

@@ -108,30 +108,13 @@ def write_sensors_json(path, deployment) -> None:
         handle.write("\n")
 
 
-class SensorRows:
-    """A sensor file's rows (x, y, provenance, hexagon, strategy), built from its columns as they are iterated."""
-
-    def __init__(self, sensor_file: SensorFile):
-        self._file = sensor_file
-
-    def __len__(self) -> int:
-        return len(self._file.hexagon)
-
-    def __iter__(self):
-        f = self._file
-        return zip(*f.sensors.T.tolist(), f.provenance, f.hexagon.tolist(), f.strategy)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, (list, SensorRows)) and list(self) == list(other)
-
-
 @dataclass(eq=False)
 class SensorFile:
     """Parsed sensor file: meta pairs plus one column per field.
 
     ``sensors`` holds the (n, 2) coordinates, ``provenance`` and ``strategy``
     the fields' text as written, and ``hexagon`` the owning hexagon index,
-    -1 for a shared vertex.  ``rows`` reads them as (x, y, provenance,
+    -1 for a shared vertex.  ``rows`` lists them as (x, y, provenance,
     hexagon, strategy) tuples.
     """
 
@@ -143,8 +126,8 @@ class SensorFile:
     meta_line: int = 0  # line number of the (last) meta header, 0 if none
 
     @property
-    def rows(self) -> SensorRows:
-        return SensorRows(self)
+    def rows(self) -> list[tuple[float, float, str, int, str]]:
+        return list(zip(*self.sensors.T.tolist(), self.provenance, self.hexagon.tolist(), self.strategy))
 
 
 def _hexagon_index(text: str) -> int:

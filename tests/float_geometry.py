@@ -3,14 +3,18 @@
 The program tests patch membership with one kernel, ``tiling.region_mask``,
 on the nodes of a lattice, and exact membership with ``Hexagon.contains``.
 ``brute_force_contains`` is the scattered-point oracle for the kernel: the
-same band tests, point by point and hexagon by hexagon.  The per-shape float
-tests check sampled points and the exact tests against each other.
+same band tests, point by point and hexagon by hexagon.  ``near_tiles`` is
+the comparison scheme's candidate window for those oracles, wider than the
+program's own.  The per-shape float tests check sampled points and the exact
+tests against each other.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from hexcover import benchmark
 from hexcover.geometry import ORIGIN, SQRT3, Hexagon, LatticePoint
 from hexcover.tiling import REGION_TOL
 
@@ -38,6 +42,26 @@ def brute_force_contains(model, points, tol=REGION_TOL):
             & (np.abs(SQRT3 * dx - dy) * 0.5 <= bound)
         )
     return inside
+
+
+def near_tiles(model, offset):
+    """Labels, float centers and vertices of every tile centered within the patch's bounding box widened by one side.
+
+    The oracle's own window, wider than the kernel's.  Its labels count from
+    the offset with x reduced modulo the tiling's x-period 3/2, and that
+    reduced offset is what it hands ``_small_hexagon_xy``, so its centers
+    mean the same to a kernel that reduces x and to one that does not.
+    """
+    x, y = Fraction(offset[0]) % Fraction(3, 2), Fraction(offset[1])
+    # in sides: tile (q, w) is centered at (x + 3q/4, y + (q + 2w) sqrt(3)/4)
+    half_width, half_height = (3 * model.layers - 1) / 2 + 1, (2 * model.layers - 1) * SQRT3 / 2 + 1
+    q = np.arange(math.floor((-half_width - x) * 4 / 3), math.ceil((half_width - x) * 4 / 3) + 1)
+    m_low, m_high = (-half_height - float(y)) * 4 / SQRT3, (half_height - float(y)) * 4 / SQRT3
+    w = np.arange(math.floor((m_low - q[-1]) / 2), math.ceil((m_high - q[0]) / 2) + 1)
+    tiles = np.stack(np.meshgrid(q, w, indexing="ij"), axis=-1).reshape(-1, 2)
+    centers, vertices = benchmark._small_hexagon_xy(tiles, (x, y), model.side)
+    near = (np.abs(centers[:, 0]) <= half_width * model.side) & (np.abs(centers[:, 1]) <= half_height * model.side)
+    return tiles[near], centers[near], vertices[near]
 
 
 def hexagon_area(side: float) -> float:

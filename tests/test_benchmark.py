@@ -16,7 +16,6 @@ from hexcover.benchmark import (
     _SMALL_Y2,
     _small_hexagon_xy,
     benchmark_count,
-    candidate_count,
     count_gap,
     place_benchmark,
     small_hexagon_centers,
@@ -81,28 +80,6 @@ class TestClosedForms:
         for layers in range(1, 9):
             assert benchmark_count(layers, 1) == 1 + 3 * layers * (layers - 1)
 
-    @pytest.mark.parametrize("layers", [1, 2, 5])
-    def test_candidate_count_is_the_scanned_square(self, layers, monkeypatch):
-        # the plan budget counts these tiles, so it must match the real scan,
-        # which one membership pass clips on their vertex lattice
-        scanned, clipped = [], []
-        lattice, mask = benchmark._tile_lattice, benchmark.region_mask
-
-        def scanning(axial, *args):
-            scanned.append(len(axial))
-            return lattice(axial, *args)
-
-        def clipping(model, xs, ys):
-            clipped.append((len(ys), len(xs)))
-            return mask(model, xs, ys)
-
-        monkeypatch.setattr(benchmark, "_tile_lattice", scanning)
-        monkeypatch.setattr(benchmark, "region_mask", clipping)
-        small_hexagon_centers(build_solar_model(layers))
-        assert scanned == [candidate_count(layers)] == [(8 * layers + 9) ** 2]
-        # doubled lattice coefficients reach 3 (4l + 4) + 1 in y and + 2 in x
-        assert clipped == [(24 * layers + 27, 24 * layers + 29)]
-
     @pytest.mark.parametrize("layers,k,expected", [(1, 2, 8), (1, 1, 0), (3, 5, 173)])
     def test_count_gap_values(self, layers, k, expected):
         assert count_gap(layers, k) == expected
@@ -163,6 +140,16 @@ class TestEnumeration:
         assert len(shifted)
         assert {tuple(c) for c in base}.isdisjoint(tuple(c) for c in shifted)
         assert place_benchmark(model_l2, 1, offset=offset).meta["offset"] == "1/4:0"
+
+    @pytest.mark.parametrize("x", [Fraction(1, 4), Fraction(-5, 7), Fraction(10**150) + Fraction(1, 3)])
+    def test_x_offsets_a_period_apart_place_the_same_sensors(self, x):
+        # the tiling repeats every 3/2 sides along x: same tiles, same floats, same draws
+        model = build_solar_model(3, 2.5)
+        placed = [place_benchmark(model, 2, seed=4, offset=(x + 3 * n / Fraction(2), Fraction(-1, 3))) for n in (0, 1, -8)]
+        for other in placed[1:]:
+            assert np.array_equal(other.sensors.view(np.uint64), placed[0].sensors.view(np.uint64))
+            assert np.array_equal(other.hexagon, placed[0].hexagon)
+        assert placed[1].meta["offset"] == f"{x + Fraction(3, 2)}:-1/3"
 
 
 class TestPlaceBenchmark:

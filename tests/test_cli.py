@@ -18,6 +18,7 @@ from hexcover.cli import main
 from hexcover.deployment import count_by_kind, total_count
 from hexcover.sensor_io import read_sensors_csv, write_sensors_csv
 from hexcover.tiling import build_solar_model, vertex_count
+from float_geometry import near_tiles
 from stream_reference import reference_tile_draws
 
 
@@ -126,8 +127,8 @@ class TestPlan:
         assert not out.exists()
         monkeypatch.setattr(cli, "MAX_SENSORS", total_count(2, 3))
         assert run(["plan", "--layers", "2", "--coverage", "3", "--output", str(out)]) == 0
-        # the scheme's budget is its (8l + 9)^2 scanned tiles or k sensors in 4 tiles per patch hexagon
-        for k, budget in [(2, (8 * 2 + 9) ** 2), (100, 4 * 100 * 7)]:
+        # the scheme's budget is k sensors in each of at most 4 tiles per patch hexagon
+        for k, budget in [(2, 4 * 2 * 7), (100, 4 * 100 * 7)]:
             scheme = ["plan", "--strategy", "benchmark", "--layers", "2", "--coverage", str(k), "--output", str(out)]
             monkeypatch.setattr(cli, "MAX_SENSORS", budget - 1)
             assert run(scheme) == 2
@@ -140,7 +141,7 @@ class TestPlan:
         assert run(json_plan) == 0
 
     def test_scheme_budget_counts_kept_tiles_not_scanned_ones(self, tmp_path):
-        # the scan is 17^2 tiles, but only one is kept: 3500 sensors, far below the budget
+        # one tile is kept: 3500 sensors, far below the budget of 4 tiles per patch hexagon
         out = tmp_path / "scheme.csv"
         assert run(["plan", "--strategy", "benchmark", "--layers", "1", "--coverage", "3500", "--output", str(out)]) == 0
         assert len(read_sensors_csv(out).rows) == 3500
@@ -153,8 +154,8 @@ class TestPlan:
         assert run([*plan, "--output", str(tmp_path / "generators.csv")]) == 0
         assert (tmp_path / "stepped.csv").read_bytes() == (tmp_path / "generators.csv").read_bytes()
 
-    def test_scheme_refusal_at_k1_is_the_scan(self, tmp_path, monkeypatch):
-        # (8l + 9)^2 scanned tiles stay within the budget up to l = 123
+    def test_scheme_refusal_at_k1_is_four_tiles_per_hexagon(self, tmp_path, monkeypatch):
+        # 4 H(l) stays within the budget up to l = 289: 4 H(289) = 998 788
         class Built(Exception):
             pass
 
@@ -164,8 +165,8 @@ class TestPlan:
         monkeypatch.setattr(cli, "build_solar_model", build)
         plan = ["plan", "--strategy", "benchmark", "--coverage", "1", "--output", str(tmp_path / "scheme.csv")]
         with pytest.raises(Built):
-            run([*plan, "--layers", "123"])
-        assert run([*plan, "--layers", "124"]) == 2
+            run([*plan, "--layers", "289"])
+        assert run([*plan, "--layers", "290"]) == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_parity_flag_changes_vertex_class(self, tmp_path):
@@ -496,10 +497,27 @@ class TestExtremeNumbers:
                     "--output", str(out)]) == 0
         assert run(["verify", "--input", str(out), "--mc-samples", "100"]) == verdict
 
-    def test_offsets_at_the_limit_plan(self, tmp_path):
-        out = tmp_path / "sensors.csv"
-        assert run(["plan", "--strategy", "benchmark", "--offset-x=1e150", "--offset-y=-1e150",
-                    "--output", str(out)]) == 0
+    def test_offsets_at_the_limit_plan(self, tmp_path, monkeypatch, capsys):
+        # x offsets are reduced modulo the tiling's x-period, y offsets stay below OFFSET_Y_BOUND = 4096 sides
+        plan = ["plan", "--strategy", "benchmark", "--layers", "3", "--offset-x=1e150"]
+        assert run([*plan, "--offset-y=-4095.999999999999", "--output", str(tmp_path / "window.csv")]) == 0
+
+        def widened(model, offset):
+            tiles, _, _ = near_tiles(model, offset)
+            xs, ys, rows, columns = benchmark._tile_lattice(tiles, benchmark._tile_frame(offset), model.side)
+            return tiles[benchmark.region_mask(model, xs, ys)[rows[:, 1:], columns[:, 1:]].all(axis=1)]
+
+        monkeypatch.setattr(benchmark, "small_hexagon_centers", widened)
+        assert run([*plan, "--offset-y=-4095.999999999999", "--output", str(tmp_path / "widened.csv")]) == 0
+        window = (tmp_path / "window.csv").read_bytes()
+        assert window == (tmp_path / "widened.csv").read_bytes()
+        assert window.count(b",random,") == 57  # a square of labels around the small origin kept none
+        capsys.readouterr()
+        assert run([*plan, "--offset-y=-4096", "--output", str(tmp_path / "past.csv")]) == 2
+        captured = capsys.readouterr()
+        assert "--offset-y" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "past.csv").exists()
 
 
 class TestCompare:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_reference import exact_placement
-from float_geometry import brute_force_contains
+from float_geometry import brute_force_contains, near_tiles
 from sensor_io_reference import assert_reads_like_reference, reference_csv, reference_json
 from hexcover import benchmark, sensor_io, tiling, verifier
 from hexcover.benchmark import place_benchmark, small_hexagon_centers
@@ -252,31 +252,16 @@ def test_region_mask_of_an_empty_axis():
     assert tiling.region_mask(model, np.linspace(-2, 2, 5), np.zeros(0)).shape == (0, 5)
 
 
-def scanned_tiles(layers):
-    """Axial coordinates of every tile ``small_hexagon_centers`` scans, in its order."""
-    reach = benchmark._scan_reach(layers)
-    steps = np.arange(-reach, reach + 1)
-    return np.stack(np.meshgrid(steps, steps, indexing="ij"), axis=-1).reshape(-1, 2)
+def kept_centers(model, offset):
+    """Float centers of the tiles the kernel keeps, read in the kernel's own labels."""
+    return benchmark._small_hexagon_xy(small_hexagon_centers(model, offset), offset, model.side)[0]
 
 
-def tiles_at_old_band(model, offset):
-    """The scheme's tiles by its former rule: all six vertices inside the patch widened by 1e-9 sides.
-
-    Only scanned tiles centered near the patch are tested: a tile's center
-    is the mean of its vertices, so a kept tile is centered in the patch's
-    bounding box widened by the band.
-    """
-    axial = scanned_tiles(model.layers)
-    centers, _ = benchmark._small_hexagon_xy(axial, offset, model.side)
-    min_x, min_y, max_x, max_y = model.bounding_box()
-    margin = model.side
-    near = (
-        (centers[:, 0] >= min_x - margin) & (centers[:, 0] <= max_x + margin)
-        & (centers[:, 1] >= min_y - margin) & (centers[:, 1] <= max_y + margin)
-    )
-    _, vertices = benchmark._small_hexagon_xy(axial[near], offset, model.side)
+def centers_at_old_band(model, offset):
+    """Centers of the scheme's tiles by its former rule: all six vertices inside the patch widened by 1e-9 sides."""
+    _, centers, vertices = near_tiles(model, offset)
     inside = brute_force_contains(model, vertices.reshape(-1, 2), 1e-9)
-    return axial[near][inside.reshape(-1, 6).all(axis=1)]
+    return centers[inside.reshape(-1, 6).all(axis=1)]
 
 
 @pytest.mark.parametrize("radius", [1.0, 2.5, 10.0, 1e-150, 1e150])
@@ -285,45 +270,64 @@ def test_scheme_tiles_at_the_grid_band_equal_the_old_band(radius):
     zero = (Fraction(0), Fraction(0))
     for layers in range(1, 31):
         model = model_for(layers, radius)
-        assert np.array_equal(small_hexagon_centers(model), tiles_at_old_band(model, zero)), layers
+        assert np.array_equal(kept_centers(model, zero), centers_at_old_band(model, zero)), layers
 
 
 def test_scheme_tiles_at_offsets_equal_the_old_band():
     # Offsets with denominators up to 12; a y offset makes margins a + b*sqrt(3).
+    # At l = 8, offset (18, -16/3) moves the patch's tiles 587 -> 617 beyond a
+    # square of labels around the small honeycomb's origin.
     rng = np.random.default_rng(2024)
     for _ in range(300):
         offset = tuple(Fraction(int(rng.integers(-24, 25)), int(rng.integers(1, 13))) for _ in range(2))
         model = model_for(int(rng.integers(1, 9)), float(rng.choice([1.0, 2.5, 10.0])))
-        assert np.array_equal(small_hexagon_centers(model, offset), tiles_at_old_band(model, offset)), offset
+        assert np.array_equal(kept_centers(model, offset), centers_at_old_band(model, offset)), offset
+
+
+SMALL_OFFSETS = st.builds(Fraction, st.integers(-48, 48), st.integers(1, 24))
+# just inside OFFSET_Y_BOUND = 4096 sides, where the window's rows are labeled near 9 459
+Y_OFFSETS_NEAR_THE_BOUND = st.sampled_from([Fraction(-12287, 3), Fraction(40955, 10)])
 
 
 @st.composite
 def scheme_cases(draw):
-    """A patch and a rational tiling offset: small denominators, or far beyond the patch (x axis values repeat)."""
+    """A patch and a rational tiling offset: small denominators, x far beyond the patch, or y near the bound."""
     model = model_for(draw(st.integers(1, 6)), draw(st.sampled_from(RADII)))
-    far = st.sampled_from([Fraction(10**150), -Fraction(10**150), Fraction(2**53) + Fraction(1, 3)])
-    coordinate = st.one_of(st.builds(Fraction, st.integers(-48, 48), st.integers(1, 24)), far)
-    return model, (draw(coordinate), draw(coordinate))
+    far_x = st.sampled_from([Fraction(10**150), -Fraction(10**150), Fraction(2**53) + Fraction(1, 3)])
+    return model, (draw(st.one_of(SMALL_OFFSETS, far_x)), draw(st.one_of(SMALL_OFFSETS, Y_OFFSETS_NEAR_THE_BOUND)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=scheme_cases())
 def test_scheme_keeps_the_candidates_whose_six_vertices_the_oracle_holds(case):
     model, offset = case
-    axial = scanned_tiles(model.layers)
-    _, vertices = benchmark._small_hexagon_xy(axial, offset, model.side)
+    tiles, _, vertices = near_tiles(model, offset)
     inside = brute_force_contains(model, vertices.reshape(-1, 2)).reshape(-1, 6).all(axis=1)
-    assert np.array_equal(small_hexagon_centers(model, offset), axial[inside])
+    assert np.array_equal(small_hexagon_centers(model, offset), tiles[inside])
+
+
+@pytest.mark.parametrize("y", [Fraction(4096), Fraction(-4096), Fraction(10**150), Fraction(-(10**400))])
+def test_scheme_refuses_y_offsets_whose_rows_lose_the_band(y):
+    model = model_for(2, 1.0)
+    with pytest.raises(ValueError, match="y offset"):
+        small_hexagon_centers(model, (Fraction(0), y))
+    with pytest.raises(ValueError, match="y offset"):
+        place_benchmark(model, 1, offset=(Fraction(0), y))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     layers=st.integers(1, 15),
     radius=st.sampled_from(RADII),
-    offset=st.tuples(*[st.builds(Fraction, st.integers(-48, 48), st.integers(1, 24))] * 2),
+    offset=st.tuples(
+        st.one_of(SMALL_OFFSETS, st.builds(Fraction, st.integers(-(10**160), 10**160), st.integers(1, 24))),
+        st.one_of(SMALL_OFFSETS, st.builds(Fraction, st.integers(-12287, 12287), st.integers(3, 24))),
+    ),
 )
 def test_scheme_keeps_at_most_four_tiles_per_patch_hexagon(layers, radius, offset):
-    # a tile has a quarter of a patch hexagon's area, which the plan budget counts on
+    # a tile has a quarter of a patch hexagon's area, which the plan budget counts on;
+    # x offsets reach 1e160 and y offsets 4095.67 sides, where a square of labels around
+    # the small honeycomb's origin missed the patch
     assert len(small_hexagon_centers(model_for(layers, radius), offset)) <= 4 * tiling.hexagon_count(layers)
 
 
