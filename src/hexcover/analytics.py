@@ -1,11 +1,13 @@
 """The paper's closed forms: counts, densities, asymptotic ratios and the figure-table sweeps.
 
-All series here come from the closed forms; nothing is sampled.  The module
-runs on the standard library alone, so ``compare``, ``sweep`` and the CLI's
-argument checks load no numpy: the hexagon and sensor counts, the comparison
-scheme's counts, ``InvariantViolation`` and ``FLOAT_LIMIT`` live here, and
-``tiling``, ``deployment``, ``benchmark`` and ``verifier`` import them back
-under their old names.
+All series here come from the closed forms; nothing is sampled.  This is
+the package's one home for them: the hexagon, vertex and sensor counts, the
+per-kind counts of the proposed placement, the comparison scheme's counts,
+``InvariantViolation`` and ``FLOAT_LIMIT`` are defined here and nowhere else,
+and no other module re-exports them.  The module runs on the standard
+library alone, and builds its records from plain tuples, so ``compare``,
+``sweep`` and the CLI's argument checks load neither numpy nor
+``dataclasses``.
 
 A sweep is set by the three ranges ``hexcover sweep`` exposes: radii, k and
 l.  ``SERIES`` holds what each of fig4-fig7 keeps fixed and which pair of
@@ -17,7 +19,7 @@ as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class InvariantViolation(RuntimeError):
@@ -33,6 +35,11 @@ FLOAT_LIMIT = 1e150
 def hexagon_count(layers: int) -> int:
     """Closed-form hexagon count of a ``layers``-ring patch: 1 + 3l(l-1)."""
     return 1 + 3 * layers * (layers - 1)
+
+
+def vertex_count(layers: int) -> int:
+    """Closed-form distinct-vertex count of a ``layers``-ring patch: 6 l^2."""
+    return 6 * layers * layers
 
 
 def per_hexagon_count(k: int) -> int:
@@ -51,6 +58,16 @@ def total_count(layers: int, k: int) -> int:
         - 3 * (3 * k - 8) * layers
         + (3 * k - 8)
     )
+
+
+def count_by_kind(layers: int, k: int) -> dict[str, int]:
+    """Closed-form sensor counts by provenance kind; they sum to ``total_count``."""
+    hexagons = hexagon_count(layers)
+    return {
+        "center": hexagons,
+        "vertex": 3 * layers * layers * min(k - 1, 2),  # no class at k = 1, one at k = 2, both from k = 3
+        "segment": 3 * max(k - 3, 0) * hexagons,
+    }
 
 
 def small_hexagon_formula_count(layers: int) -> int:
@@ -141,19 +158,17 @@ def _check_rows(rows: int, flags: str) -> None:
         raise ValueError(f"{flags} give {rows} rows per figure, above the limit of {MAX_ROWS}")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(namedtuple("SweepSpec", "start stop step")):
     """The radius sweep: ``start`` to ``stop`` inclusive in steps of ``step``."""
 
-    start: float
-    stop: float
-    step: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ValueError(f"sweep step must be positive, got {self.step}")
-        if self.stop < self.start:
+    def __new__(cls, start: float, stop: float, step: float):
+        if step <= 0:
+            raise ValueError(f"sweep step must be positive, got {step}")
+        if stop < start:
             raise ValueError("empty sweep range: --r-start and --r-stop")
+        return super().__new__(cls, start, stop, step)
 
     def values(self) -> list[float]:
         """The radii by repeated addition, at most ``MAX_ROWS`` of them.
@@ -172,17 +187,8 @@ class SweepSpec:
         return out
 
 
-@dataclass(frozen=True)
-class FigureTable:
-    """Named numeric columns behind one figure."""
-
-    figure_id: str
-    columns: dict[str, list]
-
-    def __post_init__(self) -> None:
-        lengths = {len(series) for series in self.columns.values()}
-        if len(lengths) > 1:
-            raise ValueError("figure columns must have equal length")
+# Named numeric columns (a dict of equal-length lists) behind one figure.
+FigureTable = namedtuple("FigureTable", "figure_id columns")
 
 
 DEFAULT_RADII = SweepSpec(1.0, 30.0, 1.0)
@@ -252,7 +258,8 @@ def format_column(series: list) -> list[str]:
 def figure_csv_lines(table: FigureTable, version: str) -> list[str]:
     lines = [f"# meta: tool=hexcover version={version} figure={table.figure_id} note={NOTE}"]
     lines.append(",".join(table.columns))
-    lines.extend(map(",".join, zip(*map(format_column, table.columns.values()))))
+    # strict: a ValueError, not a truncated table, if the columns differ in length
+    lines.extend(map(",".join, zip(*map(format_column, table.columns.values()), strict=True)))
     return lines
 
 

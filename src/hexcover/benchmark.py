@@ -27,11 +27,11 @@ whose bounded draw would be rejected, about one in 2^30 / k, and every tile
 of a call with fewer than ``_FEW`` tiles per draw, is drawn through one
 ``Generator`` set to its seeded state.
 
-The closed-form count ``benchmark_count`` reports k*(15 l^2 - 27 l + 18) for
-k >= 2 as printed in the source scheme; the geometric enumeration is exposed
-separately because the two do not agree for small patches (at l = 1 the
-formula says 6 small hexagons while only one aligned tile fits, and no
-packing can exceed 3).
+The closed-form count ``analytics.benchmark_count`` reports
+k*(15 l^2 - 27 l + 18) for k >= 2 as printed in the source scheme; the
+geometric enumeration is exposed separately because the two do not agree
+for small patches (at l = 1 the formula says 6 small hexagons while only one
+aligned tile fits, and no packing can exceed 3).
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from itertools import islice
 
 import numpy as np
 
-# The scheme's closed forms live in ``analytics``; they keep their old paths here.
-from .analytics import benchmark_count, count_gap, small_hexagon_formula_count
 from .deployment import Deployment
 # Nothing here builds a ``Hexagon``; the name stays because perfbench/spans.py
 # wraps ``benchmark.Hexagon`` and tests/test_tracing.py runs that tracer.

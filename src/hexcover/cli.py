@@ -6,11 +6,12 @@ scipy for verify), 3 internal invariant violation.  A closed stdout changes
 no exit code: every file is written before the summary lines, which then go
 nowhere (``_say``).  All randomness flows from --seed.
 
-Importing this module, building its parser, ``--help``, ``--version``, every
-usage error, ``compare`` and ``sweep`` run on the standard library and
-``analytics`` alone.  The first ``plan`` or ``verify`` binds the
-numpy-backed callees into this module's globals (``_bind_callees``), and
-verify's first KD-tree build imports scipy.
+Importing this module, building its parser, ``--help``, ``--version``,
+argparse's usage errors, ``compare`` and ``sweep`` run on the standard
+library and ``analytics`` alone, and load neither ``dataclasses`` nor
+``inspect``.  Every ``plan`` or ``verify`` run, its own refusals included,
+first binds the numpy-backed callees into this module's globals
+(``_bind_callees``), and verify's first KD-tree build imports scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +35,7 @@ from .analytics import (
     InvariantViolation,
     SweepSpec,
     benchmark_count,
+    count_by_kind,
     count_gap,
     count_ratio,
     density_benchmark,
@@ -44,6 +45,7 @@ from .analytics import (
     hexagon_count,
     small_hexagon_formula_count,
     total_count,
+    vertex_count,
     write_figure_csv,
 )
 
@@ -52,10 +54,10 @@ from .analytics import (
 # ``run_plan`` and ``run_verify`` look them up.
 _CALLEES = {
     ".benchmark": ("OFFSET_Y_BOUND", "place_benchmark"),
-    ".deployment": ("count_by_kind", "place_proposed", "placed_by_kind"),
+    ".deployment": ("place_proposed", "placed_by_kind"),
     ".sensor_io": ("SensorFileError", "deployment_parameters", "load_deployment",
                    "read_sensors_csv", "write_sensors_csv", "write_sensors_json"),
-    ".tiling": ("build_solar_model", "vertex_count"),
+    ".tiling": ("build_solar_model",),
     ".verifier": ("MAX_PROBES", "probe_estimate", "verify_coverage"),
 }
 
@@ -231,6 +233,8 @@ def run_plan(args: argparse.Namespace) -> int:
               f"±{FLOAT_LIMIT:g}, which verify refuses", file=sys.stderr)
         return EXIT_USAGE
     if args.strategy == "proposed":
+        from dataclasses import replace  # loaded already, by the numpy-backed callees
+
         # place_proposed raises InvariantViolation unless placed == formula.
         deployment = place_proposed(model, args.coverage, parity=args.parity)
         deployment = replace(deployment, meta={**deployment.meta, "seed": args.seed})

@@ -30,8 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# The closed forms live in ``analytics``; they keep their old paths here.
-from .analytics import InvariantViolation, hexagon_count, per_hexagon_count, total_count
+from .analytics import InvariantViolation, total_count
 from .tiling import (
     EVEN,
     ODD,
@@ -75,18 +74,8 @@ class Deployment:
         return len(self.sensors)
 
 
-def count_by_kind(layers: int, k: int) -> dict[str, int]:
-    """Closed-form sensor counts by provenance kind; they sum to ``total_count``."""
-    hexagons = hexagon_count(layers)
-    return {
-        "center": hexagons,
-        "vertex": 3 * layers * layers * min(k - 1, 2),  # no class at k = 1, one at k = 2, both from k = 3
-        "segment": 3 * max(k - 3, 0) * hexagons,
-    }
-
-
 def placed_by_kind(deployment: Deployment) -> dict[str, int]:
-    """Placed sensors by provenance kind, keyed as ``count_by_kind``."""
+    """Placed sensors by provenance kind, keyed as ``analytics.count_by_kind``."""
     return {kind: int(np.char.startswith(deployment.provenance, kind).sum()) for kind in ("center", "vertex", "segment")}
 
 

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# hexagon_count lives in ``analytics`` and keeps its old path here.
-from .analytics import hexagon_count
 from .geometry import SQRT3, VERTEX_UNITS, Hexagon, LatticePoint
 
 EVEN = "even"
@@ -113,11 +111,6 @@ class SolarModel:
 def extreme_units(layers: int) -> tuple[int, int]:
     """Largest |x| and |y| lattice coefficients of a patch vertex (see ``bounding_box``)."""
     return 3 * layers - 1, 2 * layers - 1
-
-
-def vertex_count(layers: int) -> int:
-    """Closed-form distinct-vertex count: 6*l^2."""
-    return 6 * layers * layers
 
 
 def units_xy(units: np.ndarray, side: float) -> np.ndarray:

@@ -68,8 +68,7 @@ from fractions import Fraction
 
 import numpy as np
 
-# FLOAT_LIMIT lives in ``analytics`` and keeps its old path here.
-from .analytics import FLOAT_LIMIT, InvariantViolation, hexagon_count
+from .analytics import InvariantViolation, hexagon_count
 from .deployment import Deployment, remove_sensors
 from .tiling import (
     SQRT3,

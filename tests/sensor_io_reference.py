@@ -11,9 +11,9 @@ import json
 
 import numpy as np
 
+from hexcover.analytics import FLOAT_LIMIT
 from hexcover.sensor_io import CSV_HEADER, SHARED, SensorFileError, _meta_pairs, load_deployment, read_sensors_csv
 from hexcover.tiling import model_to_dict
-from hexcover.verifier import FLOAT_LIMIT
 
 
 def _fmt(value: float) -> str:

@@ -10,15 +10,19 @@ import time
 import numpy as np
 
 from hexcover.analytics import (
+    benchmark_count,
+    count_gap,
     density_benchmark,
     density_gain,
     density_proposed,
     density_ratio_limit,
     emit_figure_table,
+    per_hexagon_count,
+    total_count,
 )
-from hexcover.benchmark import benchmark_count, count_gap, place_benchmark
+from hexcover.benchmark import place_benchmark
 from hexcover.cli import main as cli_main
-from hexcover.deployment import per_hexagon_count, place_proposed, total_count
+from hexcover.deployment import place_proposed
 from hexcover.geometry import (
     ORIGIN,
     Hexagon,

@@ -1,5 +1,6 @@
 """Tests for densities, ratios, and the figure tables."""
 
+import ast
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from hexcover.analytics import (
     MAX_ROWS,
     FigureTable,
     SweepSpec,
+    benchmark_count,
     count_ratio,
     density_benchmark,
     density_gain,
@@ -26,10 +28,9 @@ from hexcover.analytics import (
     density_ratio_limit,
     emit_figure_table,
     figure_csv_lines,
+    total_count,
 )
 import hexcover
-from hexcover.benchmark import benchmark_count
-from hexcover.deployment import total_count
 
 SQRT3 = math.sqrt(3.0)
 
@@ -239,7 +240,7 @@ class TestFigureTables:
 
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            FigureTable("fig4", {"a": [1, 2], "b": [1]})
+            figure_csv_lines(FigureTable("fig4", {"a": [1, 2], "b": [1]}), "0.1.0")
 
 
 class TestCsvEmission:
@@ -260,17 +261,11 @@ class TestCsvEmission:
 
 
 class TestExports:
-    """The closed forms live in ``analytics`` and stay reachable, as the same objects, under their old paths."""
+    """The closed forms live in ``analytics``; a module that calls one binds the same object."""
 
     OLD_PATHS = {
-        "hexagon_count": "tiling",
-        "per_hexagon_count": "deployment",
         "total_count": "deployment",
         "InvariantViolation": "deployment",
-        "small_hexagon_formula_count": "benchmark",
-        "benchmark_count": "benchmark",
-        "count_gap": "benchmark",
-        "FLOAT_LIMIT": "verifier",
     }
 
     CHILD = (
@@ -295,6 +290,30 @@ class TestExports:
         unbound, moved = json.loads(child.stdout.splitlines()[-1])
         assert unbound == []
         assert moved == {name: [True, True] for name in self.OLD_PATHS}
+
+    def test_analytics_is_the_one_home_of_its_names(self):
+        """No other module defines a name of ``analytics`` or imports one from it that it does not use."""
+        package = Path(hexcover.__file__).parent
+        homes = {}
+        for path in package.glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            homes[path.stem] = {
+                target.id if isinstance(target, ast.Name) else target.name
+                for node in tree.body
+                for target in (node.targets if isinstance(node, ast.Assign) else [node])
+                if isinstance(target, (ast.Name, ast.FunctionDef, ast.ClassDef))
+            }
+            imported = {
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "analytics"
+                for alias in node.names
+            }
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            assert imported <= used, (path.name, sorted(imported - used))
+        assert {"count_by_kind", "vertex_count", "hexagon_count", "FigureTable"} <= homes["analytics"]
+        clashes = {stem: names & homes["analytics"] for stem, names in homes.items() if stem != "analytics"}
+        assert not any(clashes.values()), clashes
 
     def test_unknown_package_attribute_is_an_attribute_error(self):
         assert not hasattr(hexcover, "no_such_name")

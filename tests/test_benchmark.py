@@ -15,15 +15,12 @@ from hexcover.benchmark import (
     _SMALL_X2,
     _SMALL_Y2,
     _small_hexagon_xy,
-    benchmark_count,
-    count_gap,
     place_benchmark,
     small_hexagon_centers,
-    small_hexagon_formula_count,
 )
-from hexcover.deployment import total_count
+from hexcover.analytics import benchmark_count, count_gap, hexagon_count, small_hexagon_formula_count, total_count
 from hexcover.geometry import ORIGIN, Hexagon, LatticePoint
-from hexcover.tiling import build_solar_model, hexagon_count, triangle_samples
+from hexcover.tiling import build_solar_model, triangle_samples
 from stream_reference import reference_tile_draws
 
 # Geometric enumeration of fully contained half-side hexagons, origin-anchored

@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 from hexcover import benchmark, cli, sensor_io, verifier
+from hexcover.analytics import count_by_kind, total_count, vertex_count
 from hexcover.benchmark import place_benchmark
 from hexcover.cli import main
-from hexcover.deployment import count_by_kind, total_count
 from hexcover.sensor_io import read_sensors_csv, write_sensors_csv
-from hexcover.tiling import build_solar_model, vertex_count
+from hexcover.tiling import build_solar_model
 from float_geometry import near_tiles
 from stream_reference import reference_tile_draws
 
@@ -680,14 +680,22 @@ class TestClosedStdout:
 
 
 class TestScipyIsLoadedByVerifyOnly:
-    """numpy is loaded by the first plan or verify and scipy by verify's first KD-tree build; nothing else needs them."""
+    """numpy is loaded by the first plan or verify and scipy by verify's first KD-tree build; nothing else needs them.
+
+    Nor does anything before the first plan load ``dataclasses`` or ``inspect``.
+    A site-packages ``.pth`` file may import modules at start-up, so a module
+    counts as loaded only if it was not loaded before the child's first line.
+    """
 
     CHILD = (
-        "import contextlib, io, json, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io, json\n"
         "if sys.argv[1] != 'with-both':\n"
         "    sys.modules[sys.argv[1].removeprefix('without-')] = None\n"
         "def loaded():\n"
-        "    return [sys.modules.get(name) is not None for name in ('numpy', 'scipy')]\n"
+        "    return [sys.modules.get(name) is not None and name not in before\n"
+        "            for name in ('numpy', 'scipy', 'dataclasses', 'inspect')]\n"
         "import hexcover, hexcover.cli\n"
         "hexcover.cli.build_parser()\n"
         "steps = [['import', 0, *loaded(), '']]\n"
@@ -703,7 +711,7 @@ class TestScipyIsLoadedByVerifyOnly:
     )
 
     def _child(self, mode: str, tmp_path):
-        """[step, exit code, numpy loaded, scipy loaded, stderr] after each step of a fresh interpreter.
+        """[step, exit code, numpy, scipy, dataclasses and inspect loaded, stderr] after each step of a fresh interpreter.
 
         Each step's stderr is captured on its own; whatever the child writes
         outside the steps (at import, say) must be nothing.
@@ -734,7 +742,7 @@ class TestScipyIsLoadedByVerifyOnly:
         The usage step writes argparse's usage and error lines; a step in
         ``errors`` writes one ``error:`` line naming the module it maps to.
         """
-        for name, _, _, _, stderr in steps:
+        for name, *_, stderr in steps:
             if name == "usage":
                 assert stderr.startswith("usage: hexcover plan ") and "error: argument --layers" in stderr
             elif name in errors:
@@ -744,10 +752,12 @@ class TestScipyIsLoadedByVerifyOnly:
 
     def test_only_verify_imports_scipy(self, tmp_path):
         steps = self._child("with-both", tmp_path)
-        assert [step[:4] for step in steps] == [
-            ["import", 0, False, False], ["compare", 0, False, False], ["sweep", 0, False, False],
-            ["version", 0, False, False], ["usage", 2, False, False],
-            ["plan", 0, True, False], ["verify", 0, True, True],
+        # the numpy-backed modules define dataclasses, and dataclasses imports inspect
+        assert [step[:6] for step in steps] == [
+            ["import", 0, False, False, False, False], ["compare", 0, False, False, False, False],
+            ["sweep", 0, False, False, False, False], ["version", 0, False, False, False, False],
+            ["usage", 2, False, False, False, False],
+            ["plan", 0, True, False, True, True], ["verify", 0, True, True, True, True],
         ]
         self._assert_stderr(steps, {})
 

@@ -7,16 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hexcover.analytics import InvariantViolation, count_by_kind, per_hexagon_count, total_count
 from hexcover.geometry import ORIGIN
-from hexcover.deployment import (
-    InvariantViolation,
-    count_by_kind,
-    per_hexagon_count,
-    place_proposed,
-    placed_by_kind,
-    remove_sensors,
-    total_count,
-)
+from hexcover.deployment import place_proposed, placed_by_kind, remove_sensors
 from hexcover.tiling import EVEN, ODD, build_solar_model, units_xy
 
 
@@ -85,9 +78,12 @@ class TestPlaceProposed:
     def test_l2_k3_enumerates_31(self, model_l2):
         assert len(place_proposed(model_l2, 3).sensors) == 31
 
-    def test_rejects_bad_coverage(self, model_l1):
-        with pytest.raises(ValueError):
-            place_proposed(model_l1, 0)
+    @pytest.mark.parametrize(
+        "k, parity, message", [(0, "even", "coverage target"), (2, "both", "parity")], ids=["k0", "parity-both"]
+    )
+    def test_rejects_bad_coverage(self, model_l1, k, parity, message):
+        with pytest.raises(ValueError, match=message):
+            place_proposed(model_l1, k, parity=parity)
 
     def test_dedup_of_shared_vertices(self, model_l2):
         d = place_proposed(model_l2, 3)

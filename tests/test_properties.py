@@ -19,9 +19,10 @@ from exact_reference import exact_placement
 from float_geometry import brute_force_contains, near_tiles
 from sensor_io_reference import assert_reads_like_reference, reference_csv, reference_json
 from hexcover import benchmark, sensor_io, tiling, verifier
+from hexcover.analytics import FLOAT_LIMIT, hexagon_count, total_count
 from hexcover.benchmark import place_benchmark, small_hexagon_centers
 from hexcover.cli import main
-from hexcover.deployment import Deployment, place_proposed, remove_sensors, total_count
+from hexcover.deployment import Deployment, place_proposed, remove_sensors
 from hexcover.geometry import SQRT3, Hexagon, LatticePoint, midpoint
 from hexcover.sensor_io import load_deployment, read_sensors_csv, write_sensors_csv, write_sensors_json
 from hexcover.tiling import PARITY_NAMES, REGION_TOL, build_solar_model
@@ -328,7 +329,7 @@ def test_scheme_keeps_at_most_four_tiles_per_patch_hexagon(layers, radius, offse
     # a tile has a quarter of a patch hexagon's area, which the plan budget counts on;
     # x offsets reach 1e160 and y offsets 4095.67 sides, where a square of labels around
     # the small honeycomb's origin missed the patch
-    assert len(small_hexagon_centers(model_for(layers, radius), offset)) <= 4 * tiling.hexagon_count(layers)
+    assert len(small_hexagon_centers(model_for(layers, radius), offset)) <= 4 * hexagon_count(layers)
 
 
 def effective_radius(radius):
@@ -624,7 +625,7 @@ def cell_order_cases(draw):
     count = {"single": 1, "no probes": 0}.get(kind, draw(st.integers(2, 3 * verifier.MIN_PROBES_PER_WORKER)))
     center = np.zeros(2)
     if kind == "near the limit":
-        center = verifier.FLOAT_LIMIT * rng.uniform(0.5, 1.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+        center = FLOAT_LIMIT * rng.uniform(0.5, 1.0, size=2) * rng.choice([-1.0, 1.0], size=2)
     sensors = center + radius * rng.uniform(-3, 3, size=(0 if kind == "no sensors" else draw(st.integers(1, 40)), 2))
     probes = center + radius * rng.uniform(-4, 4, size=(count, 2))
     if kind == "duplicated":

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_reference import exact_registry
+from hexcover.analytics import hexagon_count, vertex_count
 from hexcover.geometry import ORIGIN, Hexagon, LatticePoint, distance, hexagons_overlap
 from hexcover.tiling import (
     EVEN,
@@ -18,13 +19,11 @@ from hexcover.tiling import (
     REGION_TOL,
     SQRT3,
     build_solar_model,
-    hexagon_count,
     model_to_dict,
     patch_triangles,
     region_mask,
     row_runs,
     units_xy,
-    vertex_count,
 )
 
 

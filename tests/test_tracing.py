@@ -17,10 +17,10 @@ from pathlib import Path
 import pytest
 
 import hexcover
+from hexcover.analytics import hexagon_count, total_count, vertex_count
 from hexcover.benchmark import small_hexagon_centers
 from hexcover.cli import main
-from hexcover.deployment import total_count
-from hexcover.tiling import build_solar_model, hexagon_count, vertex_count
+from hexcover.tiling import build_solar_model
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 

@@ -499,8 +499,16 @@ class TestTriangleCoverage:
             (["--layers", "5", "--coverage", "60", "--radius", "10"], 60),
             (["--layers", "20", "--coverage", "10", "--radius", "10"], 10),
             (["--strategy", "benchmark", "--layers", "10", "--coverage", "10", "--radius", "10", "--seed", "7"], 1),
+            # l = 48, the largest plan verify admits at its default step, at radii whose coordinates
+            # the .12g cells round by different amounts; past |y| ~ 10^3 the rounding can break an
+            # exact vertex contact (k = 1, r = 5 certifies 0 from l = 119)
+            (["--layers", "48", "--coverage", "1", "--radius", "1.22"], 1),
+            (["--layers", "48", "--coverage", "2", "--radius", "1.22"], 2),
+            (["--layers", "48", "--coverage", "1", "--radius", "12.2"], 1),
+            (["--layers", "48", "--coverage", "2", "--radius", "12.2"], 2),
         ],
-        ids=["l3-k4", "l10-k10", "l5-k60", "l20-k10", "scheme-l10-k10"],
+        ids=["l3-k4", "l10-k10", "l5-k60", "l20-k10", "scheme-l10-k10",
+             "l48-k1-r1.22", "l48-k2-r1.22", "l48-k1-r12.2", "l48-k2-r12.2"],
     )
     def test_certificate_of_plans_reloaded_from_csv(self, tmp_path, flags, expected):
         path = tmp_path / "sensors.csv"
