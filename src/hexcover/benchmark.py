@@ -344,11 +344,9 @@ def place_benchmark(
     tri, u, v = _tile_draws(seed, count, k)
     # One sampler call for every hexagon: the same element-wise arithmetic,
     # so the same bits, as one call per hexagon.
+    vertices -= centers[:, None, :]  # the sampler's edges: each vertex less its center
     hexagon = np.repeat(np.arange(count), k)
-    tri = tri.ravel()
-    sensors = triangle_samples(
-        centers[hexagon], vertices[hexagon, tri], vertices[hexagon, (tri + 1) % 6], u.ravel(), v.ravel()
-    )
+    sensors = triangle_samples(centers, vertices, hexagon, tri.ravel(), u.ravel(), v.ravel())
 
     return Deployment(
         model=model,

@@ -250,9 +250,10 @@ def run_plan(args: argparse.Namespace) -> int:
         deployment = place_benchmark(
             model, args.coverage, seed=args.seed, offset=(args.offset_x, args.offset_y)
         )
+        # k sensors in each kept tile, the tiles numbered 0 to m - 1
         details = (
             f"formula={benchmark_count(args.layers, args.coverage)} "
-            f"small_hexagons={len(set(deployment.hexagon.tolist()))} "
+            f"small_hexagons={deployment.sensor_count() // args.coverage} "
             f"small_hexagons_formula={small_hexagon_formula_count(args.layers)} "
             f"density={density_benchmark(args.coverage, args.radius):.6g}"
         )

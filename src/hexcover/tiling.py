@@ -12,8 +12,9 @@ pairs (``row_runs``).  Neighboring centers differ by one of ``NEIGHBOR_STEPS``.
 expression, so the floats equal the exact points' bit for bit.  The float
 kernels that sampling code shares also live here: the triangle table
 ``patch_triangles``, the patch-membership kernel ``region_mask``, the run
-kernels behind it and verify's lattice counts, and the sampler
-``triangle_samples``.
+kernels behind it and verify's lattice counts, and the one hexagon sampler
+``triangle_samples``, which Monte Carlo probes, the comparison scheme's
+sensors and the lower bound's candidates all go through.
 
 Patch membership has one kernel, ``region_mask``, one band, ``REGION_TOL``,
 and one float expression per hexagon edge.  It takes the nodes of a
@@ -311,18 +312,37 @@ def region_mask(model: SolarModel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
 
 
 def triangle_samples(
-    origin: np.ndarray, a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray
+    centers: np.ndarray, edges: np.ndarray, hexagon: np.ndarray, tri: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Points origin + u(a - origin) + v(b - origin) in the triangles (origin, a, b).
+    """Points c + u e_t + v e_(t+1 mod 6) in triangles t of hexagons h: c = centers[h], e_t = edges[h, t].
 
-    Pairs with u + v > 1 are reflected to (1 - u, 1 - v), in place, so uniform
-    draws in the unit square give uniform points in each triangle with no
-    rejection.
+    ``edges[h, t]`` is hexagon h's vertex t minus its center, so the
+    triangle is (center, vertex t, vertex t + 1), and each point's float
+    equals ``origin + u(a - origin) + v(b - origin)`` for its corners,
+    since IEEE + and × commute.  Pairs with u + v > 1 are reflected to
+    (1 - u, 1 - v), in place, so uniform draws in the unit square give
+    uniform points in each triangle with no rejection.  ``tri`` is stepped
+    to t + 1 mod 6 and back in place.  Besides the points (16 bytes per
+    sample), one 8-byte column is alive at a time: no gather of corners.
     """
     fold = u + v > 1.0
-    u[fold] = 1.0 - u[fold]
-    v[fold] = 1.0 - v[fold]
-    return origin + u[:, None] * (a - origin) + v[:, None] * (b - origin)
+    np.subtract(1.0, u, out=u, where=fold)
+    np.subtract(1.0, v, out=v, where=fold)
+    del fold
+    points = edges[hexagon, tri]
+    points *= u[:, None]
+    for axis in (0, 1):
+        points[:, axis] += centers[hexagon, axis]
+    tri += 1
+    tri %= 6
+    for axis in (0, 1):
+        spoke = edges[hexagon, tri, axis]
+        spoke *= v
+        points[:, axis] += spoke
+        del spoke
+    tri += 5
+    tri %= 6
+    return points
 
 
 def model_to_dict(model: SolarModel) -> dict:

@@ -25,11 +25,12 @@ failing probes; its sample count, minimum and verdict are read off that histogra
 The disk test compares squared distances with a 1e-9 relative tolerance so
 exact boundary contacts survive the float conversion.  Structured and Monte
 Carlo probes are counted with a KD-tree (``coverage_counts``), in spatial
-cell order, on as many threads as the process may run on (its CPU affinity
-mask), each taking at least ``MIN_PROBES_PER_WORKER`` probes, so the few
-thousand structured probes stay on one thread while the Monte Carlo samples
-are split.  scipy's query threads count each probe on its own, so the
-counts depend on neither the order nor the thread count.
+cell order and blocks of ``QUERY_BLOCK`` probes, on as many threads as the
+process may run on (its CPU affinity mask), each taking at least
+``MIN_PROBES_PER_WORKER`` probes of a block, so the few thousand structured
+probes stay on one thread while the Monte Carlo samples are split.  scipy's
+query threads count each probe on its own, so the counts depend on neither
+the order nor the thread count.
 The grid is counted on its lattice instead (``lattice_counts``): along one
 grid row the float predicate ``(x - sx)**2 + (y - sy)**2 <= eff**2`` holds
 on a single contiguous run of columns, because ``fl(x - sx)`` is monotone
@@ -95,17 +96,27 @@ MAX_FAILING_POINTS = 100
 # array and mask, and the run temporaries), and counting at 9, 8 and 8: the
 # mask, the 4-byte difference array, the kept nodes' 4-byte counts and one
 # block of run temporaries, which weighs most on small grids; only failing
-# nodes get coordinates.  Monte Carlo sampling peaks at 113 bytes per
-# sample.  The grid is counted while the Monte Carlo stage is built, so
+# nodes get coordinates.  The Monte Carlo stage peaks at 56 bytes per
+# sample, in ``triangle_samples``: its four draws, the points and one
+# column.  The grid is counted while the Monte Carlo stage is built, so
 # their working sets add up: G raw grid points and M samples peak below
-# 9 G + 113 M bytes (at l = 30 with 10**6 samples, 136 MB against 113 MB
-# with the grid counted inline), which the budget caps near 1.1 GB
+# 9 G + 56 M bytes (at l = 30 with 10**6 samples, 79 MB against 56 MB
+# with the grid counted inline), which the budget caps near 0.56 GB
 # (tracemalloc at l = 10, 20 and 30, r = 10, step r/20).
 MAX_PROBES = 10_000_000
 # KD-tree leaf size and fewest probes per query thread of ``coverage_counts``
 # (measured; see its docstring).
 KDTREE_LEAFSIZE = 64
 MIN_PROBES_PER_WORKER = 1 << 12
+# Probes per KD-tree query of ``coverage_counts``: a block's ordered copy
+# and its counts (24 bytes a probe) are the query's only temporaries.  On
+# the l = 5, k = 60 benchmark workload (50 000 Monte Carlo probes, 2-vCPU
+# Xeon) perfbench's peak RSS read 80.4, 81.0, 82.3 and 83.4 MB at 2**13,
+# 2**14, 2**15 and 2**16 and 83.3 MB in one block, and the query took
+# 1.08, 1.06, 1.03 and 1.02 of one block's time (median of 40 interleaved
+# rounds; 1.09, 1.06, 1.12 and 1.06 on the scheme at l = 10, k = 10):
+# 2**14 keeps most of the memory for about 5% of the query.
+QUERY_BLOCK = 1 << 14
 # Relative widening of ``covering_pairs``' squared candidate reach.
 COVER_SLACK = 1e-9
 
@@ -203,25 +214,29 @@ def grid_points(model: SolarModel, step: float) -> tuple[np.ndarray, np.ndarray,
     return xs, ys, region_mask(model, xs, ys)
 
 
+def _hexagon_edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``triangle_samples``' tables from ``patch_triangles``: hexagon centers (H, 2) and vertices less centers (H, 6, 2)."""
+    corners = triangles.reshape(-1, 6, 3, 2)
+    return corners[:, 0, 0], corners[:, :, 1] - corners[:, :1, 0]
+
+
 def monte_carlo_points(model: SolarModel, count: int, seed: int) -> np.ndarray:
     """Seeded uniform samples over the patch (hexagons have equal area).
 
     Each sample draws a hexagon, one of its six triangles and a point in
-    that triangle, whose corners come from ``patch_triangles``.
+    that triangle, whose corners are those of ``patch_triangles``.  The
+    four draws and the points are 48 of the stage's 56 bytes per sample,
+    since ``triangle_samples`` gathers one column at a time; the grid is
+    counted beside this stage (see ``MAX_PROBES``).
     """
     if count <= 0:
         return np.zeros((0, 2))
     rng = np.random.default_rng(seed)
-    # The hexagon draw becomes the triangle index in place and is freed
-    # before sampling: the grid is counted beside this stage (see MAX_PROBES).
-    triangle = rng.integers(0, len(model.centers), size=count)
-    triangle *= 6
-    triangle += rng.integers(0, 6, size=count)
+    hexagon = rng.integers(0, len(model.centers), size=count)
+    tri = rng.integers(0, 6, size=count)
     u = rng.random(count)
     v = rng.random(count)
-    center, a, b = patch_triangles(model)[triangle].transpose(1, 0, 2)
-    del triangle
-    return triangle_samples(center, a, b, u, v)
+    return triangle_samples(*_hexagon_edges(patch_triangles(model)), hexagon, tri, u, v)
 
 
 def _effective_radius(radius: float) -> float:
@@ -270,14 +285,15 @@ def _kdtree(sensors: np.ndarray):
 def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> np.ndarray:
     """Number of sensors whose closed disk of ``radius`` holds each point.
 
-    The points are queried in cell order: lexsorted by their ``floor(point /
-    radius)`` cells, row by row, with the counts scattered back to input
-    order, so consecutive queries walk the same tree nodes instead of
-    jumping about as the Monte Carlo samples do.  The query runs on
-    ``query_workers(len(points))`` of scipy's threads, which release the
-    GIL only inside each probe's tree walk and take it back once per probe;
-    each probe is counted by one thread alone, so the counts are the same
-    for any order and thread count.
+    The points are queried in cell order (``_cell_order``): by their
+    ``floor(point / radius)`` cells, row by row, so consecutive queries
+    walk the same tree nodes instead of jumping about as the Monte Carlo
+    samples do.  One tree takes them ``QUERY_BLOCK`` at a time, each
+    block's counts scattered back to input order, so no ordered copy of
+    every point is built.  Each block runs on ``query_workers`` of scipy's
+    threads, which release the GIL only inside each probe's tree walk and
+    take it back once per probe; each probe is counted by one thread alone,
+    so the counts are the same for any order, block size and thread count.
 
     The constants were measured on cell-ordered probes on a 2-vCPU Xeon, on
     both benchmark workloads (l = 5, k = 60 and the comparison scheme at
@@ -298,13 +314,36 @@ def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> n
         return np.zeros(0, dtype=int)
     if len(sensors) == 0:
         return np.zeros(len(points), dtype=int)
-    cells = np.floor(points / radius)
-    order = np.lexsort((cells[:, 0], cells[:, 1]))
+    order = _cell_order(points, radius)
+    tree, eff = _kdtree(sensors), _effective_radius(radius)
+    workers = query_workers(min(len(points), QUERY_BLOCK))
     counts = np.empty(len(points), dtype=np.intp)
-    counts[order] = _kdtree(sensors).query_ball_point(
-        points[order], _effective_radius(radius), return_length=True, workers=query_workers(len(points))
-    )
+    for start in range(0, len(points), QUERY_BLOCK):
+        block = order[start : start + QUERY_BLOCK]
+        counts[block] = tree.query_ball_point(points[block], eff, return_length=True, workers=workers)
     return counts
+
+
+def _cell_order(points: np.ndarray, radius: float) -> np.ndarray:
+    """``np.lexsort`` of the points' ``floor(point / radius)`` cells, row by row, as one stable integer sort.
+
+    Shifted to start at 0, a cell is the integer key row * width + column,
+    in the narrowest unsigned dtype that holds every key, so a few hundred
+    or thousand cells sort by radix.  From 2**53 cells on, where a shifted
+    float may round, the float cells are lexsorted.
+    """
+    column, row = (np.floor(points[:, axis] / radius) for axis in (0, 1))
+    column -= column.min()
+    row -= row.min()
+    width, height = float(column.max()) + 1.0, float(row.max()) + 1.0
+    if width * height >= 2.0**53:
+        return np.lexsort((column, row))
+    dtype = np.min_scalar_type(int(width * height) - 1)
+    key = row.astype(dtype)
+    del row
+    key *= dtype.type(width)
+    key += column.astype(dtype)
+    return np.argsort(key, kind="stable")
 
 
 def covering_pairs(triangles: np.ndarray, sensors: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -363,8 +402,8 @@ def minimum_sensors_lower_bound() -> int:
     n = 24
     i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
     u, v = i[i + j <= n] / n, j[i + j <= n] / n
-    center, a, b = np.repeat(triangles, len(u), axis=0).transpose(1, 0, 2)
-    candidates = triangle_samples(center, a, b, np.tile(u, 6), np.tile(v, 6))
+    hexagon, tri = np.zeros(6 * len(u), dtype=np.intp), np.repeat(np.arange(6), len(u))
+    candidates = triangle_samples(*_hexagon_edges(triangles), hexagon, tri, np.tile(u, 6), np.tile(v, 6))
     _, sensor = covering_pairs(triangles, candidates, 1.0)
     held = np.bincount(sensor, minlength=len(candidates))
     at_center = (candidates == 0.0).all(axis=1)
@@ -467,7 +506,10 @@ def _stages(deployment: Deployment, step: float, seed: int, mc_samples: int, fai
             pool.shutdown(wait=False)
         # No local here keeps a finished stage alive while the next one is
         # built, except the Monte Carlo stage that is built while the grid is
-        # counted: each stage is built inside a call, and the grid's are deleted.
+        # counted: its sampling peak (56 bytes a sample) meets the grid's
+        # working set (see MAX_PROBES), and its points and counts (24 bytes a
+        # sample) wait while the grid stage is reported.  Each stage is built
+        # inside a call, and the grid's are deleted.
         yield _counted(structured_points(model), sensors, radius)
         xs, ys, kept = grid or grid_points(model, step)
         later = monte_carlo() if counting is not None and mc_samples > 0 else None

@@ -20,7 +20,8 @@ from hexcover.benchmark import (
 )
 from hexcover.analytics import benchmark_count, count_gap, hexagon_count, small_hexagon_formula_count, total_count
 from hexcover.geometry import ORIGIN, Hexagon, LatticePoint
-from hexcover.tiling import build_solar_model, triangle_samples
+from hexcover.tiling import build_solar_model
+from sampler_reference import reference_triangle_samples
 from stream_reference import reference_tile_draws
 
 # Geometric enumeration of fully contained half-side hexagons, origin-anchored
@@ -313,7 +314,7 @@ def per_hexagon_sensors(model, k, seed, offset):
         tri = rng.integers(0, 6, size=k)
         u = rng.random(k)
         v = rng.random(k)
-        points.append(triangle_samples(origin, verts[tri], verts[(tri + 1) % 6], u, v))
+        points.append(reference_triangle_samples(origin, verts[tri], verts[(tri + 1) % 6], u, v))
     return np.concatenate(points)
 
 

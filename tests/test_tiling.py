@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_reference import exact_registry
+from sampler_reference import reference_triangle_samples
 from hexcover.analytics import hexagon_count, vertex_count
 from hexcover.geometry import ORIGIN, Hexagon, LatticePoint, distance, hexagons_overlap
 from hexcover.tiling import (
@@ -23,6 +24,7 @@ from hexcover.tiling import (
     patch_triangles,
     region_mask,
     row_runs,
+    triangle_samples,
     units_xy,
 )
 
@@ -273,6 +275,46 @@ def test_patch_triangles_equal_the_exact_triangles(layers, radius):
     model = build_solar_model(layers, radius)
     exact = np.array([t.vertices_xy(radius) for hexagon in model.hexagons for t in hexagon.triangles()])
     assert np.array_equal(patch_triangles(model).view(np.uint64), exact.view(np.uint64))
+
+
+@st.composite
+def sampler_cases(draw):
+    """Hexagon tables and draws for ``triangle_samples``: tiny to huge, negative, far off the origin, folds forced."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hexagons, count = draw(st.integers(1, 9)), draw(st.integers(0, 400))
+    scale = draw(st.sampled_from([1e-150, 1e-3, 1.0, 1e6, 1e150]))
+    shift = draw(st.sampled_from([0.0, -1e9, 3e12, -1e150]))
+    centers = shift + scale * rng.uniform(-1e3, 1e3, size=(hexagons, 2))
+    vertices = centers[:, None, :] + scale * rng.uniform(-1.0, 1.0, size=(hexagons, 6, 2))
+    hexagon, tri = rng.integers(0, hexagons, size=count), rng.integers(0, 6, size=count)
+    u, v = rng.random(count), rng.random(count)
+    folds = draw(st.sampled_from(["random", "every pair", "no pair", "on the diagonal"]))
+    if folds == "every pair":
+        u, v = 1.0 - 0.5 * u, 1.0 - 0.5 * v
+    elif folds == "no pair":
+        u, v = 0.5 * u, 0.5 * v
+    elif folds == "on the diagonal":  # u + v == 1 exactly: no fold
+        u = rng.integers(0, 9, size=count) / 8.0
+        v = 1.0 - u
+    return centers, vertices, hexagon, tri, u, v
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=sampler_cases())
+def test_triangle_samples_equal_the_corner_expression_bit_for_bit(case):
+    centers, vertices, hexagon, tri, u, v = case
+    edges = vertices - centers[:, None, :]
+    before = tri.copy()
+    reference_u, reference_v = u.copy(), v.copy()
+    expected = reference_triangle_samples(
+        centers[hexagon], vertices[hexagon, tri], vertices[hexagon, (tri + 1) % 6], reference_u, reference_v
+    )
+    points = triangle_samples(centers, edges, hexagon, tri, u, v)
+    assert points.shape == (len(hexagon), 2)
+    assert np.array_equal(points.view(np.uint64), expected.view(np.uint64))
+    # the draws are folded in place, as the corner expression folds them, and tri is left as given
+    assert np.array_equal(u, reference_u) and np.array_equal(v, reference_v)
+    assert np.array_equal(tri, before)
 
 
 class TestModelExport:

@@ -12,13 +12,14 @@ import pytest
 
 from exact_reference import dense_covering, eff_radius_pairs
 from float_geometry import brute_force_contains
+from sampler_reference import reference_triangle_samples
 from hexcover.benchmark import place_benchmark
 from hexcover.cli import main
 from hexcover.deployment import place_proposed, remove_sensors
 from hexcover.geometry import centroid, midpoint
 from hexcover.sensor_io import load_deployment, read_sensors_csv, write_sensors_csv
 from hexcover import verifier
-from hexcover.tiling import build_solar_model, patch_triangles, triangle_samples
+from hexcover.tiling import build_solar_model, patch_triangles
 from hexcover.verifier import (
     covering_pairs,
     coverage_counts,
@@ -66,7 +67,7 @@ def per_hexagon_monte_carlo_points(model, count, seed):
     tri_idx = rng.integers(0, 6, size=count)
     u = rng.random(count)
     v = rng.random(count)
-    return triangle_samples(
+    return reference_triangle_samples(
         centers[hex_idx], verts[hex_idx, tri_idx], verts[hex_idx, (tri_idx + 1) % 6], u, v
     )
 
@@ -124,6 +125,76 @@ class TestSampling:
         assert coverage_counts(centroid, sensors, 1.0)[0] == 2
         assert coverage_counts(centroid, sensors, expected_distance)[0] == 2
         assert coverage_counts(centroid, sensors, 0.5)[0] == 0
+
+
+def brute_force_counts(probes, sensors, radius):
+    """The KD-tree's disk predicate, (px - sx)**2 + (py - sy)**2 <= eff**2, sensor by sensor."""
+    eff2 = verifier._effective_radius(radius) ** 2
+    counts = np.zeros(len(probes), dtype=int)
+    for sx, sy in sensors:
+        counts += (probes[:, 0] - sx) ** 2 + (probes[:, 1] - sy) ** 2 <= eff2
+    return counts
+
+
+class TestBlockedQuery:
+    """``coverage_counts`` queries cell-ordered probes ``QUERY_BLOCK`` at a time, one tree per call."""
+
+    B = verifier.QUERY_BLOCK
+
+    @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_counts_equal_brute_force_at_block_edges(self, count):
+        rng = np.random.default_rng(count)
+        sensors = rng.uniform(-5.0, 5.0, size=(40, 2))
+        probes = rng.uniform(-7.0, 7.0, size=(count, 2))
+        counts = coverage_counts(probes, sensors, 1.5)
+        assert counts.shape == (count,)
+        assert np.array_equal(counts, brute_force_counts(probes, sensors, 1.5))
+
+    def test_no_sensors_count_zero(self):
+        probes = np.random.default_rng(3).uniform(-7.0, 7.0, size=(2 * self.B + 1, 2))
+        assert np.array_equal(coverage_counts(probes, np.zeros((0, 2)), 1.0), np.zeros(len(probes), dtype=int))
+
+    # spans of about 10**2, 6 * 10**4, 8 * 10**6 and 4.5 and 9.0 * 10**15 cells, whose keys take one, two, four
+    # and eight bytes, then 1.8 * 10**16 and 10**260 cells, past 2**53, which are lexsorted as floats
+    @pytest.mark.parametrize("width, height", [(9, 7), (300, 200), (1 << 12, 1 << 11), (1 << 27, 1 << 25),
+                                               (1 << 27, 1 << 26), (1 << 28, 1 << 26), (1e140, 1e120)])
+    @pytest.mark.parametrize("shift", [0.0, -1e12])
+    def test_wide_cell_ranges(self, width, height, shift):
+        rng = np.random.default_rng(11)
+        corner = rng.uniform(size=(self.B + 5, 2)) * np.array([width, height]) + shift
+        probes = np.concatenate([corner, corner[:3000] + rng.uniform(-2.0, 2.0, size=(3000, 2))])
+        sensors = corner[rng.integers(0, len(corner), size=50)]
+        cells = np.floor(probes / 1.0)
+        assert np.array_equal(verifier._cell_order(probes, 1.0), np.lexsort((cells[:, 0], cells[:, 1])))
+        counts = coverage_counts(probes, sensors, 1.0)
+        assert counts.max() > 0
+        assert np.array_equal(counts, brute_force_counts(probes, sensors, 1.0))
+
+    def test_one_tree_per_call(self, monkeypatch):
+        builds = []
+        original = verifier._kdtree
+        monkeypatch.setattr(verifier, "_kdtree", lambda sensors: builds.append(len(sensors)) or original(sensors))
+        probes = np.random.default_rng(5).uniform(-7.0, 7.0, size=(3 * self.B + 7, 2))
+        coverage_counts(probes, np.zeros((4, 2)), 1.0)
+        assert builds == [4]
+
+    def test_monte_carlo_stage_peaks_below_80_bytes_per_sample(self):
+        # The four draws (8 bytes each), the points (16) and one 8-byte column
+        # of the sampler: 56 bytes per sample; the query holds the points, the
+        # order and the counts, and one block.  Gathering each sample's three
+        # corners and querying one ordered copy of every probe peaked at 113.
+        model = build_solar_model(10, 10.0)
+        deployment = place_benchmark(model, 10, seed=7)
+        samples = 200_000
+        coverage_counts(monte_carlo_points(model, 100, 8), deployment.sensors, deployment.r)  # scipy loads untraced
+        tracemalloc.start()
+        try:
+            counts = coverage_counts(monte_carlo_points(model, samples, 8), deployment.sensors, deployment.r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(counts) == samples and counts.min() < deployment.k
+        assert peak < 80 * samples
 
 
 class TestProbeEstimate:
@@ -523,6 +594,20 @@ class TestLowerBound:
     def test_returns_three(self):
         assert minimum_sensors_lower_bound() == 3
 
+    def test_candidates_equal_the_corner_expression(self, monkeypatch):
+        # triangle t of the unit hexagon, repeated once per barycentric grid point, against the same grid
+        candidates = []
+        original = verifier.covering_pairs
+        monkeypatch.setattr(verifier, "covering_pairs", lambda t, s, r: candidates.append(s) or original(t, s, r))
+        assert minimum_sensors_lower_bound() == 3
+        n = 24
+        i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
+        u, v = i[i + j <= n] / n, j[i + j <= n] / n
+        center, a, b = np.repeat(patch_triangles(build_solar_model(1)), len(u), axis=0).transpose(1, 0, 2)
+        expected = reference_triangle_samples(center, a, b, np.tile(u, 6), np.tile(v, 6))
+        assert len(candidates) == 1
+        assert np.array_equal(candidates[0].view(np.uint64), expected.view(np.uint64))
+
     def test_center_holds_all_six(self):
         assert held_triangles(0.0, 0.0) == 6
 
@@ -577,6 +662,6 @@ class TestCoveringPairsAtCorners:
         # the disk that holds the triangle counts each of 1000 points sampled in it
         center, a, b = UNIT_TRIANGLES[0]
         rng = np.random.default_rng(5)
-        points = triangle_samples(center, a, b, rng.random(1000), rng.random(1000))
+        points = reference_triangle_samples(center, a, b, rng.random(1000), rng.random(1000))
         assert corner_disk_holds(1.0, 0, 1, 1.0)
         assert (coverage_counts(points, a[None], 1.0) == 1).all()
