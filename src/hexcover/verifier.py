@@ -100,7 +100,7 @@ MAX_FAILING_POINTS = 100
 # sample, in ``triangle_samples``: its four draws, the points and one
 # column.  The grid is counted while the Monte Carlo stage is built, so
 # their working sets add up: G raw grid points and M samples peak below
-# 9 G + 56 M bytes (at l = 30 with 10**6 samples, 79 MB against 56 MB
+# 9 G + 56 M bytes (at l = 30 with 10**6 samples, 80 MB against 57 MB
 # with the grid counted inline), which the budget caps near 0.56 GB
 # (tracemalloc at l = 10, 20 and 30, r = 10, step r/20).
 MAX_PROBES = 10_000_000
@@ -328,8 +328,9 @@ def _cell_order(points: np.ndarray, radius: float) -> np.ndarray:
     """``np.lexsort`` of the points' ``floor(point / radius)`` cells, row by row, as one stable integer sort.
 
     Shifted to start at 0, a cell is the integer key row * width + column,
-    in the narrowest unsigned dtype that holds every key, so a few hundred
-    or thousand cells sort by radix.  From 2**53 cells on, where a shifted
+    in the narrowest unsigned dtype that holds every key and the width
+    itself (one row of 256 cells needs 16 bits), so a few hundred or
+    thousand cells sort by radix.  From 2**53 cells on, where a shifted
     float may round, the float cells are lexsorted.
     """
     column, row = (np.floor(points[:, axis] / radius) for axis in (0, 1))
@@ -338,7 +339,7 @@ def _cell_order(points: np.ndarray, radius: float) -> np.ndarray:
     width, height = float(column.max()) + 1.0, float(row.max()) + 1.0
     if width * height >= 2.0**53:
         return np.lexsort((column, row))
-    dtype = np.min_scalar_type(int(width * height) - 1)
+    dtype = np.min_scalar_type(int(width * height))
     key = row.astype(dtype)
     del row
     key *= dtype.type(width)

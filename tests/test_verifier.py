@@ -170,6 +170,16 @@ class TestBlockedQuery:
         assert counts.max() > 0
         assert np.array_equal(counts, brute_force_counts(probes, sensors, 1.0))
 
+    # one row or one column of exactly 2**8 or 2**16 cells: the last key fits a narrower dtype than the width
+    @pytest.mark.parametrize("cells", [1 << 8, 1 << 16])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_one_row_or_column_at_a_dtype_edge(self, cells, axis):
+        probes = np.zeros((cells, 2)) + 0.5
+        probes[::-1, axis] += np.arange(cells)
+        cells_xy = np.floor(probes)
+        assert np.array_equal(verifier._cell_order(probes, 1.0), np.lexsort((cells_xy[:, 0], cells_xy[:, 1])))
+        assert np.array_equal(coverage_counts(probes, probes[:1], 1.0), brute_force_counts(probes, probes[:1], 1.0))
+
     def test_one_tree_per_call(self, monkeypatch):
         builds = []
         original = verifier._kdtree
