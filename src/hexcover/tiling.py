@@ -321,9 +321,10 @@ def triangle_samples(
     equals ``origin + u(a - origin) + v(b - origin)`` for its corners,
     since IEEE + and × commute.  Pairs with u + v > 1 are reflected to
     (1 - u, 1 - v), in place, so uniform draws in the unit square give
-    uniform points in each triangle with no rejection.  ``tri`` is stepped
-    to t + 1 mod 6 and back in place.  Besides the points (16 bytes per
-    sample), one 8-byte column is alive at a time: no gather of corners.
+    uniform points in each triangle with no rejection.  ``tri`` is consumed
+    as well: it is stepped to t + 1 mod 6 in place.  Besides the points (16
+    bytes per sample), one 8-byte column is alive at a time: no gather of
+    corners.
     """
     fold = u + v > 1.0
     np.subtract(1.0, u, out=u, where=fold)
@@ -340,8 +341,6 @@ def triangle_samples(
         spoke *= v
         points[:, axis] += spoke
         del spoke
-    tri += 5
-    tri %= 6
     return points
 
 

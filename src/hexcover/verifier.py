@@ -25,10 +25,12 @@ failing probes; its sample count, minimum and verdict are read off that histogra
 The disk test compares squared distances with a 1e-9 relative tolerance so
 exact boundary contacts survive the float conversion.  Structured and Monte
 Carlo probes are counted with a KD-tree (``coverage_counts``), in spatial
-cell order and blocks of ``QUERY_BLOCK`` probes, on as many threads as the
-process may run on (its CPU affinity mask), each taking at least
-``MIN_PROBES_PER_WORKER`` probes of a block, so the few thousand structured
-probes stay on one thread while the Monte Carlo samples are split.  scipy's
+cell order, on as many threads as the process may run on (its CPU
+affinity mask), each taking at least ``MIN_PROBES_PER_WORKER`` probes, so
+the few thousand structured probes stay on one thread while the Monte Carlo
+samples are split.  The samples are queried in blocks of ``QUERY_BLOCK``
+probes, or, on hosts with more than four CPUs, of ``MIN_PROBES_PER_WORKER``
+per thread, so every thread keeps its share of each block.  scipy's
 query threads count each probe on its own, so the counts depend on neither
 the order nor the thread count.
 The grid is counted on its lattice instead (``lattice_counts``): along one
@@ -108,8 +110,9 @@ MAX_PROBES = 10_000_000
 # (measured; see its docstring).
 KDTREE_LEAFSIZE = 64
 MIN_PROBES_PER_WORKER = 1 << 12
-# Probes per KD-tree query of ``coverage_counts``: a block's ordered copy
-# and its counts (24 bytes a probe) are the query's only temporaries.  On
+# Probes per KD-tree query of ``coverage_counts``, at least (more than four
+# query threads take ``MIN_PROBES_PER_WORKER`` each): a block's ordered
+# copy and its counts (24 bytes a probe) are the query's only temporaries.  On
 # the l = 5, k = 60 benchmark workload (50 000 Monte Carlo probes, 2-vCPU
 # Xeon) perfbench's peak RSS read 80.4, 81.0, 82.3 and 83.4 MB at 2**13,
 # 2**14, 2**15 and 2**16 and 83.3 MB in one block, and the query took
@@ -288,12 +291,13 @@ def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> n
     The points are queried in cell order (``_cell_order``): by their
     ``floor(point / radius)`` cells, row by row, so consecutive queries
     walk the same tree nodes instead of jumping about as the Monte Carlo
-    samples do.  One tree takes them ``QUERY_BLOCK`` at a time, each
-    block's counts scattered back to input order, so no ordered copy of
-    every point is built.  Each block runs on ``query_workers`` of scipy's
-    threads, which release the GIL only inside each probe's tree walk and
-    take it back once per probe; each probe is counted by one thread alone,
-    so the counts are the same for any order, block size and thread count.
+    samples do.  The query runs on ``query_workers(len(points))`` of
+    scipy's threads, which release the GIL only inside each probe's tree
+    walk and take it back once per probe.  One tree takes the ordered
+    points in blocks of ``QUERY_BLOCK``, or of ``MIN_PROBES_PER_WORKER``
+    per thread on more than four threads, each block's counts scattered
+    back to input order, so no ordered copy of every point is built.  Each probe is counted by one thread alone, so the counts are
+    the same for any order, block size and thread count.
 
     The constants were measured on cell-ordered probes on a 2-vCPU Xeon, on
     both benchmark workloads (l = 5, k = 60 and the comparison scheme at
@@ -316,35 +320,30 @@ def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> n
         return np.zeros(len(points), dtype=int)
     order = _cell_order(points, radius)
     tree, eff = _kdtree(sensors), _effective_radius(radius)
-    workers = query_workers(min(len(points), QUERY_BLOCK))
+    workers = query_workers(len(points))
+    block = max(QUERY_BLOCK, workers * MIN_PROBES_PER_WORKER)
     counts = np.empty(len(points), dtype=np.intp)
-    for start in range(0, len(points), QUERY_BLOCK):
-        block = order[start : start + QUERY_BLOCK]
-        counts[block] = tree.query_ball_point(points[block], eff, return_length=True, workers=workers)
+    for start in range(0, len(points), block):
+        ordered = order[start : start + block]
+        counts[ordered] = tree.query_ball_point(points[ordered], eff, return_length=True, workers=workers)
     return counts
 
 
 def _cell_order(points: np.ndarray, radius: float) -> np.ndarray:
-    """``np.lexsort`` of the points' ``floor(point / radius)`` cells, row by row, as one stable integer sort.
+    """Indices that put the points in the order of their ``floor(point / radius)`` cells, row by row.
 
-    Shifted to start at 0, a cell is the integer key row * width + column,
-    in the narrowest unsigned dtype that holds every key and the width
-    itself (one row of 256 cells needs 16 bits), so a few hundred or
-    thousand cells sort by radix.  From 2**53 cells on, where a shifted
-    float may round, the float cells are lexsorted.
+    Shifted to start at 0, a cell's key is row + column / width: its
+    fraction is below 1, so the key never overflows and grows with the row,
+    then the column.  Keys of distinct cells may round together only past
+    about 2**52 cells, which loosens the order and nothing else.  The counts
+    do not depend on the order, so the sort need not be stable.
     """
     column, row = (np.floor(points[:, axis] / radius) for axis in (0, 1))
     column -= column.min()
+    column /= column.max() + 1.0
     row -= row.min()
-    width, height = float(column.max()) + 1.0, float(row.max()) + 1.0
-    if width * height >= 2.0**53:
-        return np.lexsort((column, row))
-    dtype = np.min_scalar_type(int(width * height))
-    key = row.astype(dtype)
-    del row
-    key *= dtype.type(width)
-    key += column.astype(dtype)
-    return np.argsort(key, kind="stable")
+    row += column
+    return np.argsort(row)
 
 
 def covering_pairs(triangles: np.ndarray, sensors: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:

@@ -142,7 +142,8 @@ class TestBlockedQuery:
     B = verifier.QUERY_BLOCK
 
     @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 3 * B + 7])
-    def test_counts_equal_brute_force_at_block_edges(self, count):
+    def test_counts_equal_brute_force_at_block_edges(self, count, monkeypatch):
+        monkeypatch.setattr(verifier, "_cpu_count", lambda: 2)  # blocks of QUERY_BLOCK on any host
         rng = np.random.default_rng(count)
         sensors = rng.uniform(-5.0, 5.0, size=(40, 2))
         probes = rng.uniform(-7.0, 7.0, size=(count, 2))
@@ -150,12 +151,43 @@ class TestBlockedQuery:
         assert counts.shape == (count,)
         assert np.array_equal(counts, brute_force_counts(probes, sensors, 1.5))
 
+    # (CPUs, probes) -> (threads, probes per query): four threads fill a block; more threads take
+    # MIN_PROBES_PER_WORKER each, so a host with eight CPUs queries on eight threads, in larger blocks
+    @pytest.mark.parametrize("cpus, count, workers, blocks", [
+        (2, 3 * B + 7, 2, [B, B, B, 7]),
+        (4, 2 * B, 4, [B, B]),
+        (8, 3 * B + 7, 8, [2 * B, B + 7]),
+        (8, B, 4, [B]),
+        (8, 5000, 1, [5000]),
+    ])
+    def test_query_threads_and_blocks_follow_the_cpus(self, cpus, count, workers, blocks, monkeypatch):
+        queries = []
+
+        class Tree:
+            def __init__(self, sensors):
+                self.tree = original(sensors)
+
+            def query_ball_point(self, points, eff, **options):
+                queries.append((len(points), options["workers"]))
+                return self.tree.query_ball_point(points, eff, **options)
+
+        original = verifier._kdtree
+        monkeypatch.setattr(verifier, "_kdtree", Tree)
+        monkeypatch.setattr(verifier, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(verifier, "_address_space_limited", lambda: False)
+        rng = np.random.default_rng(count)
+        sensors = rng.uniform(-5.0, 5.0, size=(40, 2))
+        probes = rng.uniform(-7.0, 7.0, size=(count, 2))
+        counts = coverage_counts(probes, sensors, 1.5)
+        assert queries == [(size, workers) for size in blocks]
+        assert np.array_equal(counts, brute_force_counts(probes, sensors, 1.5))
+
     def test_no_sensors_count_zero(self):
         probes = np.random.default_rng(3).uniform(-7.0, 7.0, size=(2 * self.B + 1, 2))
         assert np.array_equal(coverage_counts(probes, np.zeros((0, 2)), 1.0), np.zeros(len(probes), dtype=int))
 
-    # spans of about 10**2, 6 * 10**4, 8 * 10**6 and 4.5 and 9.0 * 10**15 cells, whose keys take one, two, four
-    # and eight bytes, then 1.8 * 10**16 and 10**260 cells, past 2**53, which are lexsorted as floats
+    # spans of about 10**2, 6 * 10**4 and 8 * 10**6 cells, in exact key order, then 4.5, 9.0 and 18 * 10**15
+    # and 10**260 cells, from 2**52 on, where keys of distinct cells may round together
     @pytest.mark.parametrize("width, height", [(9, 7), (300, 200), (1 << 12, 1 << 11), (1 << 27, 1 << 25),
                                                (1 << 27, 1 << 26), (1 << 28, 1 << 26), (1e140, 1e120)])
     @pytest.mark.parametrize("shift", [0.0, -1e12])
@@ -164,21 +196,14 @@ class TestBlockedQuery:
         corner = rng.uniform(size=(self.B + 5, 2)) * np.array([width, height]) + shift
         probes = np.concatenate([corner, corner[:3000] + rng.uniform(-2.0, 2.0, size=(3000, 2))])
         sensors = corner[rng.integers(0, len(corner), size=50)]
-        cells = np.floor(probes / 1.0)
-        assert np.array_equal(verifier._cell_order(probes, 1.0), np.lexsort((cells[:, 0], cells[:, 1])))
+        order = verifier._cell_order(probes, 1.0)
+        assert np.array_equal(np.sort(order), np.arange(len(probes)))
+        if width * height < 2**52:
+            column, row = np.floor(probes[order]).T
+            assert (np.diff(row) >= 0).all() and (np.diff(column)[np.diff(row) == 0] >= 0).all()
         counts = coverage_counts(probes, sensors, 1.0)
         assert counts.max() > 0
         assert np.array_equal(counts, brute_force_counts(probes, sensors, 1.0))
-
-    # one row or one column of exactly 2**8 or 2**16 cells: the last key fits a narrower dtype than the width
-    @pytest.mark.parametrize("cells", [1 << 8, 1 << 16])
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_one_row_or_column_at_a_dtype_edge(self, cells, axis):
-        probes = np.zeros((cells, 2)) + 0.5
-        probes[::-1, axis] += np.arange(cells)
-        cells_xy = np.floor(probes)
-        assert np.array_equal(verifier._cell_order(probes, 1.0), np.lexsort((cells_xy[:, 0], cells_xy[:, 1])))
-        assert np.array_equal(coverage_counts(probes, probes[:1], 1.0), brute_force_counts(probes, probes[:1], 1.0))
 
     def test_one_tree_per_call(self, monkeypatch):
         builds = []
