@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="benchmark tiling y offset, rational multiple of the radius; "
                            "write a negative one as --offset-y=-1/3 (default: 0)")
     plan.add_argument("--output", default="sensors.csv", help="sensor file path (default: sensors.csv)")
-    plan.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default: csv)")
+    plan.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default: csv); verify reads only csv")
 
     verify = subparsers.add_parser("verify", help="check a sensor file for k-coverage")
     verify.add_argument("--input", required=True, help="sensor CSV produced by plan")

@@ -25,14 +25,9 @@ failing probes; its sample count, minimum and verdict are read off that histogra
 The disk test compares squared distances with a 1e-9 relative tolerance so
 exact boundary contacts survive the float conversion.  Structured and Monte
 Carlo probes are counted with a KD-tree (``coverage_counts``), in spatial
-cell order, on as many threads as the process may run on (its CPU
-affinity mask), each taking at least ``MIN_PROBES_PER_WORKER`` probes, so
-the few thousand structured probes stay on one thread while the Monte Carlo
-samples are split.  The samples are queried in blocks of ``QUERY_BLOCK``
-probes, or, on hosts with more than four CPUs, of ``MIN_PROBES_PER_WORKER``
-per thread, so every thread keeps its share of each block.  scipy's
-query threads count each probe on its own, so the counts depend on neither
-the order nor the thread count.
+cell order, ``QUERY_BLOCK`` probes per query, each block a plain
+single-threaded scipy query; each probe is counted by one query alone, so
+the counts depend on neither the order, the block size nor the thread.
 The grid is counted on its lattice instead (``lattice_counts``): along one
 grid row the float predicate ``(x - sx)**2 + (y - sy)**2 <= eff**2`` holds
 on a single contiguous run of columns, because ``fl(x - sx)`` is monotone
@@ -40,13 +35,16 @@ in x, so each sensor adds one column interval per grid row its disk
 reaches.  The two ends of every interval are estimated from the axis pitch
 and settled with that same float predicate (``tiling.run_ends``, the clip's
 helper too), so the counts are the predicate's bit for bit, at a cost of
-O(sensors × rows per disk) instead of O(disk hits).  ``_stages`` submits
-that counting to a one-thread ``concurrent.futures.ThreadPoolExecutor``
-right after the grid is clipped, counts the structured and then the Monte
-Carlo probes on this thread meanwhile, and yields the grid stage from the
-future's result, so the worker's exception is raised here.  The grid is
-counted inline under ``fail_fast``, under a finite address-space limit and
-when no thread can be started; the report is the same either way.
+O(sensors × rows per disk) instead of O(disk hits).  ``_stages`` opens one
+``concurrent.futures.ThreadPoolExecutor`` per verify, one thread per CPU
+the process may run on, submits that counting to it right after the grid
+is clipped, and maps every query's blocks over it meanwhile; the grid
+stage is yielded from the future's result, so an exception in the
+counting is raised here.  Under a finite address-space limit there is no
+executor and everything runs inline, and when a thread cannot start the
+stages are counted again inline once the executor has finished; under
+``fail_fast`` the grid is counted inline.  The report is the same either
+way.
 
 The same disk decides which sensors hold whole triangles: ``covering_pairs``
 is the package's one triangle-in-disk kernel, behind the sampling-free
@@ -63,6 +61,7 @@ neither.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -106,20 +105,23 @@ MAX_FAILING_POINTS = 100
 # with the grid counted inline), which the budget caps near 0.56 GB
 # (tracemalloc at l = 10, 20 and 30, r = 10, step r/20).
 MAX_PROBES = 10_000_000
-# KD-tree leaf size and fewest probes per query thread of ``coverage_counts``
-# (measured; see its docstring).
+# KD-tree leaf size of ``coverage_counts`` (measured; see its docstring).
 KDTREE_LEAFSIZE = 64
-MIN_PROBES_PER_WORKER = 1 << 12
-# Probes per KD-tree query of ``coverage_counts``, at least (more than four
-# query threads take ``MIN_PROBES_PER_WORKER`` each): a block's ordered
-# copy and its counts (24 bytes a probe) are the query's only temporaries.  On
-# the l = 5, k = 60 benchmark workload (50 000 Monte Carlo probes, 2-vCPU
-# Xeon) perfbench's peak RSS read 80.4, 81.0, 82.3 and 83.4 MB at 2**13,
-# 2**14, 2**15 and 2**16 and 83.3 MB in one block, and the query took
-# 1.08, 1.06, 1.03 and 1.02 of one block's time (median of 40 interleaved
-# rounds; 1.09, 1.06, 1.12 and 1.06 on the scheme at l = 10, k = 10):
-# 2**14 keeps most of the memory for about 5% of the query.
-QUERY_BLOCK = 1 << 14
+# Probes per KD-tree query of ``coverage_counts``.  A block's ordered copy
+# and its counts (24 bytes a probe) are the query's only temporaries, so
+# the queries hold threads x QUERY_BLOCK x 24 bytes in flight (384 KiB on
+# two threads).  On the l = 5, k = 60 benchmark workload (50 000 Monte Carlo
+# probes, verify's executor on a 2-vCPU Xeon, 3 interleaved 6 s perfbench
+# runs each) peak RSS read 80.2-80.5, 80.6-80.8, 80.9-81.3, 81.8-82.7 and
+# 83.9-84.1 MB and verify_s 0.174-0.185, 0.174-0.183, 0.189-0.215,
+# 0.184-0.194 and 0.225-0.263 s at 2**12, 2**13, 2**14, 2**15 and 2**16;
+# the scheme at l = 10, k = 10 read 82.8-84.4 MB up to 2**15 and 85.0-85.8
+# MB at 2**16, and 0.141-0.150, 0.145-0.148, 0.140-0.166, 0.144-0.176 and
+# 0.200-0.220 s.  Larger blocks split the samples unevenly over the threads
+# (three and a short fourth at 2**14; one at 2**16 leaves a thread idle):
+# the query alone took 64-78 ms at 2**13 against 82-94 ms at 2**14 (median
+# of 15 calls, 6 interleaved rounds).
+QUERY_BLOCK = 1 << 13
 # Relative widening of ``covering_pairs``' squared candidate reach.
 COVER_SLACK = 1e-9
 
@@ -256,26 +258,18 @@ def _cpu_count() -> int:
 
 
 def _address_space_limited() -> bool:
-    """Whether the process runs under a finite address-space limit (``RLIMIT_AS``, as ``ulimit -v`` sets)."""
+    """Whether the process runs under a finite address-space limit (``RLIMIT_AS``, as ``ulimit -v`` sets).
+
+    Verify starts no thread then: near that limit glibc aborts the whole
+    process when a new thread cannot get its malloc arena ("cannot allocate
+    memory for thread-local data"), where one thread raises ``MemoryError``
+    and verify exits 2.
+    """
     try:
         import resource
     except ImportError:  # no resource limits on this platform
         return False
     return resource.getrlimit(resource.RLIMIT_AS)[0] != resource.RLIM_INFINITY
-
-
-def query_workers(probes: int) -> int:
-    """KD-tree query threads for ``probes`` points: one per CPU, each with at least ``MIN_PROBES_PER_WORKER``.
-
-    One thread under a finite address-space limit: near that limit glibc
-    aborts the whole process when a new thread cannot get its malloc arena
-    ("cannot allocate memory for thread-local data"), where one thread
-    raises ``MemoryError`` and verify exits 2.  The counts do not depend on
-    the thread count.
-    """
-    if _address_space_limited():
-        return 1
-    return max(1, min(_cpu_count(), probes // MIN_PROBES_PER_WORKER))
 
 
 def _kdtree(sensors: np.ndarray):
@@ -285,34 +279,26 @@ def _kdtree(sensors: np.ndarray):
     return cKDTree(sensors, leafsize=KDTREE_LEAFSIZE)
 
 
-def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> np.ndarray:
+def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float, pool=None) -> np.ndarray:
     """Number of sensors whose closed disk of ``radius`` holds each point.
 
     The points are queried in cell order (``_cell_order``): by their
     ``floor(point / radius)`` cells, row by row, so consecutive queries
     walk the same tree nodes instead of jumping about as the Monte Carlo
-    samples do.  The query runs on ``query_workers(len(points))`` of
-    scipy's threads, which release the GIL only inside each probe's tree
-    walk and take it back once per probe.  One tree takes the ordered
-    points in blocks of ``QUERY_BLOCK``, or of ``MIN_PROBES_PER_WORKER``
-    per thread on more than four threads, each block's counts scattered
-    back to input order, so no ordered copy of every point is built.  Each probe is counted by one thread alone, so the counts are
-    the same for any order, block size and thread count.
+    samples do.  One tree takes the ordered points in blocks of
+    ``QUERY_BLOCK``, each a plain single-threaded scipy query whose counts
+    are written back to input order in place, so no ordered copy of every
+    point is built.  The blocks are mapped over ``pool``, verify's
+    executor, or run on this thread when there is none.  Each probe is
+    counted by one query alone, so the counts are the same for any order,
+    block size and thread count.
 
-    The constants were measured on cell-ordered probes on a 2-vCPU Xeon, on
+    Leaf size 64 was measured on cell-ordered probes on a 2-vCPU Xeon, on
     both benchmark workloads (l = 5, k = 60 and the comparison scheme at
     l = 10, k = 10), by median ``verify_coverage`` time over interleaved
-    rounds.  Leaf size 64 was the fastest of 16, 32, 64 and 128: the others
-    took 1.16, 1.04 and 1.03 of its time on the first workload and 1.11,
-    1.04 and 1.03 on the second.  A lone query on two threads pays from
-    about 1-2 k probes, but the structured probes (1-5 k on the benchmark
-    workloads) are counted beside the grid's worker thread, so splitting
-    them at 2**11 took 1.03 of the time at ``MIN_PROBES_PER_WORKER`` = 2**12,
-    which keeps them on one thread and splits the Monte Carlo samples.
-    Although each probe takes the GIL, the second query thread still pays:
-    with ``query_workers`` forced to 1, ``verify_s`` rose 29-48% in 3
-    alternating 20 s perfbench pairs per workload (``dense-k60-l5`` 0.168-0.171
-    -> 0.226-0.249 s, ``scheme-l10`` 0.146-0.164 -> 0.211-0.214 s).
+    rounds: it was the fastest of 16, 32, 64 and 128, the others taking
+    1.16, 1.04 and 1.03 of its time on the first workload and 1.11, 1.04
+    and 1.03 on the second.
     """
     if len(points) == 0:
         return np.zeros(0, dtype=int)
@@ -320,12 +306,13 @@ def coverage_counts(points: np.ndarray, sensors: np.ndarray, radius: float) -> n
         return np.zeros(len(points), dtype=int)
     order = _cell_order(points, radius)
     tree, eff = _kdtree(sensors), _effective_radius(radius)
-    workers = query_workers(len(points))
-    block = max(QUERY_BLOCK, workers * MIN_PROBES_PER_WORKER)
     counts = np.empty(len(points), dtype=np.intp)
-    for start in range(0, len(points), block):
-        ordered = order[start : start + block]
-        counts[ordered] = tree.query_ball_point(points[ordered], eff, return_length=True, workers=workers)
+
+    def query(ordered):
+        counts[ordered] = tree.query_ball_point(points[ordered], eff, return_length=True)
+
+    blocks = [order[start : start + QUERY_BLOCK] for start in range(0, len(points), QUERY_BLOCK)]
+    list(map(query, blocks) if pool is None else pool.map(query, blocks))  # raises the first block's exception
     return counts
 
 
@@ -457,8 +444,8 @@ def lattice_counts(xs: np.ndarray, ys: np.ndarray, sensors: np.ndarray, radius: 
     return run_counts((len(ys), len(xs)), rows, columns, np.int32)
 
 
-def _counted(points: np.ndarray, sensors: np.ndarray, radius: float):
-    return coverage_counts(points, sensors, radius), points.__getitem__
+def _counted(points: np.ndarray, sensors: np.ndarray, radius: float, pool):
+    return coverage_counts(points, sensors, radius, pool), points.__getitem__
 
 
 def _grid_nodes(xs: np.ndarray, ys: np.ndarray, kept: np.ndarray):
@@ -471,46 +458,41 @@ def _grid_nodes(xs: np.ndarray, ys: np.ndarray, kept: np.ndarray):
     return nodes
 
 
-def _stages(deployment: Deployment, step: float, seed: int, mc_samples: int, fail_fast: bool):
+def _stages(deployment: Deployment, step: float, seed: int, mc_samples: int, fail_fast: bool, inline: bool):
     """(counts, probe lookup by index) of the structured, grid and Monte Carlo stages, in that order.
 
-    The grid is clipped first, and ``lattice_counts`` is submitted to a
-    one-thread executor while this thread counts the structured and then
-    the Monte Carlo probes; the grid stage is yielded from the future's
-    result, which raises the worker's exception, ``MemoryError`` included,
-    here.  Under ``fail_fast``, where no stage may be built before the
-    previous one's verdict, under a finite address-space limit (see
-    ``query_workers``) and when no thread can be started the grid is
-    counted inline instead, and each stage is built only when the caller
-    asks for it.  Closing the generator shuts the executor down, which
-    waits for the worker.
+    Unless ``inline``, one executor runs every thread of the stages, one
+    thread per CPU in the process's affinity mask (``_cpu_count``).  The
+    grid is clipped first and ``lattice_counts`` submitted to it, then the
+    structured and the Monte Carlo probes' query blocks are mapped over the
+    same executor while the grid is counted; the grid stage is yielded from
+    the future's result, which raises the counting's exception,
+    ``MemoryError`` included, here.  Under ``fail_fast``, where no stage may
+    be built before the previous one's verdict, the grid is counted inline
+    after the structured stage's verdict, and each stage is built only when
+    the caller asks for it.  With ``inline`` there is no executor and no
+    thread.  Closing the generator shuts the executor down, which waits for
+    its threads.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, so that plan, which imports this module, never loads it
 
     model, sensors, radius = deployment.model, deployment.sensors, deployment.r
 
     def monte_carlo():
-        return _counted(monte_carlo_points(model, mc_samples, seed), sensors, radius)
+        return _counted(monte_carlo_points(model, mc_samples, seed), sensors, radius, pool)
 
-    with ThreadPoolExecutor(1, thread_name_prefix="lattice_counts") as pool:
+    with contextlib.nullcontext() if inline else ThreadPoolExecutor(_cpu_count(), thread_name_prefix="verify") as pool:
         grid = counting = None
-        if not fail_fast and not _address_space_limited():
+        if pool is not None and not fail_fast:
             grid = grid_points(model, step)
-            try:
-                counting = pool.submit(lattice_counts, grid[0], grid[1], sensors, radius)
-            except RuntimeError:  # no thread can be started: count inline
-                pass
-            # Nothing more is submitted, so the worker exits once it has
-            # counted: left idle, it kept its malloc arena from scipy's query
-            # threads, 1.3-1.4 MB more peak RSS on both benchmark workloads.
-            pool.shutdown(wait=False)
+            counting = pool.submit(lattice_counts, grid[0], grid[1], sensors, radius)
         # No local here keeps a finished stage alive while the next one is
         # built, except the Monte Carlo stage that is built while the grid is
         # counted: its sampling peak (56 bytes a sample) meets the grid's
         # working set (see MAX_PROBES), and its points and counts (24 bytes a
         # sample) wait while the grid stage is reported.  Each stage is built
         # inside a call, and the grid's are deleted.
-        yield _counted(structured_points(model), sensors, radius)
+        yield _counted(structured_points(model), sensors, radius, pool)
         xs, ys, kept = grid or grid_points(model, step)
         later = monte_carlo() if counting is not None and mc_samples > 0 else None
         counts = (lattice_counts(xs, ys, sensors, radius) if counting is None else counting.result())[kept]
@@ -532,35 +514,43 @@ def verify_coverage(
 
     With ``fail_fast`` the stages (structured, grid, random) stop at the
     first one that contains a failing point; later stages are not built.
+    The stages run inline, with no thread, under a finite address-space
+    limit (``_address_space_limited``), and start over inline when a thread
+    cannot start, once the executor has finished; the report is the same.
     """
     model: SolarModel = deployment.model
     radius = deployment.r
     step = default_grid_step(radius) if grid_step is None else grid_step
 
-    histogram: dict[int, int] = {}
-    failing: list[tuple[float, float]] = []
-    stages = _stages(deployment, step, seed, mc_samples, fail_fast)
-    try:
-        for counts, probes in stages:
-            values, freqs = np.unique(counts, return_counts=True)
-            for value, freq in zip(values.tolist(), freqs.tolist()):
-                histogram[value] = histogram.get(value, 0) + freq
-            failed = len(values) > 0 and values[0] < deployment.k
-            if failed and len(failing) < MAX_FAILING_POINTS:
-                bad = np.flatnonzero(counts < deployment.k)[: MAX_FAILING_POINTS - len(failing)]
-                failing.extend(map(tuple, probes(bad).tolist()))
-            del counts, probes  # free this stage's probes before the next one is built
-            if fail_fast and failed:
-                break
-    finally:
-        stages.close()  # no worker thread outlives this call
+    def sample(inline: bool) -> CoverageReport:
+        histogram: dict[int, int] = {}
+        failing: list[tuple[float, float]] = []
+        stages = _stages(deployment, step, seed, mc_samples, fail_fast, inline)
+        try:
+            for counts, probes in stages:
+                values, freqs = np.unique(counts, return_counts=True)
+                for value, freq in zip(values.tolist(), freqs.tolist()):
+                    histogram[value] = histogram.get(value, 0) + freq
+                failed = len(values) > 0 and values[0] < deployment.k
+                if failed and len(failing) < MAX_FAILING_POINTS:
+                    bad = np.flatnonzero(counts < deployment.k)[: MAX_FAILING_POINTS - len(failing)]
+                    failing.extend(map(tuple, probes(bad).tolist()))
+                del counts, probes  # free this stage's probes before the next one is built
+                if fail_fast and failed:
+                    break
+        finally:
+            stages.close()  # no thread outlives this call
+        return CoverageReport(
+            target_k=deployment.k,
+            failing_points=tuple(failing),
+            coverage_histogram=histogram,
+            region=f"solar-model patch: layers={model.layers}, hexagons={len(model.centers)}, side={model.side}",
+        )
 
-    return CoverageReport(
-        target_k=deployment.k,
-        failing_points=tuple(failing),
-        coverage_histogram=histogram,
-        region=f"solar-model patch: layers={model.layers}, hexagons={len(model.centers)}, side={model.side}",
-    )
+    if not _address_space_limited():
+        with contextlib.suppress(RuntimeError):  # a thread could not start
+            return sample(inline=False)
+    return sample(inline=True)
 
 
 def residual_coverage(deployment: Deployment, failures: list[int], **verify_kwargs) -> CoverageReport:

@@ -8,6 +8,7 @@ import functools
 import os
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -465,10 +466,8 @@ def yielded_grid_stage(model, step, sensors, radius, background):
         return counts(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        # the worker's schedule whatever address-space limit the tests run under
-        patch.setattr(verifier, "_address_space_limited", lambda: False)
         patch.setattr(verifier, "lattice_counts", recorded)
-        stages = verifier._stages(deployment, step, seed=0, mc_samples=0, fail_fast=not background)
+        stages = verifier._stages(deployment, step, seed=0, mc_samples=0, fail_fast=not background, inline=False)
         try:
             next(stages)  # the structured stage
             stage = next(stages)
@@ -570,7 +569,7 @@ def affinity_cpus():
 
 @st.composite
 def query_cases(draw):
-    """Sensors and enough probes around them for two query threads.
+    """Sensors and enough probes around them for two query blocks.
 
     A quarter of the probes lie just inside or outside some sensor's disk
     (1e-11 to 1e-9 relative off its effective radius), the others anywhere
@@ -578,7 +577,7 @@ def query_cases(draw):
     """
     radius = draw(st.sampled_from(RADII))
     sensors = radius * np.array(draw(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), min_size=1, max_size=30)))
-    count = draw(st.integers(2 * verifier.MIN_PROBES_PER_WORKER, 3 * verifier.MIN_PROBES_PER_WORKER))
+    count = draw(st.integers(verifier.QUERY_BLOCK + 1, 3 * verifier.QUERY_BLOCK // 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     probes = radius * rng.uniform(-3.5, 3.5, size=(count, 2))
     near = count // 4
@@ -592,14 +591,9 @@ def query_cases(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(case=query_cases())
-def test_coverage_counts_are_exact_on_any_thread_count(case):
+def test_coverage_counts_are_exact_on_any_pool(case):
     probes, sensors, radius = case
-    with pytest.MonkeyPatch.context() as patch:
-        # as many threads as without an address-space limit, whatever limit the tests run under
-        patch.setattr(verifier, "_address_space_limited", lambda: False)
-        workers = verifier.query_workers(len(probes))
-        assert min(2, affinity_cpus()) <= workers <= affinity_cpus()
-        counts = coverage_counts(probes, sensors, radius)
+    counts = coverage_counts(probes, sensors, radius)
     eff2 = effective_radius(radius) ** 2
     # the disk predicate, on probes at least 1e-12 relative off every disk boundary
     expected = np.zeros(len(probes), dtype=int)
@@ -610,10 +604,9 @@ def test_coverage_counts_are_exact_on_any_thread_count(case):
         clear &= np.abs(d2 - eff2) >= 1e-12 * eff2
     assert clear.mean() > 0.9
     assert np.array_equal(counts[clear], expected[clear])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verifier, "_cpu_count", lambda: 1)
-        assert verifier.query_workers(len(probes)) == 1
-        assert np.array_equal(coverage_counts(probes, sensors, radius), counts)
+    for threads in (1, 2, 8):
+        with ThreadPoolExecutor(threads) as pool:
+            assert np.array_equal(coverage_counts(probes, sensors, radius, pool), counts)
 
 
 @st.composite
@@ -622,7 +615,7 @@ def cell_order_cases(draw):
     radius = draw(st.sampled_from(RADII))
     kind = draw(st.sampled_from(["random", "duplicated", "single", "no probes", "no sensors", "near the limit"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    count = {"single": 1, "no probes": 0}.get(kind, draw(st.integers(2, 3 * verifier.MIN_PROBES_PER_WORKER)))
+    count = {"single": 1, "no probes": 0}.get(kind, draw(st.integers(2, 3 * verifier.QUERY_BLOCK // 2)))
     center = np.zeros(2)
     if kind == "near the limit":
         center = FLOAT_LIMIT * rng.uniform(0.5, 1.0, size=2) * rng.choice([-1.0, 1.0], size=2)
@@ -647,21 +640,39 @@ def test_cell_ordered_counts_equal_the_unsorted_query(case):
     assert np.array_equal(counts, expected)
 
 
-def test_query_workers_stay_within_the_affinity_mask(monkeypatch):
+def started_threads(monkeypatch):
+    """Names of the threads started from now on, in start order."""
+    names, start = [], threading.Thread.start
+
+    def recorded(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return names
+
+
+def verify_scheme_l3():
+    """A verify of four query blocks of Monte Carlo samples on a failing scheme plan."""
+    deployment = place_benchmark(model_for(3, 1.0), 4, seed=7)
+    return verifier.verify_coverage(deployment, seed=3, mc_samples=4 * verifier.QUERY_BLOCK)
+
+
+def test_verify_threads_stay_within_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(verifier, "_address_space_limited", lambda: False)
-    cpus = affinity_cpus()
-    assert verifier._cpu_count() == cpus
-    for probes in (0, 1, verifier.MIN_PROBES_PER_WORKER - 1, verifier.MIN_PROBES_PER_WORKER, 10**7, 10**18):
-        assert 1 <= verifier.query_workers(probes) <= cpus
-    assert verifier.query_workers(verifier.MIN_PROBES_PER_WORKER * cpus) == cpus
+    assert verifier._cpu_count() == affinity_cpus()
+    names = started_threads(monkeypatch)
+    verify_scheme_l3()
+    assert 1 <= len(names) <= affinity_cpus()
+    assert all(name.startswith("verify_") for name in names)
 
 
-def test_one_query_thread_under_an_address_space_limit(monkeypatch):
+def test_no_thread_under_an_address_space_limit(monkeypatch):
     resource = pytest.importorskip("resource")
     monkeypatch.setattr(resource, "getrlimit", lambda which: (1 << 30, resource.RLIM_INFINITY))
-    assert verifier.query_workers(10**7) == 1
-    monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
-    assert verifier.query_workers(10**7) == affinity_cpus()
+    names = started_threads(monkeypatch)
+    report = verify_scheme_l3()
+    assert names == [] and not report.passed
 
 
 def test_cpu_count_without_an_affinity_mask(monkeypatch):

@@ -1,10 +1,12 @@
 """Tests for the sampling-based coverage certifier and the triangle-coverage kernel."""
 
+import contextlib
 import dataclasses
 import math
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -141,46 +143,63 @@ class TestBlockedQuery:
 
     B = verifier.QUERY_BLOCK
 
+    @pytest.mark.parametrize("threads", [None, 2])
     @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 3 * B + 7])
-    def test_counts_equal_brute_force_at_block_edges(self, count, monkeypatch):
-        monkeypatch.setattr(verifier, "_cpu_count", lambda: 2)  # blocks of QUERY_BLOCK on any host
+    def test_counts_equal_brute_force_at_block_edges(self, count, threads):
         rng = np.random.default_rng(count)
         sensors = rng.uniform(-5.0, 5.0, size=(40, 2))
         probes = rng.uniform(-7.0, 7.0, size=(count, 2))
-        counts = coverage_counts(probes, sensors, 1.5)
+        with contextlib.nullcontext() if threads is None else ThreadPoolExecutor(threads) as pool:
+            counts = coverage_counts(probes, sensors, 1.5, pool)
         assert counts.shape == (count,)
         assert np.array_equal(counts, brute_force_counts(probes, sensors, 1.5))
 
-    # (CPUs, probes) -> (threads, probes per query): four threads fill a block; more threads take
-    # MIN_PROBES_PER_WORKER each, so a host with eight CPUs queries on eight threads, in larger blocks
-    @pytest.mark.parametrize("cpus, count, workers, blocks", [
-        (2, 3 * B + 7, 2, [B, B, B, 7]),
-        (4, 2 * B, 4, [B, B]),
-        (8, 3 * B + 7, 8, [2 * B, B + 7]),
-        (8, B, 4, [B]),
-        (8, 5000, 1, [5000]),
-    ])
-    def test_query_threads_and_blocks_follow_the_cpus(self, cpus, count, workers, blocks, monkeypatch):
-        queries = []
+    @staticmethod
+    def _record_queries(monkeypatch):
+        """(probes, options, thread) of every scipy query, in call order."""
+        queries, original = [], verifier._kdtree
 
         class Tree:
             def __init__(self, sensors):
                 self.tree = original(sensors)
 
             def query_ball_point(self, points, eff, **options):
-                queries.append((len(points), options["workers"]))
+                queries.append((len(points), options, threading.current_thread()))
                 return self.tree.query_ball_point(points, eff, **options)
 
-        original = verifier._kdtree
         monkeypatch.setattr(verifier, "_kdtree", Tree)
+        return queries
+
+    def test_inline_blocks_run_on_the_calling_thread(self, monkeypatch):
+        queries = self._record_queries(monkeypatch)
+        rng = np.random.default_rng(2)
+        probes = rng.uniform(-7.0, 7.0, size=(3 * self.B + 7, 2))
+        coverage_counts(probes, rng.uniform(-5.0, 5.0, size=(40, 2)), 1.5)
+        assert [size for size, _, _ in queries] == [self.B, self.B, self.B, 7]
+        assert {thread for _, _, thread in queries} == {threading.main_thread()}
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_verify_queries_blocks_on_its_executor(self, cpus, monkeypatch):
+        # every query is one block with scipy's default single thread, on the executor's at most
+        # one thread per CPU, which also counts the grid; the report is the inline schedule's
+        deployment = place_benchmark(build_solar_model(3, 10.0), 4, seed=7)
+        monkeypatch.setattr(verifier, "_address_space_limited", lambda: True)
+        inline = verify_coverage(deployment, seed=3, mc_samples=3 * self.B + 7)
+        queries = self._record_queries(monkeypatch)
+        grid_threads, counts = [], verifier.lattice_counts
+
+        def recorded(*args):
+            grid_threads.append(threading.current_thread())
+            return counts(*args)
+
+        monkeypatch.setattr(verifier, "lattice_counts", recorded)
         monkeypatch.setattr(verifier, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(verifier, "_address_space_limited", lambda: False)
-        rng = np.random.default_rng(count)
-        sensors = rng.uniform(-5.0, 5.0, size=(40, 2))
-        probes = rng.uniform(-7.0, 7.0, size=(count, 2))
-        counts = coverage_counts(probes, sensors, 1.5)
-        assert queries == [(size, workers) for size in blocks]
-        assert np.array_equal(counts, brute_force_counts(probes, sensors, 1.5))
+        assert verify_coverage(deployment, seed=3, mc_samples=3 * self.B + 7) == inline
+        assert sorted(size for size, _, _ in queries) == sorted([structured_count(3), self.B, self.B, self.B, 7])
+        assert all(options == {"return_length": True} for _, options, _ in queries)
+        threads = {thread for _, _, thread in queries} | set(grid_threads)
+        assert len(threads) <= cpus and threading.main_thread() not in threads
 
     def test_no_sensors_count_zero(self):
         probes = np.random.default_rng(3).uniform(-7.0, 7.0, size=(2 * self.B + 1, 2))
@@ -408,6 +427,29 @@ class TestStageSchedule:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert verify_coverage(deployment, seed=3, mc_samples=MC) == expected
         assert on_main == [True]
+
+    def test_verify_starts_over_inline_when_a_later_thread_cannot_start(self, monkeypatch):
+        # the grid's thread starts and no later one does: the executor finishes what it has queued,
+        # then the stages are counted again on this thread alone
+        deployment = self._deployment("scheme")
+        monkeypatch.setattr(verifier, "_address_space_limited", lambda: True)
+        samples = 3 * verifier.QUERY_BLOCK
+        expected = verify_coverage(deployment, seed=3, mc_samples=samples)
+        monkeypatch.setattr(verifier, "_address_space_limited", lambda: False)
+        monkeypatch.setattr(verifier, "_cpu_count", lambda: 4)
+        starts, start = [], threading.Thread.start
+
+        def first_only(thread):
+            starts.append(thread.name)
+            if len(starts) > 1:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", first_only)
+        threads = threading.active_count()
+        assert verify_coverage(deployment, seed=3, mc_samples=samples) == expected
+        assert len(starts) > 1
+        assert threading.active_count() == threads
 
     def test_no_worker_outlives_an_error_in_the_report(self, monkeypatch):
         # the structured stage's failing points cannot be read while the grid is still counted
